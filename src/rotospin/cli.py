@@ -177,8 +177,7 @@ def cmd_scan(args) -> int:
     cfg = _layered(args)
     model = cfgmod.build_model(cfg)
     req = cfgmod.build_scan_request(cfg, model, section="scan")
-    grid = scan.grid_scan(req, n_threads=scan.thread_count_from_env(
-        args.threads or 1))
+    grid = scan.grid_scan(req)
     out = cfgmod.build_output(cfg, default="scan.csv")
     sidecar = scan.write_grid_csv(grid, out.data, out.sidecar)
     n_cells = grid.singular.size
@@ -305,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Omega-count", type=int)
     p.add_argument("--units", choices=["physical", "fig2"])
     p.add_argument("--out", metavar="PATH")
-    p.add_argument("--threads", type=int,
-                   help="worker threads (capped by ROTOSPIN_THREADS)")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("spectrum", help="fixed-Omega frequency sweep to CSV")
@@ -360,6 +357,11 @@ def main(argv=None) -> int:
         return EXIT_SINGULAR
     except dynamics.UnreachableTargetError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OverflowError as exc:
+        # every input is finite by now, so only its magnitude can overflow
+        print(f"error: an input is too large: {exc.args[-1]}",
+              file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -24,6 +24,7 @@ both.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,15 +118,12 @@ def _require(cfg: Sections, section, key) -> str:
 
 
 def _get_float(cfg, section, key, default=None):
-    raw = _section(cfg, section).get(key)
-    if raw is None or raw == "":
+    value = _get_optional_float(cfg, section, key)
+    if value is None:
         if default is None:
             raise ConfigError(f"missing [{section}] {key}")
         return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from None
+    return value
 
 
 def _get_int(cfg, section, key, default=None):
@@ -145,9 +143,12 @@ def _get_optional_float(cfg, section, key):
     if raw is None or raw == "":
         return None
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: must be finite, got {raw!r}")
+    return value
 
 
 def build_model(cfg: Sections) -> OscillatorModel:

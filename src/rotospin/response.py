@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,13 +64,6 @@ _SINGULAR_MSG = ("response denominator vanishes (gamma = tau = 0 on the "
                  "omega0); no bounded steady state exists there")
 
 
-def _guard_scalar(*values):
-    """Raise on non-finite scalar results (lossless-resonance blowup)."""
-    for v in values:
-        if np.ndim(v) == 0 and not np.isfinite(v):
-            raise SingularResonanceError(_SINGULAR_MSG)
-
-
 def _amplitude(e, d):
     """e/d with the zero-drive shortcut and a loud lossless-resonance error."""
     if np.ndim(e) == 0 and e == 0:
@@ -85,9 +79,11 @@ def _amplitude(e, d):
 
 
 def _scalar_or_array(x):
-    """Collapse 0-d results to float, raising if they are non-finite."""
+    """Collapse 0-d results to float, raising if they are non-finite
+    (lossless-resonance blowup)."""
     if np.ndim(x) == 0:
-        _guard_scalar(x)
+        if not np.isfinite(x):
+            raise SingularResonanceError(_SINGULAR_MSG)
         return float(x)
     return x
 
@@ -120,6 +116,10 @@ class OscillatorModel:
     light_speed: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
+        for name in ("coupling", "natural_frequency", "damping_rate",
+                     "radiative_time", "light_speed"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.coupling > 0:
             raise ValueError("coupling must be positive")
         if not self.natural_frequency > 0:
@@ -288,21 +288,9 @@ class CrossSectionSet:
         }
 
 
-@dataclass(frozen=True)
-class _HelicityTerms:
-    """Shared intermediates: shifted frequencies, helicity weights
-    |E_pm/E|^2 and the weighted inverse denominators w_pm/|d_pm|^2."""
-
-    shifted: ShiftedFrequencies
-    weight_plus: float
-    weight_minus: float
-    term_plus: float
-    term_minus: float
-    d2_plus: float
-    d2_minus: float
-
-
-def _helicity_terms(model, drive, Omega) -> _HelicityTerms:
+def _terms(model, drive, Omega):
+    """Shared intermediates (s, t_plus, t_minus): the shifted frequencies
+    and the weighted inverse denominators t_pm = |E_pm/E|^2 / |d_pm|^2."""
     e2 = drive.field_norm_sq
     if e2 == 0:
         raise ValueError("drive field has zero amplitude")
@@ -317,8 +305,44 @@ def _helicity_terms(model, drive, Omega) -> _HelicityTerms:
         # keeping every downstream product NaN at singular cells
         tp = np.where(wp == 0.0, 0.0, np.where(d2p == 0.0, np.nan, wp / d2p))
         tm = np.where(wm == 0.0, 0.0, np.where(d2m == 0.0, np.nan, wm / d2m))
-    return _HelicityTerms(shifted_frequencies(drive.frequency, Omega),
-                          wp, wm, tp, tm, d2p, d2m)
+    return shifted_frequencies(drive.frequency, Omega), tp, tm
+
+
+def _brake(model, s, tp, tm):
+    """Helicity sum shared by the torque and sigma_mech."""
+    gamma = model.damping_rate
+    tau = model.radiative_time
+    return (-(gamma * s.plus + tau * s.plus2**3) * tp
+            + (gamma * s.minus + tau * s.minus2**3) * tm)
+
+
+def _mechanical(model, Omega, s, tp, tm):
+    return (np.pi * model.coupling * Omega / model.light_speed
+            * _brake(model, s, tp, tm))
+
+
+def _absorption(model, s, tp, tm):
+    return (np.pi * model.damping_rate * model.coupling / model.light_speed
+            * (s.plus**2 * tp + s.minus**2 * tm))
+
+
+def _elastic(model, omega, tp, tm):
+    return model.scattering_prefactor * omega**4 * (tp + tm)
+
+
+def _inelastic(model, s, tp, tm):
+    pref = model.scattering_prefactor
+    return pref * s.plus2**4 * tp, pref * s.minus2**4 * tm
+
+
+def _extinction(model, omega, Omega, s, tp, tm):
+    gamma = model.damping_rate
+    tau = model.radiative_time
+    osq3 = 3.0 * Omega**2
+    return np.pi * model.coupling * omega / model.light_speed * (
+        s.plus * (gamma + tau * (s.plus**2 + osq3)) * tp
+        + s.minus * (gamma + tau * (s.minus**2 + osq3)) * tm
+    )
 
 
 @_quiet
@@ -330,34 +354,21 @@ def torque(model: OscillatorModel, drive: DriveField, Omega):
     """
     if drive.field_norm_sq == 0:
         return 0.0
-    h = _helicity_terms(model, drive, Omega)
-    gamma = model.damping_rate
-    tau = model.radiative_time
-    s = h.shifted
-    m = 0.5 * model.coupling * drive.field_norm_sq * (
-        -(gamma * s.plus + tau * s.plus2**3) * h.term_plus
-        + (gamma * s.minus + tau * s.minus2**3) * h.term_minus
-    )
-    return _scalar_or_array(m)
+    brake = _brake(model, *_terms(model, drive, Omega))
+    return _scalar_or_array(0.5 * model.coupling * drive.field_norm_sq * brake)
 
 
 @_quiet
 def absorption_cross_section(model, drive, Omega):
     """sigma_abs: proportional to the friction rate gamma; >= 0."""
-    h = _helicity_terms(model, drive, Omega)
-    s = h.shifted
-    out = (np.pi * model.damping_rate * model.coupling / model.light_speed
-           * (s.plus**2 * h.term_plus + s.minus**2 * h.term_minus))
-    return _scalar_or_array(out)
+    return _scalar_or_array(_absorption(model, *_terms(model, drive, Omega)))
 
 
 @_quiet
 def elastic_cross_section(model, drive, Omega):
     """sigma at the drive frequency (elastic re-emission); >= 0."""
-    h = _helicity_terms(model, drive, Omega)
-    out = (model.scattering_prefactor * drive.frequency**4
-           * (h.term_plus + h.term_minus))
-    return _scalar_or_array(out)
+    _, tp, tm = _terms(model, drive, Omega)
+    return _scalar_or_array(_elastic(model, drive.frequency, tp, tm))
 
 
 @_quiet
@@ -367,76 +378,36 @@ def inelastic_cross_sections(model, drive, Omega):
     Each helicity feeds exactly one sideband, so LCP light (E_plus = 0)
     emits only the down-shifted line.
     """
-    h = _helicity_terms(model, drive, Omega)
-    s = h.shifted
-    pref = model.scattering_prefactor
-    up = pref * s.plus2**4 * h.term_plus
-    down = pref * s.minus2**4 * h.term_minus
+    up, down = _inelastic(model, *_terms(model, drive, Omega))
     return _scalar_or_array(up), _scalar_or_array(down)
 
 
 @_quiet
 def mechanical_cross_section(model, drive, Omega):
     """sigma_mech = M*Omega/I; sign-indefinite."""
-    h = _helicity_terms(model, drive, Omega)
-    gamma = model.damping_rate
-    tau = model.radiative_time
-    s = h.shifted
-    out = np.pi * model.coupling * Omega / model.light_speed * (
-        -(gamma * s.plus + tau * s.plus2**3) * h.term_plus
-        + (gamma * s.minus + tau * s.minus2**3) * h.term_minus
-    )
-    return _scalar_or_array(out)
+    return _scalar_or_array(
+        _mechanical(model, Omega, *_terms(model, drive, Omega)))
 
 
 @_quiet
 def extinction_cross_section(model, drive, Omega):
     """Net power removed from the beam, as an area; negative extinction
     means the rotating particle amplifies the beam."""
-    h = _helicity_terms(model, drive, Omega)
-    gamma = model.damping_rate
-    tau = model.radiative_time
-    s = h.shifted
-    osq3 = 3.0 * Omega**2
-    out = np.pi * model.coupling * drive.frequency / model.light_speed * (
-        s.plus * (gamma + tau * (s.plus**2 + osq3)) * h.term_plus
-        + s.minus * (gamma + tau * (s.minus**2 + osq3)) * h.term_minus
-    )
-    return _scalar_or_array(out)
+    return _scalar_or_array(_extinction(model, drive.frequency, Omega,
+                                        *_terms(model, drive, Omega)))
 
 
 @_quiet
 def cross_section_set(model, drive, Omega) -> CrossSectionSet:
     """All six cross sections at once, sharing intermediates."""
-    h = _helicity_terms(model, drive, Omega)
-    gamma = model.damping_rate
-    tau = model.radiative_time
-    c = model.light_speed
-    K = model.coupling
-    s = h.shifted
+    s, tp, tm = _terms(model, drive, Omega)
     omega = drive.frequency
-
-    brake_plus = gamma * s.plus + tau * s.plus2**3
-    brake_minus = gamma * s.minus + tau * s.minus2**3
-
-    mech = np.pi * K * Omega / c * (-brake_plus * h.term_plus
-                                    + brake_minus * h.term_minus)
-    absorb = np.pi * gamma * K / c * (s.plus**2 * h.term_plus
-                                      + s.minus**2 * h.term_minus)
-    pref = model.scattering_prefactor
-    elastic = pref * omega**4 * (h.term_plus + h.term_minus)
-    in_plus = pref * s.plus2**4 * h.term_plus
-    in_minus = pref * s.minus2**4 * h.term_minus
-    osq3 = 3.0 * Omega**2
-    ext = np.pi * K * omega / c * (
-        s.plus * (gamma + tau * (s.plus**2 + osq3)) * h.term_plus
-        + s.minus * (gamma + tau * (s.minus**2 + osq3)) * h.term_minus
-    )
-    if np.ndim(ext) == 0:
-        return CrossSectionSet(*(_scalar_or_array(v) for v in
-                                 (mech, absorb, elastic,
-                                  in_plus, in_minus, ext)))
-    return CrossSectionSet(mech, absorb, elastic, in_plus, in_minus, ext)
+    values = (_mechanical(model, Omega, s, tp, tm),
+              _absorption(model, s, tp, tm),
+              _elastic(model, omega, tp, tm),
+              *_inelastic(model, s, tp, tm),
+              _extinction(model, omega, Omega, s, tp, tm))
+    return CrossSectionSet(*(_scalar_or_array(v) for v in values))
 
 
 def energy_balance_residual(model, drive, Omega):

@@ -1,11 +1,10 @@
 """Grid maps and spectra of the six cross sections, with CSV export.
 
-A scan evaluates every (omega, Omega) lattice point independently, so
-the result is deterministic no matter how the work is split across
-threads.  Cells with an exactly vanishing response denominator (the
-lossless resonance ellipse, or omega = +/-Omega at |Omega| = omega0)
-are flagged in a boolean mask and exported as NaN with a ``singular``
-marker column.
+A scan evaluates the whole (omega, Omega) lattice in one broadcast call
+of the response kernel.  Cells with an exactly vanishing response
+denominator (the lossless resonance ellipse, or omega = +/-Omega at
+|Omega| = omega0) are flagged in a boolean mask and exported as NaN with
+a ``singular`` marker column.
 
 Two unit conventions are supported.  ``physical`` leaves the areas in
 cm^2 (or the normalized-model equivalent).  ``fig2`` divides the
@@ -18,10 +17,9 @@ restored to a common unit.
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,46 +141,15 @@ class ScanGrid:
         )
 
 
-def _eval_block(req: ScanRequest, omega_axis, Omega_rows):
-    """Evaluate a slab of Omega rows; returns (n_rows, n_omega) arrays."""
-    n_rows, n_om = len(Omega_rows), len(omega_axis)
-    out = {name: np.empty((n_rows, n_om))
-           for name in _FRICTION_COLUMNS + _SCATTER_COLUMNS}
-    for i, Om in enumerate(Omega_rows):
-        drive = DriveField(omega_axis, req.amplitude_x, req.amplitude_y)
-        cs = cross_section_set(req.model, drive, float(Om))
-        raw = cs.as_dict()
-        for name in out:
-            out[name][i] = raw[name]
-    return out
-
-
-def grid_scan(req: ScanRequest, n_threads=1) -> ScanGrid:
-    """Evaluate the full lattice; identical results for any n_threads."""
+def grid_scan(req: ScanRequest) -> ScanGrid:
+    """Evaluate the full lattice in one broadcast call."""
     omega_axis = req.omega_axis
     Omega_axis = req.Omega_axis
-    n_Om = len(Omega_axis)
-    values = {name: np.empty((n_Om, len(omega_axis)))
-              for name in _FRICTION_COLUMNS + _SCATTER_COLUMNS}
+    omega, Omega = np.meshgrid(omega_axis, Omega_axis)
+    drive = DriveField(omega, req.amplitude_x, req.amplitude_y)
+    values = cross_section_set(req.model, drive, Omega).as_dict()
 
-    n_threads = max(1, min(int(n_threads), n_Om))
-    if n_threads == 1:
-        blocks = [(0, n_Om)]
-        results = [_eval_block(req, omega_axis, Omega_axis)]
-    else:
-        bounds = np.linspace(0, n_Om, n_threads + 1).astype(int)
-        blocks = [(bounds[k], bounds[k + 1]) for k in range(n_threads)
-                  if bounds[k] < bounds[k + 1]]
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            results = list(pool.map(
-                lambda b: _eval_block(req, omega_axis, Omega_axis[b[0]:b[1]]),
-                blocks))
-
-    for (lo, hi), block in zip(blocks, results):
-        for name, arr in block.items():
-            values[name][lo:hi] = arr
-
-    singular = np.zeros((n_Om, len(omega_axis)), dtype=bool)
+    singular = np.zeros(omega.shape, dtype=bool)
     for arr in values.values():
         singular |= ~np.isfinite(arr)
     for arr in values.values():
@@ -234,27 +201,41 @@ def _format(x) -> str:
     return f"{x:.17g}"
 
 
+@contextlib.contextmanager
+def _atomic_open(path):
+    """Open a temp file beside ``path`` for writing and rename it over
+    ``path`` on success, so a failed write leaves any existing file intact."""
+    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "x") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_grid_csv(grid: ScanGrid, path, sidecar_path=None) -> str:
     """Write the grid as CSV plus a key-value sidecar; returns sidecar path.
 
     Rows are emitted row-major, the Omega axis outermost.  Values use 17
     significant digits so a re-parse reproduces the doubles bit-exactly.
+    Each file is replaced atomically.
     """
     if sidecar_path is None:
         sidecar_path = str(path) + ".meta"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    cols = [grid.values[name] for name in CSV_HEADER[2:-1]]
-    for i, Om in enumerate(grid.Omega):
-        for j, om in enumerate(grid.omega):
-            row = [_format(om), _format(Om)]
-            row += [_format(c[i, j]) for c in cols]
-            row.append("1" if grid.singular[i, j] else "0")
-            writer.writerow(row)
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
-    with open(sidecar_path, "w") as fh:
+    with _atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        cols = [grid.values[name] for name in CSV_HEADER[2:-1]]
+        for i, Om in enumerate(grid.Omega):
+            for j, om in enumerate(grid.omega):
+                row = [_format(om), _format(Om)]
+                row += [_format(c[i, j]) for c in cols]
+                row.append("1" if grid.singular[i, j] else "0")
+                writer.writerow(row)
+    with _atomic_open(sidecar_path) as fh:
         for key in sorted(grid.metadata):
             fh.write(f"{key} = {grid.metadata[key]}\n")
     return sidecar_path
@@ -307,14 +288,3 @@ def reparse_balance_check(csv_path, sidecar_path=None):
             worst = max(worst, abs(sig["sigma_ext"] - partials) / scale)
             checked += 1
     return worst, checked
-
-
-def thread_count_from_env(default=1) -> int:
-    """Parallelism cap from ROTOSPIN_THREADS; invalid values mean 1."""
-    raw = os.environ.get("ROTOSPIN_THREADS", "")
-    if not raw:
-        return default
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return default

@@ -195,12 +195,32 @@ def test_point_missing_gamma_exits_2(capsys):
     assert "gamma" in capsys.readouterr().err
 
 
+def test_point_huge_frequency_exits_2(capsys):
+    # omega**4 overflows a double: an input out of range, not a crash
+    rc = cli.main(["point", "--normalized", "--gamma", "0.1", "--tau", "1e-3",
+                   "--pol", "lcp", "--omega", "1e80", "--Omega", "0.5"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "too large" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--gamma", "nan"),
+                                         ("--omega", "inf"),
+                                         ("--Omega", "nan")])
+def test_point_non_finite_input_exits_2(capsys, flag, value):
+    flags = {"--gamma": "0.1", "--omega": "0.5", "--Omega": "0.2",
+             flag: value}
+    rc = cli.main(["point"] + [x for pair in flags.items() for x in pair])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err and "singular" not in err
+
+
 # ---------------------------------------------------------------------------
 # CLI: scan and spectrum
 
 
-def test_scan_preset_with_overrides(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("ROTOSPIN_THREADS", raising=False)
+def test_scan_preset_with_overrides(tmp_path, capsys):
     out = tmp_path / "grid.csv"
     rc = cli.main(["scan", "--preset", "fig2", "--omega-count", "12",
                    "--Omega-count", "8", "--out", str(out)])

@@ -265,6 +265,18 @@ def test_negative_extinction_fast_rotor():
     assert np.all(above > 0.0)
 
 
+def test_each_view_guards_only_its_own_channel():
+    # at omega = 1e80 only the scattering channels overflow (omega**4);
+    # under LCP light the other views are exactly 0.0 and must not raise
+    m = OscillatorModel.normalized(0.1, 1e-3)
+    d = DriveField.lcp(1e80)
+    for view in (mechanical_cross_section, absorption_cross_section,
+                 extinction_cross_section, torque):
+        assert view(m, d, 0.5) == 0.0
+    with pytest.raises(OverflowError):
+        elastic_cross_section(m, d, 0.5)
+
+
 def test_zero_field_cross_sections_raise():
     with pytest.raises(ValueError):
         absorption_cross_section(MODEL, DriveField(0.5, 0.0, 0.0), 0.2)
@@ -593,6 +605,11 @@ def test_model_validation():
         OscillatorModel(1.0, 1.0, -0.1, 0.0, 1.0)
     with pytest.raises(ValueError):
         OscillatorModel(1.0, 1.0, 0.1, -1e-3, 1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            OscillatorModel(1.0, 1.0, bad, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            OscillatorModel(1.0, 1.0, 0.1, bad, 1.0)
 
 
 def test_physical_link():

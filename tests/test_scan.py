@@ -1,5 +1,7 @@
 """Grid evaluation, unit conversion, CSV export, and the re-parse check."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,6 +10,7 @@ from rotospin import (
     DriveField,
     OscillatorModel,
     ScanRequest,
+    SingularResonanceError,
     cross_section_set,
     grid_scan,
     polarization_amplitudes,
@@ -15,7 +18,8 @@ from rotospin import (
     spectrum_sweep,
     write_grid_csv,
 )
-from rotospin.scan import CSV_HEADER, read_sidecar, thread_count_from_env
+from rotospin import scan
+from rotospin.scan import CSV_HEADER, read_sidecar
 
 MODEL = OscillatorModel.normalized(0.1, 1e-4)
 
@@ -87,11 +91,29 @@ def test_unknown_units_rejected():
 
 
 def test_single_cell_matches_direct_evaluation():
-    req = _request(omega_min=0.5, omega_max=0.5, omega_count=1,
-                   Omega_min=0.2, Omega_max=0.2, Omega_count=1)
-    grid = grid_scan(req)
-    direct = cross_section_set(MODEL, DriveField.lcp(0.5), 0.2)
-    assert grid.cell(0, 0) == direct
+    # every cell of a small lattice equals the scalar evaluation; the
+    # lattice holds both co-rotation corners, omega = +/-Omega at
+    # |Omega| = omega0, so each drive also checks the singular mask
+    for pol, ex, ey in (("lcp", None, None), ("linear", None, None),
+                        ("explicit", 0.3 + 0.1j, -0.2 + 0.5j)):
+        ex, ey = polarization_amplitudes(pol, ex=ex, ey=ey)
+        grid = grid_scan(_request(amplitude_x=ex, amplitude_y=ey,
+                                  omega_min=0.0, omega_max=2.0,
+                                  omega_count=5, Omega_min=-1.0,
+                                  Omega_max=2.0, Omega_count=4))
+        for i, Om in enumerate(grid.Omega):
+            for j, om in enumerate(grid.omega):
+                try:
+                    direct = cross_section_set(MODEL, DriveField(om, ex, ey),
+                                               Om)
+                except SingularResonanceError:
+                    assert grid.singular[i, j]
+                    continue
+                assert not grid.singular[i, j]
+                assert_allclose(dataclasses.astuple(grid.cell(i, j)),
+                                dataclasses.astuple(direct), rtol=1e-14,
+                                atol=0.0)
+        assert grid.singular.any()
 
 
 def test_fig2_divisors_restore_physical_values():
@@ -101,16 +123,6 @@ def test_fig2_divisors_restore_physical_values():
     for name in CSV_HEADER[2:-1]:
         restored = fig2.values[name] * float(div[f"divisor_{name}"])
         assert_allclose(restored, phys.values[name], rtol=1e-13)
-
-
-def test_thread_count_does_not_change_values():
-    req = _request()
-    serial = grid_scan(req, n_threads=1)
-    parallel = grid_scan(req, n_threads=4)
-    for name in CSV_HEADER[2:-1]:
-        assert np.array_equal(serial.values[name], parallel.values[name],
-                              equal_nan=True)
-    assert np.array_equal(serial.singular, parallel.singular)
 
 
 def test_spectrum_sweep_matches_grid_cells():
@@ -157,8 +169,27 @@ def test_csv_output_is_deterministic(tmp_path):
     req = _request()
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_grid_csv(grid_scan(req), a)
-    write_grid_csv(grid_scan(req, n_threads=3), b)
+    write_grid_csv(grid_scan(req), b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_failed_write_leaves_existing_csv_intact(tmp_path, monkeypatch):
+    path = tmp_path / "scan.csv"
+    path.write_text("previous\n")
+    grid = grid_scan(_request())
+    calls = []
+
+    def format_until_row_3(x):
+        calls.append(x)
+        if len(calls) > 2 * len(CSV_HEADER[:-1]):
+            raise RuntimeError("write failed")
+        return f"{x:.17g}"
+
+    monkeypatch.setattr(scan, "_format", format_until_row_3)
+    with pytest.raises(RuntimeError):
+        write_grid_csv(grid, path)
+    assert path.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["scan.csv"]
 
 
 def test_sidecar_contents(tmp_path):
@@ -191,19 +222,3 @@ def test_reparse_rejects_foreign_header(tmp_path):
     (tmp_path / "bad.csv.meta").write_text(meta)
     with pytest.raises(ValueError):
         reparse_balance_check(path)
-
-
-# ---------------------------------------------------------------------------
-# environment knob
-
-
-def test_thread_count_from_env(monkeypatch):
-    monkeypatch.delenv("ROTOSPIN_THREADS", raising=False)
-    assert thread_count_from_env() == 1
-    assert thread_count_from_env(default=3) == 3
-    monkeypatch.setenv("ROTOSPIN_THREADS", "4")
-    assert thread_count_from_env() == 4
-    monkeypatch.setenv("ROTOSPIN_THREADS", "0")
-    assert thread_count_from_env() == 1
-    monkeypatch.setenv("ROTOSPIN_THREADS", "garble")
-    assert thread_count_from_env() == 1
