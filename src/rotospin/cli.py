@@ -10,7 +10,6 @@ self-check failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 import numpy as np
@@ -28,97 +27,109 @@ EXIT_VALIDATION = 4
 _BALANCE_SELF_CHECK = 1e-10
 
 
-def _add_model_flags(p):
-    g = p.add_argument_group("model")
-    mode = g.add_mutually_exclusive_group()
-    mode.add_argument("--normalized", dest="mode", action="store_const",
-                      const="normalized", help="dimensionless model "
-                      "(omega0 = c = coupling = 1 by default)")
-    mode.add_argument("--physical", dest="mode", action="store_const",
-                      const="physical", help="CGS model; tau linked to the "
-                      "coupling unless --tau is given")
-    g.add_argument("--source", choices=["direct", "drude-sphere",
-                                        "drude-ellipsoid"])
-    g.add_argument("--gamma", type=float, help="friction rate (rad/s)")
-    g.add_argument("--tau", type=float, help="radiative time (s)")
-    g.add_argument("--omega0", type=float, help="natural frequency (rad/s)")
-    g.add_argument("--coupling", type=float, help="Q^2/m (cm^3/s^2)")
-    g.add_argument("--light-speed", type=float)
-    g.add_argument("--plasma-frequency", type=float)
-    g.add_argument("--damping", type=float, help="Drude damping (rad/s)")
-    g.add_argument("--radius", type=float, help="sphere radius (cm)")
-    g.add_argument("--volume", type=float, help="ellipsoid volume (cm^3)")
-    g.add_argument("--depolarization-factor", type=float)
+def _float(help=None):
+    return {"type": float, "help": help}
 
 
-def _add_drive_flags(p):
-    g = p.add_argument_group("drive")
-    g.add_argument("--pol", choices=["lcp", "rcp", "linear", "explicit"],
-                   help="polarization (LCP means E_x + i E_y = 0)")
-    g.add_argument("--omega", type=float, help="drive frequency (rad/s)")
-    g.add_argument("--amplitude", type=float, help="|E| (statvolt/cm)")
-    g.add_argument("--angle", type=float,
-                   help="linear-polarization angle from x (rad)")
-    g.add_argument("--intensity", type=float,
-                   help="beam intensity (erg/s/cm^2); overrides --amplitude")
+_INT = {"type": int}
+_UNITS = {"choices": ["physical", "fig2"]}
+_OUT = ("--out", "output.path", {"metavar": "PATH"})
+
+#: Every config flag, once: (flag, "section.key" it sets, argparse
+#: options).  The model and drive flags are shared by every subcommand but
+#: validate; a flag writes only the section its key names.
+_FLAGS = {
+    "model": (
+        ("--normalized", "model.mode",
+         {"action": "store_const", "const": "normalized",
+          "help": "dimensionless model (omega0 = c = coupling = 1 by "
+                  "default)"}),
+        ("--physical", "model.mode",
+         {"action": "store_const", "const": "physical",
+          "help": "CGS model; tau linked to the coupling unless --tau is "
+                  "given"}),
+        ("--source", "model.source",
+         {"choices": ["direct", "drude-sphere", "drude-ellipsoid"]}),
+        ("--gamma", "model.gamma", _float("friction rate (rad/s)")),
+        ("--tau", "model.tau", _float("radiative time (s)")),
+        ("--omega0", "model.omega0", _float("natural frequency (rad/s)")),
+        ("--coupling", "model.coupling", _float("Q^2/m (cm^3/s^2)")),
+        ("--light-speed", "model.light_speed", _float()),
+        ("--plasma-frequency", "model.plasma_frequency", _float()),
+        ("--damping", "model.damping", _float("Drude damping (rad/s)")),
+        ("--radius", "model.radius", _float("sphere radius (cm)")),
+        ("--volume", "model.volume", _float("ellipsoid volume (cm^3)")),
+        ("--depolarization-factor", "model.depolarization_factor", _float()),
+    ),
+    "drive": (
+        ("--pol", "drive.polarization",
+         {"choices": ["lcp", "rcp", "linear", "explicit"],
+          "help": "polarization (LCP means E_x + i E_y = 0)"}),
+        ("--omega", "drive.omega", _float("drive frequency (rad/s)")),
+        ("--amplitude", "drive.amplitude", _float("|E| (statvolt/cm)")),
+        ("--angle", "drive.angle",
+         _float("linear-polarization angle from x (rad)")),
+        ("--intensity", "drive.intensity",
+         _float("beam intensity (erg/s/cm^2); overrides --amplitude")),
+    ),
+    "point": (("--Omega", "point.Omega",
+               _float("rotation frequency (rad/s)")),),
+    "scan": (
+        ("--omega-min", "scan.omega_min", _float()),
+        ("--omega-max", "scan.omega_max", _float()),
+        ("--Omega-min", "scan.Omega_min", _float()),
+        ("--Omega-max", "scan.Omega_max", _float()),
+        ("--omega-count", "scan.omega_count", _INT),
+        ("--Omega-count", "scan.Omega_count", _INT),
+        ("--units", "scan.units", _UNITS),
+        _OUT,
+    ),
+    "spectrum": (
+        ("--Omega", "spectrum.Omega", _float()),
+        ("--omega-min", "spectrum.omega_min", _float()),
+        ("--omega-max", "spectrum.omega_max", _float()),
+        ("--omega-count", "spectrum.omega_count", _INT),
+        ("--units", "spectrum.units", _UNITS),
+        _OUT,
+    ),
+    "spinup": (
+        ("--Omega-init", "spinup.Omega_init", _float()),
+        ("--Omega-target", "spinup.Omega_target", _float()),
+        ("--max-time", "spinup.max_time", _float()),
+        ("--samples", "spinup.samples", _INT),
+        _OUT,
+    ),
+    "thermal": (("--Omega", "thermal.Omega", _float()),),
+    "amplify": (("--samples", "medium.samples", _INT), _OUT),
+}
+
+
+def _add_flags(p, rows):
+    """Declare table rows on ``p``, each with dest "section.key"."""
+    mode = None
+    for flag, dest, options in rows:
+        if options.get("action") == "store_const":
+            # --normalized and --physical set one key, so they exclude
+            # each other
+            mode = mode or p.add_mutually_exclusive_group()
+            mode.add_argument(flag, dest=dest, **options)
+            continue
+        if "choices" not in options:
+            # the metavar argparse would derive from the flag itself
+            options = {"metavar": flag[2:].replace("-", "_").upper(),
+                       **options}
+        p.add_argument(flag, dest=dest, **options)
 
 
 def _flag_overlay(args) -> dict:
     """Translate parsed flags into config-section form."""
-    model = {"mode": getattr(args, "mode", None),
-             "source": getattr(args, "source", None),
-             "gamma": _fmt(getattr(args, "gamma", None)),
-             "tau": _fmt(getattr(args, "tau", None)),
-             "omega0": _fmt(getattr(args, "omega0", None)),
-             "coupling": _fmt(getattr(args, "coupling", None)),
-             "light_speed": _fmt(getattr(args, "light_speed", None)),
-             "plasma_frequency": _fmt(getattr(args, "plasma_frequency", None)),
-             "damping": _fmt(getattr(args, "damping", None)),
-             "radius": _fmt(getattr(args, "radius", None)),
-             "volume": _fmt(getattr(args, "volume", None)),
-             "depolarization_factor": _fmt(
-                 getattr(args, "depolarization_factor", None))}
-    drive = {"polarization": getattr(args, "pol", None),
-             "omega": _fmt(getattr(args, "omega", None)),
-             "amplitude": _fmt(getattr(args, "amplitude", None)),
-             "angle": _fmt(getattr(args, "angle", None)),
-             "intensity": _fmt(getattr(args, "intensity", None))}
-    overlay = {"model": model, "drive": drive}
-
-    def put(section, key, attr):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overlay.setdefault(section, {})[key] = _fmt(value)
-
-    put("point", "Omega", "Omega")
-    put("scan", "omega_min", "omega_min")
-    put("scan", "omega_max", "omega_max")
-    put("scan", "omega_count", "omega_count")
-    put("scan", "Omega_min", "Omega_min")
-    put("scan", "Omega_max", "Omega_max")
-    put("scan", "Omega_count", "Omega_count")
-    put("scan", "units", "units")
-    put("spectrum", "Omega", "Omega")
-    put("spectrum", "omega_min", "omega_min")
-    put("spectrum", "omega_max", "omega_max")
-    put("spectrum", "omega_count", "omega_count")
-    put("spectrum", "units", "units")
-    put("spinup", "Omega_init", "Omega_init")
-    put("spinup", "Omega_target", "Omega_target")
-    put("spinup", "max_time", "max_time")
-    put("spinup", "samples", "samples")
-    put("thermal", "Omega", "Omega")
-    put("output", "path", "out")
-    put("medium", "samples", "samples")
+    overlay = {}
+    for dest, value in vars(args).items():
+        section, dot, key = dest.partition(".")
+        if dot and value is not None:
+            overlay.setdefault(section, {})[key] = (
+                repr(value) if isinstance(value, float) else str(value))
     return overlay
-
-
-def _fmt(value):
-    if value is None:
-        return None
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _layered(args) -> dict:
@@ -212,11 +223,7 @@ def cmd_spinup(args) -> int:
         thermal=thermal,
         n_samples=cfgmod._get_int(cfg, "spinup", "samples", 200))
     out = cfgmod.build_output(cfg, default="spinup.csv")
-    with open(out.data, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "Omega"])
-        for t, om in zip(traj.times, traj.rotation):
-            writer.writerow([f"{t:.17g}", f"{om:.17g}"])
+    scan.write_columns(out.data, ("t", "Omega"), traj.times, traj.rotation)
     _print_kv([("outcome", traj.outcome),
                ("terminal_time", traj.terminal_time),
                ("terminal_Omega", traj.terminal_rotation),
@@ -250,11 +257,7 @@ def cmd_amplify(args) -> int:
                     cfgmod._get_int(cfg, "medium", "samples", 101))
     profile = medium.propagate_intensity(intensity_in, g, z)
     out = cfgmod.build_output(cfg, default="amplify.csv")
-    with open(out.data, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["z", "I"])
-        for zi, ii in zip(z, profile):
-            writer.writerow([f"{zi:.17g}", f"{ii:.17g}"])
+    scan.write_columns(out.data, ("z", "I"), z, profile)
     pairs = [("mean_sigma_ext", mean.value), ("gain_coefficient", g),
              ("excluded_members", len(mean.excluded)),
              ("I_in", intensity_in), ("I_out", float(profile[-1])),
@@ -281,61 +284,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "oscillator particles")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, preset=False):
+    def add(name, func, summary, preset=False):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", metavar="PATH",
                        help="INI-style key-value config file")
         if preset:
             p.add_argument("--preset", choices=sorted(cfgmod.PRESETS),
                            help="parameter bundle for a known figure")
-        _add_model_flags(p)
-        _add_drive_flags(p)
+        for group in ("model", "drive"):
+            _add_flags(p.add_argument_group(group), _FLAGS[group])
+        _add_flags(p, _FLAGS[name])
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("point", help="all cross sections at one "
-                                     "(omega, Omega) point")
-    common(p)
-    p.add_argument("--Omega", type=float, help="rotation frequency (rad/s)")
-    p.set_defaults(func=cmd_point)
-
-    p = sub.add_parser("scan", help="(omega, Omega) grid map to CSV")
-    common(p, preset=True)
-    for flag in ("--omega-min", "--omega-max", "--Omega-min", "--Omega-max"):
-        p.add_argument(flag, type=float)
-    p.add_argument("--omega-count", type=int)
-    p.add_argument("--Omega-count", type=int)
-    p.add_argument("--units", choices=["physical", "fig2"])
-    p.add_argument("--out", metavar="PATH")
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("spectrum", help="fixed-Omega frequency sweep to CSV")
-    common(p, preset=True)
-    p.add_argument("--Omega", type=float)
-    p.add_argument("--omega-min", type=float)
-    p.add_argument("--omega-max", type=float)
-    p.add_argument("--omega-count", type=int)
-    p.add_argument("--units", choices=["physical", "fig2"])
-    p.add_argument("--out", metavar="PATH")
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("spinup", help="integrate the rotation spin-up")
-    common(p)
-    p.add_argument("--Omega-init", type=float)
-    p.add_argument("--Omega-target", type=float)
-    p.add_argument("--max-time", type=float)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--out", metavar="PATH")
-    p.set_defaults(func=cmd_spinup)
-
-    p = sub.add_parser("thermal", help="radiative equilibrium temperature")
-    common(p)
-    p.add_argument("--Omega", type=float)
-    p.set_defaults(func=cmd_thermal)
-
-    p = sub.add_parser("amplify", help="beam gain through a rotating-"
-                                       "particle medium")
-    common(p)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--out", metavar="PATH")
-    p.set_defaults(func=cmd_amplify)
+    add("point", cmd_point, "all cross sections at one (omega, Omega) point")
+    add("scan", cmd_scan, "(omega, Omega) grid map to CSV", preset=True)
+    add("spectrum", cmd_spectrum, "fixed-Omega frequency sweep to CSV",
+        preset=True)
+    add("spinup", cmd_spinup, "integrate the rotation spin-up")
+    add("thermal", cmd_thermal, "radiative equilibrium temperature")
+    add("amplify", cmd_amplify, "beam gain through a rotating-particle "
+                                "medium")
 
     p = sub.add_parser("validate", help="run the physics self-check suite")
     p.add_argument("--seed", type=int, default=20260822)
@@ -361,6 +329,11 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         # every input is finite by now, so only its magnitude can overflow
         print(f"error: an input is too large: {exc.args[-1]}",
+              file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        # the output writers report the path they were asked to write
+        print(f"error: cannot write {exc.filename}: {exc.strerror}",
               file=sys.stderr)
         return EXIT_CONFIG
 

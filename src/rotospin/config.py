@@ -24,6 +24,7 @@ both.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -106,6 +107,21 @@ def layer_configs(*layers) -> Sections:
     return out
 
 
+@contextlib.contextmanager
+def _section_errors(section):
+    """Report a library ValueError as a ConfigError naming ``section``.
+
+    A ConfigError already names its section and key, so it passes
+    through unchanged.
+    """
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"[{section}]: {exc}") from exc
+
+
 def _section(cfg: Sections, name) -> dict:
     return cfg.get(name, {})
 
@@ -157,7 +173,7 @@ def build_model(cfg: Sections) -> OscillatorModel:
         raise ConfigError(f"[model] mode must be normalized or physical, "
                           f"got {mode!r}")
     source = _section(cfg, "model").get("source", "direct").lower()
-    try:
+    with _section_errors("model"):
         if source == "direct":
             if mode == "normalized":
                 return OscillatorModel.normalized(
@@ -190,10 +206,6 @@ def build_model(cfg: Sections) -> OscillatorModel:
                                                  "depolarization_factor"))
             c = _get_float(cfg, "model", "light_speed", SPEED_OF_LIGHT)
             return from_drude_ellipsoid(ell, c)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"[model]: {exc}") from exc
     raise ConfigError(f"[model] source must be direct, drude-sphere or "
                       f"drude-ellipsoid, got {source!r}")
 
@@ -208,14 +220,12 @@ def drive_amplitudes(cfg: Sections, model: OscillatorModel):
         if intensity < 0:
             raise ConfigError("[drive] intensity must be non-negative")
         amplitude = float(np.sqrt(2.0 * np.pi * intensity / model.light_speed))
-    try:
+    with _section_errors("drive"):
         ex, ey = polarization_amplitudes(
             kind, amplitude=amplitude,
             angle=_get_float(cfg, "drive", "angle", 0.0),
             ex=_parse_complex(cfg, "ex") if kind == "explicit" else None,
             ey=_parse_complex(cfg, "ey") if kind == "explicit" else None)
-    except ValueError as exc:
-        raise ConfigError(f"[drive]: {exc}") from exc
     return ex, ey, kind
 
 
@@ -241,7 +251,7 @@ def build_scan_request(cfg: Sections, model: OscillatorModel,
         Om_min = _get_float(cfg, section, "Omega_min")
         Om_max = _get_float(cfg, section, "Omega_max")
         Om_count = _get_int(cfg, section, "Omega_count")
-    try:
+    with _section_errors(section):
         return ScanRequest(
             model=model, amplitude_x=ex, amplitude_y=ey,
             omega_min=_get_float(cfg, section, "omega_min"),
@@ -250,8 +260,6 @@ def build_scan_request(cfg: Sections, model: OscillatorModel,
             Omega_min=Om_min, Omega_max=Om_max, Omega_count=Om_count,
             units=_section(cfg, section).get("units", "physical"),
             polarization_label=label)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}]: {exc}") from exc
 
 
 def build_body(cfg: Sections) -> RigidBodyParams:
@@ -261,7 +269,7 @@ def build_body(cfg: Sections) -> RigidBodyParams:
     shape = sec.get("shape", "direct").lower()
     melt = _get_optional_float(cfg, "body", "melting_temperature")
     surface = _get_optional_float(cfg, "body", "surface_tension")
-    try:
+    with _section_errors("body"):
         if shape == "direct":
             return RigidBodyParams(
                 moment_of_inertia=_get_float(cfg, "body", "moment_of_inertia"),
@@ -278,10 +286,6 @@ def build_body(cfg: Sections) -> RigidBodyParams:
                 mass=_get_float(cfg, "body", "mass"),
                 length=_get_float(cfg, "body", "length"),
                 melting_temperature=melt, surface_tension=surface)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"[body]: {exc}") from exc
     raise ConfigError(f"[body] shape must be direct, sphere or rod, "
                       f"got {shape!r}")
 
@@ -289,14 +293,12 @@ def build_body(cfg: Sections) -> RigidBodyParams:
 def build_thermal(cfg: Sections) -> ThermalParams:
     if "thermal" not in cfg:
         raise ConfigError("missing [thermal] section")
-    try:
+    with _section_errors("thermal"):
         return ThermalParams(
             ambient_temperature=_get_float(cfg, "thermal",
                                            "ambient_temperature"),
             radiative_coefficient=_get_float(cfg, "thermal",
                                              "radiative_coefficient"))
-    except ValueError as exc:
-        raise ConfigError(f"[thermal]: {exc}") from exc
 
 
 def build_medium(cfg: Sections, model: OscillatorModel) -> MediumSpec:
@@ -318,24 +320,25 @@ def build_medium(cfg: Sections, model: OscillatorModel) -> MediumSpec:
             continue
         rotation, sep, weight = item.partition(":")
         try:
-            members.append((float(rotation), float(weight) if sep else 1.0))
+            member = (float(rotation), float(weight) if sep else 1.0)
         except ValueError:
             raise ConfigError(f"[medium] members: bad entry {item!r}; "
                               "expected Omega:weight") from None
+        if not all(map(math.isfinite, member)):
+            raise ConfigError(f"[medium] members: entry {item!r} must be "
+                              "finite")
+        members.append(member)
     if not members:
         raise ConfigError("[medium] members is empty")
     total = sum(w for _, w in members)
     if total <= 0:
         raise ConfigError("[medium] members: weights must sum to > 0")
-    try:
-        spec = MediumSpec(
+    with _section_errors("medium"):
+        return MediumSpec(
             number_density=_get_float(cfg, "medium", "number_density"),
             path_length=_get_float(cfg, "medium", "path_length"),
             members=tuple(MediumMember(model, om, w / total)
                           for om, w in members))
-    except ValueError as exc:
-        raise ConfigError(f"[medium]: {exc}") from exc
-    return spec
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,38 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 
 from .response import DriveField, OscillatorModel, absorption_cross_section, torque
 
 
 class UnreachableTargetError(ValueError):
     """The torque cannot push the rotation toward the requested target."""
+
+
+#: torque samples per interval when looking for a stall before a spin-up
+_STALL_SAMPLES = 257
+
+
+def _require_no_stall(model, drive, Omega_init, Omega_target):
+    """Raise UnreachableTargetError if the torque stops pushing the rotation
+    toward Omega_target somewhere on the way from Omega_init.
+
+    The rotation cannot cross a zero of the torque, so a run toward a
+    target beyond one would only end at its time limit.
+    """
+    Om = np.linspace(Omega_init, Omega_target, _STALL_SAMPLES)
+    direction = np.sign(Omega_target - Omega_init)
+    push = direction * np.broadcast_to(torque(model, drive, Om), Om.shape)
+    stalled = np.flatnonzero(push <= 0)
+    if not stalled.size:
+        return
+    i = stalled[0]
+    stall = Om[i] if i == 0 or push[i] == 0 else brentq(
+        lambda x: torque(model, drive, x), Om[i - 1], Om[i])
+    raise UnreachableTargetError(
+        f"the torque stalls the rotation at Omega = {stall:.6g}, short of "
+        f"Omega_target = {Omega_target:.6g}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +156,7 @@ def spin_up_trajectory(model: OscillatorModel, drive: DriveField,
     the body's melting temperature are given), centrifugal burst (when
     the body carries surface data), or ``max_time`` (default: 10x the
     constant-torque estimate).  Raises ``UnreachableTargetError`` when
-    the initial torque does not point toward the target.
+    the torque does not point toward the target all the way there.
     """
     if not Omega_target > Omega_init:
         raise ValueError("Omega_target must exceed Omega_init")
@@ -143,6 +169,7 @@ def spin_up_trajectory(model: OscillatorModel, drive: DriveField,
         raise UnreachableTargetError(
             f"torque at Omega_init is {m0:.3e} erg; the drive cannot spin "
             "the particle toward a larger Omega_target")
+    _require_no_stall(model, drive, Omega_init, Omega_target)
 
     if max_time is None:
         max_time = 10.0 * i_mom * (Omega_target - Omega_init) / m0
@@ -227,10 +254,12 @@ def time_to_target_by_quadrature(model, drive, body, Omega_target,
     """Independent route: t = integral of I_mom dOmega / M(Omega).
 
     High-order adaptive quadrature of the separable dynamics; used to
-    cross-check the trajectory integrator.
+    cross-check the trajectory integrator.  Raises
+    ``UnreachableTargetError`` when the torque vanishes on the way.
     """
     if Omega_target == Omega_init:
         return 0.0
+    _require_no_stall(model, drive, Omega_init, Omega_target)
     i_mom = body.moment_of_inertia
 
     def inv_rate(Om):

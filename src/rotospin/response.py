@@ -29,6 +29,7 @@ expected to mask them.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import functools
 import math
@@ -69,7 +70,8 @@ def _amplitude(e, d):
     if np.ndim(e) == 0 and e == 0:
         return 0j
     if np.ndim(d) == 0:
-        if d == 0:
+        # a denominator so small that e/d overflows is as singular as zero
+        if d == 0 or not cmath.isfinite(e / d):
             raise SingularResonanceError(_SINGULAR_MSG)
         return e / d
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -170,6 +172,14 @@ class DriveField:
     frequency: float
     amplitude_x: complex
     amplitude_y: complex
+
+    def __post_init__(self):
+        w = self.frequency
+        if not ((np.isfinite(w).all() if isinstance(w, np.ndarray)
+                 else math.isfinite(w))
+                and cmath.isfinite(self.amplitude_x)
+                and cmath.isfinite(self.amplitude_y)):
+            raise ValueError("drive frequency and amplitudes must be finite")
 
     @classmethod
     def lcp(cls, frequency, amplitude=1.0):

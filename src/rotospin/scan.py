@@ -204,16 +204,26 @@ def _format(x) -> str:
 @contextlib.contextmanager
 def _atomic_open(path):
     """Open a temp file beside ``path`` for writing and rename it over
-    ``path`` on success, so a failed write leaves any existing file intact."""
+    ``path`` on success, so a failed write leaves any existing file intact.
+    An OSError names ``path``, not the temp file."""
     tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
     try:
         with open(tmp, "x") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+    finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
-        raise
+
+
+def write_columns(path, header, *columns):
+    """Write equal-length columns as CSV with 17 significant digits,
+    replacing ``path`` atomically."""
+    with _atomic_open(path) as fh:
+        np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",",
+                   header=",".join(header), comments="")
 
 
 def write_grid_csv(grid: ScanGrid, path, sidecar_path=None) -> str:

@@ -258,7 +258,7 @@ def ridge_offset_along_ray(model, angle, omega0=1.0):
         return -cross_section_set(model, d, r * sin_a).absorption
 
     r_grid = np.linspace(1e-3, 2.0 * omega0, 800)
-    coarse = r_grid[int(np.argmin([neg_abs(r) for r in r_grid]))]
+    coarse = r_grid[int(np.argmin(neg_abs(r_grid)))]
     window = 3.0 * (r_grid[1] - r_grid[0])
     res = minimize_scalar(neg_abs, bounds=(max(coarse - window, 1e-4),
                                            coarse + window),

@@ -14,6 +14,7 @@ from rotospin.config import (
     build_medium,
     build_model,
     build_scan_request,
+    build_thermal,
     drive_amplitudes,
     layer_configs,
     load_config,
@@ -72,6 +73,85 @@ def test_layering_later_wins():
     assert merged["scan"]["omega_count"] == "16"
     assert merged["scan"]["Omega_count"] == "256"
     assert merged["drive"]["omega"] == "1.0"   # None never overrides
+
+
+# ---------------------------------------------------------------------------
+# flag contract: every flag sets one [section] key
+
+_CONFIG_SUBCOMMANDS = ("point", "scan", "spectrum", "spinup", "thermal",
+                       "amplify")
+
+# (subcommands, flag and value, section, key, expected string)
+_FLAG_CONTRACT = [
+    (_CONFIG_SUBCOMMANDS, ["--normalized"], "model", "mode", "normalized"),
+    (_CONFIG_SUBCOMMANDS, ["--physical"], "model", "mode", "physical"),
+    (_CONFIG_SUBCOMMANDS, ["--source", "drude-sphere"], "model", "source",
+     "drude-sphere"),
+    (_CONFIG_SUBCOMMANDS, ["--gamma", "0.25"], "model", "gamma", "0.25"),
+    (_CONFIG_SUBCOMMANDS, ["--tau", "0.003"], "model", "tau", "0.003"),
+    (_CONFIG_SUBCOMMANDS, ["--omega0", "1.5"], "model", "omega0", "1.5"),
+    (_CONFIG_SUBCOMMANDS, ["--coupling", "2.5"], "model", "coupling", "2.5"),
+    (_CONFIG_SUBCOMMANDS, ["--light-speed", "3.5"], "model", "light_speed",
+     "3.5"),
+    (_CONFIG_SUBCOMMANDS, ["--plasma-frequency", "1e+16"], "model",
+     "plasma_frequency", "1e+16"),
+    (_CONFIG_SUBCOMMANDS, ["--damping", "4e+13"], "model", "damping",
+     "40000000000000.0"),
+    (_CONFIG_SUBCOMMANDS, ["--radius", "5e-07"], "model", "radius", "5e-07"),
+    (_CONFIG_SUBCOMMANDS, ["--volume", "1e-18"], "model", "volume", "1e-18"),
+    (_CONFIG_SUBCOMMANDS, ["--depolarization-factor", "0.2"], "model",
+     "depolarization_factor", "0.2"),
+    (_CONFIG_SUBCOMMANDS, ["--pol", "linear"], "drive", "polarization",
+     "linear"),
+    (_CONFIG_SUBCOMMANDS, ["--omega", "0.75"], "drive", "omega", "0.75"),
+    (_CONFIG_SUBCOMMANDS, ["--amplitude", "2.0"], "drive", "amplitude", "2.0"),
+    (_CONFIG_SUBCOMMANDS, ["--angle", "0.5"], "drive", "angle", "0.5"),
+    (_CONFIG_SUBCOMMANDS, ["--intensity", "7.0"], "drive", "intensity", "7.0"),
+    (("point",), ["--Omega", "0.25"], "point", "Omega", "0.25"),
+    (("scan",), ["--omega-min", "0.1"], "scan", "omega_min", "0.1"),
+    (("scan",), ["--omega-max", "1.9"], "scan", "omega_max", "1.9"),
+    (("scan",), ["--Omega-min", "-1.5"], "scan", "Omega_min", "-1.5"),
+    (("scan",), ["--Omega-max", "1.5"], "scan", "Omega_max", "1.5"),
+    (("scan",), ["--omega-count", "12"], "scan", "omega_count", "12"),
+    (("scan",), ["--Omega-count", "8"], "scan", "Omega_count", "8"),
+    (("scan",), ["--units", "physical"], "scan", "units", "physical"),
+    (("scan",), ["--out", "map.csv"], "output", "path", "map.csv"),
+    (("spectrum",), ["--Omega", "2.5"], "spectrum", "Omega", "2.5"),
+    (("spectrum",), ["--omega-min", "0.2"], "spectrum", "omega_min", "0.2"),
+    (("spectrum",), ["--omega-max", "2.8"], "spectrum", "omega_max", "2.8"),
+    (("spectrum",), ["--omega-count", "21"], "spectrum", "omega_count", "21"),
+    (("spectrum",), ["--units", "fig2"], "spectrum", "units", "fig2"),
+    (("spectrum",), ["--out", "s.csv"], "output", "path", "s.csv"),
+    (("spinup",), ["--Omega-init", "0.01"], "spinup", "Omega_init", "0.01"),
+    (("spinup",), ["--Omega-target", "0.3"], "spinup", "Omega_target", "0.3"),
+    (("spinup",), ["--max-time", "50.0"], "spinup", "max_time", "50.0"),
+    (("spinup",), ["--samples", "40"], "spinup", "samples", "40"),
+    (("spinup",), ["--out", "t.csv"], "output", "path", "t.csv"),
+    (("thermal",), ["--Omega", "0.125"], "thermal", "Omega", "0.125"),
+    (("amplify",), ["--samples", "11"], "medium", "samples", "11"),
+    (("amplify",), ["--out", "g.csv"], "output", "path", "g.csv"),
+]
+
+
+@pytest.mark.parametrize(
+    "subs, argv, section, key, expected", _FLAG_CONTRACT,
+    ids=[("all" if len(subs) > 1 else subs[0]) + argv[0]
+         for subs, argv, *_ in _FLAG_CONTRACT])
+def test_flag_sets_its_config_key(subs, argv, section, key, expected):
+    parser = cli.build_parser()
+    for sub in subs:
+        cfg = cli._layered(parser.parse_args([sub, *argv]))
+        assert cfg[section][key] == expected, sub
+
+
+def test_flag_writes_only_its_own_section():
+    parser = cli.build_parser()
+    for argv, expected in ((["point", "--Omega", "0.25"],
+                            {"point": {"Omega": "0.25"}}),
+                           (["spinup", "--samples", "7"],
+                            {"spinup": {"samples": "7"}})):
+        cfg = cli._layered(parser.parse_args(argv))
+        assert {sec: keys for sec, keys in cfg.items() if keys} == expected
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +236,33 @@ def test_build_medium_bad_entry():
                       "members": "2.0:heavy"}}
     with pytest.raises(ConfigError, match="bad entry"):
         build_medium(cfg, m)
+
+
+@pytest.mark.parametrize("members", ["nan:1", "inf:1", "2.0:nan", "2.0:inf"])
+def test_build_medium_rejects_non_finite_member(members):
+    m = OscillatorModel.normalized(0.1)
+    cfg = {"medium": {"number_density": "1.0", "path_length": "1.0",
+                      "members": members}}
+    with pytest.raises(ConfigError, match="must be finite"):
+        build_medium(cfg, m)
+
+
+@pytest.mark.parametrize("build, cfg, message", [
+    (build_thermal, {"thermal": {"radiative_coefficient": "1"}},
+     "missing [thermal] ambient_temperature"),
+    (build_thermal, {"thermal": {"ambient_temperature": "-1",
+                                 "radiative_coefficient": "1"}},
+     "[thermal]: ambient_temperature must be non-negative"),
+    (lambda cfg: drive_amplitudes(cfg, OscillatorModel.normalized(0.1)),
+     {"drive": {"polarization": "explicit", "ex_re": "x"}},
+     "[drive] ex_re: not a number: 'x'"),
+    (lambda cfg: build_model(cfg), {"model": {"gamma": "-1"}},
+     "[model]: damping_rate must be non-negative"),
+], ids=["missing-key", "library-error", "bad-number", "model"])
+def test_config_error_names_its_section_once(build, cfg, message):
+    with pytest.raises(ConfigError) as info:
+        build(cfg)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +418,30 @@ def test_spinup_unreachable_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_spinup_stalled_target_exits_2(tmp_path, capsys):
+    # with tau = 0 the LCP torque vanishes at Omega = omega = 0.5, so the
+    # rotation can never reach 0.6
+    conf = _write(tmp_path, """\
+        [model]
+        gamma = 0.1
+        tau = 0
+
+        [drive]
+        omega = 0.5
+
+        [spinup]
+        Omega_target = 0.6
+
+        [body]
+        moment_of_inertia = 1.0
+        """)
+    rc = cli.main(["spinup", "--config", conf,
+                   "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    assert "Omega = 0.5" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # CLI: thermal and amplify
 
@@ -369,6 +500,82 @@ def test_amplify_from_config(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == ["z", "I"]
     assert len(rows) == 102
+
+
+def test_amplify_non_finite_member_exits_2(tmp_path, capsys):
+    conf = _write(tmp_path, """\
+        [model]
+        gamma = 0.1
+
+        [drive]
+        omega = 0.5
+
+        [medium]
+        number_density = 1.0
+        path_length = 1.0
+        members = nan:1
+        """)
+    rc = cli.main(["amplify", "--config", conf,
+                   "--out", str(tmp_path / "g.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err and "singular" not in err
+
+
+# ---------------------------------------------------------------------------
+# CLI: output paths
+
+
+_SPINUP_INI = """\
+    [model]
+    gamma = 0.1
+
+    [drive]
+    omega = 0.5
+
+    [spinup]
+    Omega_target = 1e-3
+
+    [body]
+    moment_of_inertia = 2.0
+    """
+
+_AMPLIFY_INI = """\
+    [model]
+    gamma = 0.1
+    tau = 1e-4
+
+    [drive]
+    omega = 1.0
+
+    [medium]
+    number_density = 3.0
+    path_length = 1.0
+    members = 2.0:0.5, 2.5:0.5
+    """
+
+
+@pytest.mark.parametrize("argv, ini", [
+    (["scan", "--preset", "fig2", "--omega-count", "4",
+      "--Omega-count", "4"], None),
+    (["spectrum", "--preset", "fig3a", "--omega-count", "5"], None),
+    (["spinup"], _SPINUP_INI),
+    (["amplify"], _AMPLIFY_INI),
+], ids=["scan", "spectrum", "spinup", "amplify"])
+@pytest.mark.parametrize("target", ["missing/x.csv", "x.csv/"],
+                         ids=["missing-dir", "directory"])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv, ini, target):
+    if ini is not None:
+        argv = argv + ["--config", _write(tmp_path, ini)]
+    (tmp_path / "x.csv").mkdir()
+    out = str(tmp_path / target).rstrip("/")
+    rc = cli.main(argv + ["--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "x.csv" in err and ".tmp" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()
+                  if p.suffix != ".ini") == ["x.csv"]
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,17 @@ def test_unreachable_target_raises():
         spin_up_trajectory(MODEL, DRIVE, body, 0.8, 0.9)
 
 
+def test_target_beyond_torque_zero_raises():
+    # with tau = 0 the LCP torque vanishes at Omega = omega = 0.5: the
+    # spin-up stalls there and never reaches 0.6
+    body = RigidBodyParams(1.0)
+    stall = r"Omega = 0\.5\b"
+    with pytest.raises(UnreachableTargetError, match=stall):
+        spin_up_trajectory(MODEL, DRIVE, body, 0.0, 0.6)
+    with pytest.raises(UnreachableTargetError, match=stall):
+        time_to_target_by_quadrature(MODEL, DRIVE, body, 0.6)
+
+
 def test_target_order_validation():
     body = RigidBodyParams(1.0)
     with pytest.raises(ValueError):

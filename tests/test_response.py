@@ -422,6 +422,15 @@ def test_ode_residual_property(gamma, tau, w, Om, t):
     assert res < 1e-10
 
 
+def test_ode_residual_overflowing_amplitude_is_singular():
+    # tau = 5e-324 on resonance: the denominator is not zero, but e/d
+    # overflows, which is the lossless resonance to double precision
+    m = OscillatorModel.normalized(0.0, 5e-324)
+    d = DriveField(1.0, 0.6 + 0.2j, -0.4 + 0.3j)
+    with pytest.raises(SingularResonanceError):
+        radial_ode_residual(m, d, 0.0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # dipole spectrum and its pairings with the cross sections
 
@@ -610,6 +619,14 @@ def test_model_validation():
             OscillatorModel(1.0, 1.0, bad, 0.0, 1.0)
         with pytest.raises(ValueError):
             OscillatorModel(1.0, 1.0, 0.1, bad, 1.0)
+
+
+def test_drive_field_rejects_non_finite():
+    for bad in (np.nan, np.inf):
+        for args in ((bad, 1.0, 0.0), (np.array([0.5, bad]), 1.0, 0.0),
+                     (0.5, complex(bad, 0.0), 0.0), (0.5, 1.0, 1j * bad)):
+            with pytest.raises(ValueError, match="finite"):
+                DriveField(*args)
 
 
 def test_physical_link():
