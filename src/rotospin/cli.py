@@ -161,9 +161,7 @@ def cmd_point(args) -> int:
     Omega = cfgmod._get_float(cfg, "point", "Omega")
     cs = cross_section_set(model, drive, Omega)
     m_val = torque(model, drive, Omega)
-    scale = (abs(cs.elastic) + abs(cs.inelastic_plus)
-             + abs(cs.inelastic_minus) + abs(cs.mechanical)
-             + abs(cs.absorption))
+    scale = cs.balance_scale
     residual = cs.balance_residual
     rel = abs(residual) / scale if scale > 0 else 0.0
 

@@ -226,6 +226,8 @@ def drive_amplitudes(cfg: Sections, model: OscillatorModel):
             angle=_get_float(cfg, "drive", "angle", 0.0),
             ex=_parse_complex(cfg, "ex") if kind == "explicit" else None,
             ey=_parse_complex(cfg, "ey") if kind == "explicit" else None)
+    if ex == 0 and ey == 0:
+        raise ConfigError("[drive] the field has zero amplitude (Ex = Ey = 0)")
     return ex, ey, kind
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .response import SPEED_OF_LIGHT, OscillatorModel
+from .response import SPEED_OF_LIGHT, OscillatorModel, static_polarizability
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,6 @@ def optical_theorem_residual(model: OscillatorModel, omega):
     to the coupling; a normalized model with a free tau will show the
     mismatch tau*w^3 - 2w^3/3c^3 instead.
     """
-    from .response import static_polarizability
-
     alpha = static_polarizability(model, omega)
     return ((-1.0 / alpha).imag
             - 2.0 * omega**3 / (3.0 * model.light_speed**3)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .response import (DriveField, OscillatorModel, SingularResonanceError,
-                       extinction_cross_section)
+                       extinction_cross_section, mechanical_cross_section)
 
 _WEIGHT_TOL = 1e-9
 
@@ -130,7 +130,5 @@ def sustaining_power(member: MediumMember, drive: DriveField) -> float:
     pump must replace -sigma_mech * I when that is positive (energy
     flowing from rotation into the beam).
     """
-    from .response import mechanical_cross_section
-
     s_mech = mechanical_cross_section(member.model, drive, member.rotation)
     return -s_mech * drive.intensity(member.model.light_speed)

@@ -287,6 +287,14 @@ class CrossSectionSet:
     def balance_residual(self):
         return self.extinction - self.partial_sum
 
+    @property
+    def balance_scale(self):
+        """Sum of the partial channels' magnitudes: the natural unit of
+        the balance residual."""
+        return (abs(self.elastic) + abs(self.inelastic_plus)
+                + abs(self.inelastic_minus) + abs(self.mechanical)
+                + abs(self.absorption))
+
     def as_dict(self) -> dict:
         return {
             "sigma_mech": self.mechanical,
@@ -429,6 +437,15 @@ def energy_balance_residual(model, drive, Omega):
     return cross_section_set(model, drive, Omega).balance_residual
 
 
+def _helicity_amplitudes(model, drive, Omega):
+    """(s, a_plus, a_minus): the shifted frequencies and the complex
+    amplitudes E_pm/d_pm of the two helicity components."""
+    d = denominators(model, drive.frequency, Omega)
+    return (shifted_frequencies(drive.frequency, Omega),
+            _amplitude(drive.e_plus, d.plus),
+            _amplitude(drive.e_minus, d.minus))
+
+
 def steady_state_displacement(model, drive, Omega, t, charge_to_mass=1.0):
     """Radial displacement along the co-rotating rod axis at time ``t``.
 
@@ -436,10 +453,7 @@ def steady_state_displacement(model, drive, Omega, t, charge_to_mass=1.0):
     undetermined; ``charge_to_mass`` supplies Q/m (default 1).  Every
     observable built from the displacement is independent of that choice.
     """
-    d = denominators(model, drive.frequency, Omega)
-    a_plus = _amplitude(drive.e_plus, d.plus)
-    a_minus = _amplitude(drive.e_minus, d.minus)
-    s = shifted_frequencies(drive.frequency, Omega)
+    s, a_plus, a_minus = _helicity_amplitudes(model, drive, Omega)
     t = np.asarray(t, dtype=float)
     rho = charge_to_mass * (a_plus * np.exp(-1j * s.plus * t)
                             + a_minus * np.exp(-1j * s.minus * t)).real
@@ -459,10 +473,7 @@ def radial_ode_residual(model, drive, Omega, t, charge_to_mass=1.0):
     normalized by the sum of the magnitudes of all contributions, making
     10^-16-level output the signature of a correct steady state.
     """
-    d = denominators(model, drive.frequency, Omega)
-    a_plus = _amplitude(drive.e_plus, d.plus)
-    a_minus = _amplitude(drive.e_minus, d.minus)
-    s = shifted_frequencies(drive.frequency, Omega)
+    s, a_plus, a_minus = _helicity_amplitudes(model, drive, Omega)
     qm = charge_to_mass
     w0sq = model.natural_frequency**2
     gamma = model.damping_rate
@@ -525,10 +536,7 @@ def induced_dipole_spectrum(model, drive, Omega) -> DipoleSpectrum:
     and two sidebands shifted by +/- 2*Omega; each sideband is fed by a
     single circular component of the drive.
     """
-    d = denominators(model, drive.frequency, Omega)
-    a_plus = _amplitude(drive.e_plus, d.plus)
-    a_minus = _amplitude(drive.e_minus, d.minus)
-    s = shifted_frequencies(drive.frequency, Omega)
+    s, a_plus, a_minus = _helicity_amplitudes(model, drive, Omega)
     q = model.coupling / 4.0
     carrier = SpectralLine(drive.frequency,
                            q * (a_plus + a_minus),

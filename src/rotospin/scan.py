@@ -18,7 +18,7 @@ restored to a common unit.
 from __future__ import annotations
 
 import contextlib
-import csv
+import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -131,14 +131,8 @@ class ScanGrid:
     metadata: dict = field(default_factory=dict)
 
     def cell(self, i_Omega, i_omega) -> CrossSectionSet:
-        return CrossSectionSet(
-            mechanical=float(self.values["sigma_mech"][i_Omega, i_omega]),
-            absorption=float(self.values["sigma_abs"][i_Omega, i_omega]),
-            elastic=float(self.values["sigma_elastic"][i_Omega, i_omega]),
-            inelastic_plus=float(self.values["sigma_in_plus"][i_Omega, i_omega]),
-            inelastic_minus=float(self.values["sigma_in_minus"][i_Omega, i_omega]),
-            extinction=float(self.values["sigma_ext"][i_Omega, i_omega]),
-        )
+        return CrossSectionSet(*(float(self.values[name][i_Omega, i_omega])
+                                 for name in CSV_HEADER[2:-1]))
 
 
 def grid_scan(req: ScanRequest) -> ScanGrid:
@@ -197,10 +191,6 @@ def spectrum_sweep(model, amplitude_x, amplitude_y, Omega_fixed,
     return sets, grid
 
 
-def _format(x) -> str:
-    return f"{x:.17g}"
-
-
 @contextlib.contextmanager
 def _atomic_open(path):
     """Open a temp file beside ``path`` for writing and rename it over
@@ -218,33 +208,45 @@ def _atomic_open(path):
             os.unlink(tmp)
 
 
+#: rows formatted or parsed per numpy call.  Small blocks keep peak memory
+#: independent of the table, and let each block's arrays reuse freed heap
+#: space, so a long-lived process that re-parses many files does not grow.
+_BLOCK_ROWS = 256
+
+
+def _write_columns(fh, header, columns):
+    """Write equal-length columns to ``fh`` as CSV with 17 significant
+    digits, a block of rows at a time."""
+    fh.write(",".join(header) + "\n")
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = np.column_stack([c[start:start + _BLOCK_ROWS]
+                                 for c in columns])
+        np.savetxt(fh, block, fmt="%.17g", delimiter=",")
+
+
 def write_columns(path, header, *columns):
     """Write equal-length columns as CSV with 17 significant digits,
     replacing ``path`` atomically."""
     with _atomic_open(path) as fh:
-        np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",",
-                   header=",".join(header), comments="")
+        _write_columns(fh, header, columns)
 
 
 def write_grid_csv(grid: ScanGrid, path, sidecar_path=None) -> str:
     """Write the grid as CSV plus a key-value sidecar; returns sidecar path.
 
     Rows are emitted row-major, the Omega axis outermost.  Values use 17
-    significant digits so a re-parse reproduces the doubles bit-exactly.
-    Each file is replaced atomically.
+    significant digits so a re-parse reproduces the doubles bit-exactly;
+    the singular flag is written as 1 or 0.  Each file is replaced
+    atomically.
     """
     if sidecar_path is None:
         sidecar_path = str(path) + ".meta"
+    columns = [np.tile(grid.omega, len(grid.Omega)),
+               np.repeat(grid.Omega, len(grid.omega))]
+    columns += [grid.values[name].ravel() for name in CSV_HEADER[2:-1]]
+    columns.append(grid.singular.ravel())
     with _atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        cols = [grid.values[name] for name in CSV_HEADER[2:-1]]
-        for i, Om in enumerate(grid.Omega):
-            for j, om in enumerate(grid.omega):
-                row = [_format(om), _format(Om)]
-                row += [_format(c[i, j]) for c in cols]
-                row.append("1" if grid.singular[i, j] else "0")
-                writer.writerow(row)
+        _write_columns(fh, CSV_HEADER, columns)
     with _atomic_open(sidecar_path) as fh:
         for key in sorted(grid.metadata):
             fh.write(f"{key} = {grid.metadata[key]}\n")
@@ -268,33 +270,26 @@ def reparse_balance_check(csv_path, sidecar_path=None):
 
     Columns are first restored to a common unit with the sidecar's
     divisors.  Returns (max_relative_residual, n_rows_checked); singular
-    rows are skipped.
+    rows and rows with no response are skipped.  A non-finite value in
+    any other row makes the residual NaN, which fails every tolerance.
     """
     if sidecar_path is None:
         sidecar_path = str(csv_path) + ".meta"
     meta = read_sidecar(sidecar_path)
-    div = {name: float(meta[f"divisor_{name}"]) for name in CSV_HEADER[2:-1]}
+    div = [float(meta[f"divisor_{name}"]) for name in CSV_HEADER[2:-1]]
 
-    worst = 0.0
-    checked = 0
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+    worst, checked = 0.0, 0
+    with open(csv_path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
         if tuple(header) != CSV_HEADER:
             raise ValueError(f"unexpected CSV header: {header}")
-        for row in reader:
-            if row[-1] == "1":
-                continue
-            sig = {name: float(row[k]) * div[name]
-                   for k, name in enumerate(CSV_HEADER[2:-1], start=2)}
-            partials = (sig["sigma_elastic"] + sig["sigma_in_plus"]
-                        + sig["sigma_in_minus"] + sig["sigma_mech"]
-                        + sig["sigma_abs"])
-            scale = (abs(sig["sigma_elastic"]) + abs(sig["sigma_in_plus"])
-                     + abs(sig["sigma_in_minus"]) + abs(sig["sigma_mech"])
-                     + abs(sig["sigma_abs"]))
-            if scale == 0.0:
-                continue
-            worst = max(worst, abs(sig["sigma_ext"] - partials) / scale)
-            checked += 1
-    return worst, checked
+        while lines := list(itertools.islice(fh, _BLOCK_ROWS)):
+            table = np.loadtxt(lines, delimiter=",", ndmin=2)
+            sig = CrossSectionSet(*(table[:, 2:-1] * div).T)
+            scale = sig.balance_scale
+            keep = (table[:, -1] != 1) & (scale != 0)
+            with np.errstate(invalid="ignore"):     # inf/inf in a damaged row
+                residual = np.abs(sig.balance_residual[keep]) / scale[keep]
+            worst = np.max(residual, initial=worst)
+            checked += int(keep.sum())
+    return float(worst), checked

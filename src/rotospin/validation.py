@@ -60,9 +60,7 @@ def check_balance_identity(rng, n=1000) -> CheckResult:
         if d.field_norm_sq == 0.0:
             continue
         cs = cross_section_set(m, d, rng.uniform(-3.0, 3.0))
-        scale = (abs(cs.elastic) + abs(cs.inelastic_plus)
-                 + abs(cs.inelastic_minus) + abs(cs.mechanical)
-                 + abs(cs.absorption))
+        scale = cs.balance_scale
         if scale > 0:
             worst = max(worst, abs(cs.balance_residual) / scale)
     return CheckResult("balance-identity", worst <= BALANCE_TOL,

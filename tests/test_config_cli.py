@@ -578,6 +578,46 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv, ini, target):
                   if p.suffix != ".ini") == ["x.csv"]
 
 
+_THERMAL_INI = """\
+    [model]
+    gamma = 0.1
+
+    [drive]
+    omega = 1.05
+
+    [thermal]
+    ambient_temperature = 1.0
+    radiative_coefficient = 1.0
+    """
+
+
+@pytest.mark.parametrize("argv, ini", [
+    (["point", "--gamma", "0.1", "--omega", "0.5", "--Omega", "0.2",
+      "--pol", "explicit"], None),
+    (["point", "--gamma", "0.1", "--omega", "0.5", "--Omega", "0.2",
+      "--amplitude", "0"], None),
+    (["point", "--gamma", "0.1", "--omega", "0.5", "--Omega", "0.2",
+      "--intensity", "0"], None),
+    (["thermal", "--amplitude", "0"], _THERMAL_INI),
+    (["amplify", "--amplitude", "0"], _AMPLIFY_INI),
+    (["spinup", "--amplitude", "0"], _SPINUP_INI),
+    (["scan", "--preset", "fig2", "--amplitude", "0"], None),
+    (["spectrum", "--preset", "fig3a", "--amplitude", "0"], None),
+], ids=["point-explicit", "point", "point-intensity", "thermal", "amplify",
+        "spinup", "scan", "spectrum"])
+def test_zero_drive_amplitude_exits_2(tmp_path, capsys, argv, ini):
+    if ini is not None:
+        argv = argv + ["--config", _write(tmp_path, ini)]
+    if argv[0] in ("scan", "spectrum", "spinup", "amplify"):
+        argv = argv + ["--out", str(tmp_path / "x.csv")]
+    rc = cli.main(argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == ("config error: [drive] the field has zero amplitude "
+                   "(Ex = Ey = 0)\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # CLI: validate
 

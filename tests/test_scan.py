@@ -1,6 +1,7 @@
 """Grid evaluation, unit conversion, CSV export, and the re-parse check."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -18,10 +19,12 @@ from rotospin import (
     spectrum_sweep,
     write_grid_csv,
 )
-from rotospin import scan
 from rotospin.scan import CSV_HEADER, read_sidecar
 
 MODEL = OscillatorModel.normalized(0.1, 1e-4)
+
+#: a lattice of more rows than one block of the CSV writer and reader
+_LONG = dict(omega_count=65, Omega_count=65)
 
 
 def _request(units="physical", **overrides):
@@ -173,19 +176,40 @@ def test_csv_output_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_csv_bytes_match_per_cell_rendering(tmp_path):
+    # the lattice holds both co-rotation corners (singular, exported as
+    # nan) and sigma_mech = -0 on the Omega = 0 row where omega < 0
+    grid = grid_scan(_request(omega_min=-2.0, omega_max=2.0, omega_count=5,
+                              Omega_min=-1.0, Omega_max=2.0, Omega_count=4))
+    lines = [",".join(CSV_HEADER)]
+    for i, Om in enumerate(grid.Omega):
+        for j, om in enumerate(grid.omega):
+            cells = [om, Om] + [grid.values[name][i, j]
+                                for name in CSV_HEADER[2:-1]]
+            flag = "1" if grid.singular[i, j] else "0"
+            lines.append(",".join(f"{x:.17g}" for x in cells) + "," + flag)
+    expect = "\n".join(lines) + "\n"
+    assert ",nan," in expect and ",-0," in expect
+    assert expect.count(",1\n") == int(grid.metadata["n_singular"]) == 2
+    path = tmp_path / "scan.csv"
+    write_grid_csv(grid, path)
+    assert path.read_text() == expect
+
+
 def test_failed_write_leaves_existing_csv_intact(tmp_path, monkeypatch):
     path = tmp_path / "scan.csv"
     path.write_text("previous\n")
-    grid = grid_scan(_request())
-    calls = []
+    # the write fails after its first block of rows
+    grid = grid_scan(_request(**_LONG))
+    savetxt = np.savetxt
+    blocks = []
 
-    def format_until_row_3(x):
-        calls.append(x)
-        if len(calls) > 2 * len(CSV_HEADER[:-1]):
+    def savetxt_one_block(*args, **kwargs):
+        if blocks:
             raise RuntimeError("write failed")
-        return f"{x:.17g}"
+        blocks.append(savetxt(*args, **kwargs))
 
-    monkeypatch.setattr(scan, "_format", format_until_row_3)
+    monkeypatch.setattr(np, "savetxt", savetxt_one_block)
     with pytest.raises(RuntimeError):
         write_grid_csv(grid, path)
     assert path.read_text() == "previous\n"
@@ -222,3 +246,46 @@ def test_reparse_rejects_foreign_header(tmp_path):
     (tmp_path / "bad.csv.meta").write_text(meta)
     with pytest.raises(ValueError):
         reparse_balance_check(path)
+
+
+def test_reparse_header_only_csv(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text(",".join(CSV_HEADER) + "\n")
+    meta = "".join(f"divisor_{name} = 1.0\n" for name in CSV_HEADER[2:-1])
+    (tmp_path / "empty.csv.meta").write_text(meta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert reparse_balance_check(path) == (0.0, 0)
+
+
+def _tamper(path, column, edit):
+    """Apply ``edit`` to one column of the first non-singular data row."""
+    lines = path.read_text().splitlines(keepends=True)
+    k = CSV_HEADER.index(column)
+    for n, line in enumerate(lines[1:], start=1):
+        row = line.rstrip("\n").split(",")
+        if row[-1] == "0" and float(row[k]) != 0.0:
+            row[k] = edit(row[k])
+            lines[n] = ",".join(row) + "\n"
+            break
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_reparse_flags_non_finite_regular_row(tmp_path, value):
+    # a damaged value in a row not marked singular must fail the check
+    path = tmp_path / "scan.csv"
+    write_grid_csv(grid_scan(_request("fig2", **_LONG)), path)
+    _tamper(path, "sigma_mech", lambda _: value)
+    worst, _ = reparse_balance_check(path)
+    assert not worst <= 1e-10
+
+
+def test_reparse_reports_tampered_extinction(tmp_path):
+    path = tmp_path / "scan.csv"
+    grid = grid_scan(_request("fig2", **_LONG))
+    write_grid_csv(grid, path)
+    _tamper(path, "sigma_ext", lambda x: repr(float(x) * (1.0 + 1e-6)))
+    worst, checked = reparse_balance_check(path)
+    assert 1e-10 < worst < 1e-5
+    assert checked == 65 * 65 - int(grid.metadata["n_singular"])
