@@ -17,15 +17,15 @@ from .response import (SPEED_OF_LIGHT, CrossSectionSet, DipoleSpectrum,
                        DriveField, OscillatorModel, ResponseDenominators,
                        ShiftedFrequencies, SingularResonanceError,
                        SpectralLine, absorption_cross_section,
-                       circular_components, cross_section_set, denominators,
-                       elastic_cross_section, energy_balance_residual,
-                       extinction_cross_section, induced_dipole_spectrum,
-                       inelastic_cross_sections, mechanical_cross_section,
-                       radial_ode_residual, resonance_locus,
-                       shifted_frequencies, static_polarizability,
-                       steady_state_displacement, torque)
-from .scan import (ScanGrid, ScanRequest, grid_scan, polarization_amplitudes,
-                   reparse_balance_check, spectrum_sweep, write_grid_csv)
+                       cross_section_set, denominators,
+                       elastic_cross_section, extinction_cross_section,
+                       induced_dipole_spectrum, inelastic_cross_sections,
+                       mechanical_cross_section, radial_ode_residual,
+                       resonance_locus, shifted_frequencies,
+                       static_polarizability, steady_state_displacement,
+                       torque)
+from .scan import (ScanGrid, ScanRequest, grid_scan, reparse_balance_check,
+                   write_grid_csv)
 from .timedomain import TimeDomainAverages, force_law_averages
 
 __version__ = "0.1.0"
@@ -34,11 +34,10 @@ __all__ = [
     "SPEED_OF_LIGHT", "OscillatorModel", "DriveField", "CrossSectionSet",
     "ShiftedFrequencies", "ResponseDenominators", "SpectralLine",
     "DipoleSpectrum", "SingularResonanceError", "shifted_frequencies",
-    "circular_components", "denominators", "torque",
-    "absorption_cross_section", "elastic_cross_section",
-    "inelastic_cross_sections", "mechanical_cross_section",
-    "extinction_cross_section", "cross_section_set",
-    "energy_balance_residual", "steady_state_displacement",
+    "denominators", "torque", "absorption_cross_section",
+    "elastic_cross_section", "inelastic_cross_sections",
+    "mechanical_cross_section", "extinction_cross_section",
+    "cross_section_set", "steady_state_displacement",
     "radial_ode_residual", "induced_dipole_spectrum",
     "static_polarizability", "resonance_locus",
     "DrudeSphere", "DrudeEllipsoid", "AnisotropicPolarizability",
@@ -48,8 +47,8 @@ __all__ = [
     "UnreachableTargetError", "spin_up_trajectory", "time_to_target",
     "time_to_target_by_quadrature", "equilibrium_temperature",
     "centrifugal_burst_frequency",
-    "ScanRequest", "ScanGrid", "grid_scan", "spectrum_sweep",
-    "write_grid_csv", "reparse_balance_check", "polarization_amplitudes",
+    "ScanRequest", "ScanGrid", "grid_scan", "write_grid_csv",
+    "reparse_balance_check",
     "MediumMember", "MediumSpec", "EnsembleExtinction",
     "ensemble_extinction", "gain_coefficient", "propagate_intensity",
     "intensity_profile", "sustaining_power",

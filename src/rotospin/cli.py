@@ -121,6 +121,18 @@ def _add_flags(p, rows):
         p.add_argument(flag, dest=dest, **options)
 
 
+def _seed(text):
+    """--seed: numpy's default_rng takes non-negative integers only."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def _flag_overlay(args) -> dict:
     """Translate parsed flags into config-section form."""
     overlay = {}
@@ -188,9 +200,9 @@ def cmd_scan(args) -> int:
     req = cfgmod.build_scan_request(cfg, model, section="scan")
     grid = scan.grid_scan(req)
     out = cfgmod.build_output(cfg, default="scan.csv")
-    sidecar = scan.write_grid_csv(grid, out.data, out.sidecar)
+    sidecar = scan.write_grid_csv(grid, out)
     n_cells = grid.singular.size
-    print(f"wrote {out.data} ({n_cells} cells, "
+    print(f"wrote {out} ({n_cells} cells, "
           f"{int(grid.singular.sum())} singular) and {sidecar}")
     return EXIT_OK
 
@@ -201,8 +213,8 @@ def cmd_spectrum(args) -> int:
     req = cfgmod.build_scan_request(cfg, model, section="spectrum")
     grid = scan.grid_scan(req)
     out = cfgmod.build_output(cfg, default="spectrum.csv")
-    sidecar = scan.write_grid_csv(grid, out.data, out.sidecar)
-    print(f"wrote {out.data} ({req.omega_count} frequencies at Omega = "
+    sidecar = scan.write_grid_csv(grid, out)
+    print(f"wrote {out} ({req.omega_count} frequencies at Omega = "
           f"{req.Omega_min:g}) and {sidecar}")
     return EXIT_OK
 
@@ -213,19 +225,26 @@ def cmd_spinup(args) -> int:
     drive = cfgmod.build_drive(cfg, model)
     body = cfgmod.build_body(cfg)
     thermal = (cfgmod.build_thermal(cfg) if "thermal" in cfg else None)
-    traj = dynamics.spin_up_trajectory(
-        model, drive, body,
-        Omega_init=cfgmod._get_float(cfg, "spinup", "Omega_init", 0.0),
-        Omega_target=cfgmod._get_float(cfg, "spinup", "Omega_target"),
-        max_time=cfgmod._get_optional_float(cfg, "spinup", "max_time"),
-        thermal=thermal,
-        n_samples=cfgmod._get_int(cfg, "spinup", "samples", 200))
+    Omega_init = cfgmod._get_float(cfg, "spinup", "Omega_init", 0.0)
+    Omega_target = cfgmod._get_float(cfg, "spinup", "Omega_target")
+    max_time = cfgmod._get_optional_float(cfg, "spinup", "max_time")
+    n_samples = cfgmod._get_int(cfg, "spinup", "samples", 200, minimum=2)
+    try:
+        traj = dynamics.spin_up_trajectory(
+            model, drive, body, Omega_init, Omega_target, max_time, thermal,
+            n_samples=n_samples)
+    except (dynamics.UnreachableTargetError, SingularResonanceError):
+        raise
+    except (ValueError, RuntimeError) as exc:
+        # arguments out of range, or an integrator that gave up, as it
+        # does when the rotation rate leaves the range of doubles
+        raise ConfigError(f"[spinup]: {exc}") from exc
     out = cfgmod.build_output(cfg, default="spinup.csv")
-    scan.write_columns(out.data, ("t", "Omega"), traj.times, traj.rotation)
+    scan.write_columns(out, ("t", "Omega"), traj.times, traj.rotation)
     _print_kv([("outcome", traj.outcome),
                ("terminal_time", traj.terminal_time),
                ("terminal_Omega", traj.terminal_rotation),
-               ("samples", len(traj.times)), ("path", out.data)])
+               ("samples", len(traj.times)), ("path", out)])
     return EXIT_OK
 
 
@@ -252,14 +271,14 @@ def cmd_amplify(args) -> int:
     g = -spec.number_density * mean.value
     intensity_in = drive.intensity(model.light_speed)
     z = np.linspace(0.0, spec.path_length,
-                    cfgmod._get_int(cfg, "medium", "samples", 101))
+                    cfgmod._get_int(cfg, "medium", "samples", 101, minimum=2))
     profile = medium.propagate_intensity(intensity_in, g, z)
     out = cfgmod.build_output(cfg, default="amplify.csv")
-    scan.write_columns(out.data, ("z", "I"), z, profile)
+    scan.write_columns(out, ("z", "I"), z, profile)
     pairs = [("mean_sigma_ext", mean.value), ("gain_coefficient", g),
              ("excluded_members", len(mean.excluded)),
              ("I_in", intensity_in), ("I_out", float(profile[-1])),
-             ("path", out.data)]
+             ("path", out)]
     if g > 0:
         pairs.insert(2, ("doubling_length", float(np.log(2.0) / g)))
     _print_kv(pairs)
@@ -304,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "medium")
 
     p = sub.add_parser("validate", help="run the physics self-check suite")
-    p.add_argument("--seed", type=int, default=20260822)
+    p.add_argument("--seed", type=_seed, default=20260822)
     p.set_defaults(func=cmd_validate)
 
     return parser

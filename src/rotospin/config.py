@@ -26,7 +26,6 @@ from __future__ import annotations
 import configparser
 import contextlib
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .materials import (DrudeEllipsoid, DrudeSphere, from_drude_ellipsoid,
                         from_drude_sphere)
 from .medium import MediumMember, MediumSpec
 from .response import SPEED_OF_LIGHT, DriveField, OscillatorModel
-from .scan import ScanRequest, polarization_amplitudes
+from .scan import ScanRequest
 
 
 class ConfigError(ValueError):
@@ -126,13 +125,6 @@ def _section(cfg: Sections, name) -> dict:
     return cfg.get(name, {})
 
 
-def _require(cfg: Sections, section, key) -> str:
-    try:
-        return cfg[section][key]
-    except KeyError:
-        raise ConfigError(f"missing [{section}] {key}") from None
-
-
 def _get_float(cfg, section, key, default=None):
     value = _get_optional_float(cfg, section, key)
     if value is None:
@@ -142,16 +134,20 @@ def _get_float(cfg, section, key, default=None):
     return value
 
 
-def _get_int(cfg, section, key, default=None):
+def _get_int(cfg, section, key, default=None, minimum=None):
     raw = _section(cfg, section).get(key)
     if raw is None or raw == "":
         if default is None:
             raise ConfigError(f"missing [{section}] {key}")
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") from None
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"[{section}] {key}: must be at least {minimum}, "
+                          f"got {raw!r}")
+    return value
 
 
 def _get_optional_float(cfg, section, key):
@@ -211,7 +207,12 @@ def build_model(cfg: Sections) -> OscillatorModel:
 
 
 def drive_amplitudes(cfg: Sections, model: OscillatorModel):
-    """(Ex, Ey, label) from the [drive] section."""
+    """(Ex, Ey, label) from the [drive] section.
+
+    ``polarization`` lcp, rcp or linear takes its amplitudes from the
+    DriveField constructor of that name; explicit reads the ``ex_*`` and
+    ``ey_*`` keys.
+    """
     sec = _section(cfg, "drive")
     kind = sec.get("polarization", "lcp").lower()
     amplitude = _get_float(cfg, "drive", "amplitude", 1.0)
@@ -220,14 +221,25 @@ def drive_amplitudes(cfg: Sections, model: OscillatorModel):
         if intensity < 0:
             raise ConfigError("[drive] intensity must be non-negative")
         amplitude = float(np.sqrt(2.0 * np.pi * intensity / model.light_speed))
-    with _section_errors("drive"):
-        ex, ey = polarization_amplitudes(
-            kind, amplitude=amplitude,
-            angle=_get_float(cfg, "drive", "angle", 0.0),
-            ex=_parse_complex(cfg, "ex") if kind == "explicit" else None,
-            ey=_parse_complex(cfg, "ey") if kind == "explicit" else None)
+    angle = _get_float(cfg, "drive", "angle", 0.0)
+    if kind == "explicit":
+        ex, ey = _parse_complex(cfg, "ex"), _parse_complex(cfg, "ey")
+    else:
+        if kind == "lcp":
+            d = DriveField.lcp(0.0, amplitude)
+        elif kind == "rcp":
+            d = DriveField.rcp(0.0, amplitude)
+        elif kind == "linear":
+            d = DriveField.linear(0.0, amplitude, angle)
+        else:
+            raise ConfigError(f"[drive]: unknown polarization '{kind}'")
+        ex, ey = d.amplitude_x, d.amplitude_y
     if ex == 0 and ey == 0:
         raise ConfigError("[drive] the field has zero amplitude (Ex = Ey = 0)")
+    if abs(ex) ** 2 + abs(ey) ** 2 == 0:
+        # every cross section is normalized by |E|^2
+        raise ConfigError("[drive] the field amplitude is too small: "
+                          "|Ex|^2 + |Ey|^2 underflows to 0")
     return ex, ey, kind
 
 
@@ -343,12 +355,6 @@ def build_medium(cfg: Sections, model: OscillatorModel) -> MediumSpec:
                           for om, w in members))
 
 
-@dataclass(frozen=True)
-class OutputPaths:
-    data: str
-    sidecar: str | None = None
-
-
-def build_output(cfg: Sections, default="rotospin-out.csv") -> OutputPaths:
-    path = _section(cfg, "output").get("path", default)
-    return OutputPaths(data=path, sidecar=path + ".meta")
+def build_output(cfg: Sections, default="rotospin-out.csv") -> str:
+    """The [output] path; a scan's sidecar goes beside it as PATH.meta."""
+    return _section(cfg, "output").get("path", default)

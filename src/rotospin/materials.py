@@ -91,15 +91,10 @@ def from_drude_ellipsoid(ellipsoid: DrudeEllipsoid,
 
 
 def dipole_torque_low_rotation(pol: AnisotropicPolarizability, omega,
-                               field_norm_sq, light_speed=SPEED_OF_LIGHT,
-                               lossy_sphere_doubling=False):
+                               field_norm_sq, light_speed=SPEED_OF_LIGHT):
     """Torque of LCP light on a slowly rotating anisotropic particle.
 
     M / |E|^2 = Im(a_par + a_perp) - (4 w^3 / 3 c^3) Re(a_par * conj(a_perp)).
-
-    The optional doubling approximates a lossy sphere as two orthogonal
-    rods; it is an order-of-magnitude device, not an identity, and is off
-    by default.
     """
     if not omega > 0:
         raise ValueError("omega must be positive")
@@ -108,10 +103,7 @@ def dipole_torque_low_rotation(pol: AnisotropicPolarizability, omega,
     per_field = ((a_par + a_perp).imag
                  - 4.0 * omega**3 / (3.0 * light_speed**3)
                  * (a_par * a_perp.conjugate()).real)
-    m = field_norm_sq * per_field
-    if lossy_sphere_doubling:
-        m *= 2.0
-    return m
+    return field_norm_sq * per_field
 
 
 def optical_theorem_residual(model: OscillatorModel, omega):

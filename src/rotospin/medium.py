@@ -55,11 +55,6 @@ class MediumSpec:
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise ValueError(f"member weights sum to {total!r}, expected 1")
 
-    @classmethod
-    def single(cls, model, rotation, number_density=0.0, path_length=0.0):
-        return cls(number_density, path_length,
-                   (MediumMember(model, rotation, 1.0),))
-
 
 @dataclass(frozen=True)
 class EnsembleExtinction:

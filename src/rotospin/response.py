@@ -22,9 +22,10 @@ Conventions worth pinning down, since they vary across texts:
   balance among the partial cross sections closes exactly in both modes.
 
 Scalar inputs raise :class:`SingularResonanceError` when a response
-denominator vanishes exactly (see that class for when this happens).
-Array inputs instead propagate non-finite entries; grid code is
-expected to mask them.
+denominator vanishes exactly (see that class for when this happens), and
+:class:`OverflowError` when a result is too large for a double.  Array
+inputs instead propagate non-finite entries; grid code is expected to
+mask them.
 """
 
 from __future__ import annotations
@@ -81,11 +82,11 @@ def _amplitude(e, d):
 
 
 def _scalar_or_array(x):
-    """Collapse 0-d results to float, raising if they are non-finite
-    (lossless-resonance blowup)."""
+    """Collapse 0-d results to float.  ``_terms`` has already raised at a
+    singular point, so a non-finite scalar here is an overflow."""
     if np.ndim(x) == 0:
-        if not np.isfinite(x):
-            raise SingularResonanceError(_SINGULAR_MSG)
+        if not math.isfinite(x):
+            raise OverflowError("a response value overflows a double")
         return float(x)
     return x
 
@@ -216,9 +217,6 @@ class DriveField:
         """I = (c/2pi)|E|^2, erg/(s cm^2)."""
         return light_speed / (2.0 * np.pi) * self.field_norm_sq
 
-    def with_frequency(self, frequency) -> "DriveField":
-        return dataclasses.replace(self, frequency=frequency)
-
     def mirrored(self) -> "DriveField":
         """Swap the two circular components (Ey -> -Ey)."""
         return dataclasses.replace(self, amplitude_y=-self.amplitude_y)
@@ -237,11 +235,6 @@ class ShiftedFrequencies:
 def shifted_frequencies(omega, Omega) -> ShiftedFrequencies:
     return ShiftedFrequencies(omega + Omega, omega - Omega,
                               omega + 2.0 * Omega, omega - 2.0 * Omega)
-
-
-def circular_components(drive: DriveField):
-    """(E_plus, E_minus) = (Ex + i Ey, Ex - i Ey)."""
-    return drive.e_plus, drive.e_minus
 
 
 @dataclass(frozen=True)
@@ -323,6 +316,13 @@ def _terms(model, drive, Omega):
         # keeping every downstream product NaN at singular cells
         tp = np.where(wp == 0.0, 0.0, np.where(d2p == 0.0, np.nan, wp / d2p))
         tm = np.where(wm == 0.0, 0.0, np.where(d2m == 0.0, np.nan, wm / d2m))
+    if tp.ndim == 0 and not (math.isfinite(tp) and math.isfinite(tm)):
+        # a scalar point is singular where an excited channel's |d|^2 is
+        # zero or so small that its weight overflows; a NaN |d|^2 is an
+        # overflow of the denominator itself, left to _scalar_or_array
+        if any(math.isinf(t) or (w != 0 and d2 == 0)
+               for w, d2, t in ((wp, d2p, tp), (wm, d2m, tm))):
+            raise SingularResonanceError(_SINGULAR_MSG)
     return shifted_frequencies(drive.frequency, Omega), tp, tm
 
 
@@ -426,15 +426,6 @@ def cross_section_set(model, drive, Omega) -> CrossSectionSet:
               *_inelastic(model, s, tp, tm),
               _extinction(model, omega, Omega, s, tp, tm))
     return CrossSectionSet(*(_scalar_or_array(v) for v in values))
-
-
-def energy_balance_residual(model, drive, Omega):
-    """sigma_ext minus the sum of the five partial channels.
-
-    Zero to rounding for every parameter set, because the scattering
-    prefactors are written through tau (see module docstring).
-    """
-    return cross_section_set(model, drive, Omega).balance_residual
 
 
 def _helicity_amplitudes(model, drive, Omega):

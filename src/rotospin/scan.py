@@ -35,25 +35,6 @@ _FRICTION_COLUMNS = ("sigma_mech", "sigma_abs", "sigma_ext")
 _SCATTER_COLUMNS = ("sigma_elastic", "sigma_in_plus", "sigma_in_minus")
 
 
-def polarization_amplitudes(kind, amplitude=1.0, angle=0.0,
-                            ex=None, ey=None):
-    """(Ex, Ey) for a named polarization: lcp | rcp | linear | explicit."""
-    kind = kind.lower()
-    if kind == "lcp":
-        d = DriveField.lcp(0.0, amplitude)
-    elif kind == "rcp":
-        d = DriveField.rcp(0.0, amplitude)
-    elif kind == "linear":
-        d = DriveField.linear(0.0, amplitude, angle)
-    elif kind == "explicit":
-        if ex is None or ey is None:
-            raise ValueError("explicit polarization needs ex and ey")
-        return complex(ex), complex(ey)
-    else:
-        raise ValueError(f"unknown polarization '{kind}'")
-    return d.amplitude_x, d.amplitude_y
-
-
 @dataclass(frozen=True)
 class ScanRequest:
     """A rectangular (omega, Omega) lattice to evaluate.
@@ -173,22 +154,6 @@ def grid_scan(req: ScanRequest) -> ScanGrid:
         metadata[f"divisor_{name}"] = repr(divisors[name])
     return ScanGrid(omega=omega_axis, Omega=Omega_axis, values=values,
                     singular=singular, metadata=metadata)
-
-
-def spectrum_sweep(model, amplitude_x, amplitude_y, Omega_fixed,
-                   omega_min, omega_max, omega_count,
-                   units="physical", polarization_label="explicit"):
-    """Fixed-Omega sweep, returned both as a list and as a 1-row grid."""
-    req = ScanRequest(model=model, amplitude_x=amplitude_x,
-                      amplitude_y=amplitude_y,
-                      omega_min=omega_min, omega_max=omega_max,
-                      omega_count=omega_count,
-                      Omega_min=Omega_fixed, Omega_max=Omega_fixed,
-                      Omega_count=1, units=units,
-                      polarization_label=polarization_label)
-    grid = grid_scan(req)
-    sets = [grid.cell(0, j) for j in range(omega_count)]
-    return sets, grid
 
 
 @contextlib.contextmanager

@@ -293,8 +293,9 @@ def check_locus_points(rng) -> CheckResult:
 
 def check_scan_roundtrip(rng) -> CheckResult:
     m = OscillatorModel.normalized(0.1, 1e-4)
-    ex, ey = scan.polarization_amplitudes("lcp")
-    req = scan.ScanRequest(model=m, amplitude_x=ex, amplitude_y=ey,
+    d = DriveField.lcp(0.0)
+    req = scan.ScanRequest(model=m, amplitude_x=d.amplitude_x,
+                           amplitude_y=d.amplitude_y,
                            omega_min=0.0, omega_max=2.0, omega_count=32,
                            Omega_min=0.0, Omega_max=2.0, Omega_count=32,
                            units="fig2", polarization_label="lcp")

@@ -1,10 +1,13 @@
 """Config parsing, layering, builders, and end-to-end CLI runs."""
 
 import csv
+import os
+import tempfile
 import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from rotospin import OscillatorModel, cli, extinction_cross_section
@@ -202,6 +205,39 @@ def test_intensity_overrides_amplitude():
     assert_allclose(abs(ex), np.sqrt(2.0 * np.pi * 2.0 / m.light_speed),
                     rtol=1e-15)
     assert ey == 0.0
+
+
+def test_drive_amplitudes_polarizations():
+    m = OscillatorModel.normalized(0.1)
+    r = 1.0 / np.sqrt(2.0)
+
+    def amplitudes(**drive):
+        return drive_amplitudes({"drive": drive}, m)
+
+    assert amplitudes() == (r, 1j * r, "lcp")
+    assert amplitudes(polarization="lcp") == (r, 1j * r, "lcp")
+    assert amplitudes(polarization="RCP") == (r, -1j * r, "rcp")
+    assert amplitudes(polarization="linear") == (1.0, 0.0, "linear")
+    ex, ey, _ = amplitudes(polarization="linear", angle=repr(np.pi / 2.0))
+    assert_allclose([abs(ex), abs(ey)], [0.0, 1.0], atol=1e-15)
+    assert amplitudes(polarization="explicit", ex_re="0.3",
+                      ey_im="0.4") == (0.3, 0.4j, "explicit")
+
+
+def test_drive_amplitudes_unknown_polarization(tmp_path, capsys):
+    with pytest.raises(ConfigError) as info:
+        drive_amplitudes({"drive": {"polarization": "diagonal"}},
+                         OscillatorModel.normalized(0.1))
+    assert str(info.value) == "[drive]: unknown polarization 'diagonal'"
+    conf = _write(tmp_path, """\
+        [drive]
+        polarization = diagonal
+        """)
+    rc = cli.main(["point", "--config", conf, "--gamma", "0.1",
+                   "--omega", "0.5", "--Omega", "0.2"])
+    assert rc == 2
+    assert capsys.readouterr().err == ("config error: [drive]: unknown "
+                                       "polarization 'diagonal'\n")
 
 
 def test_build_scan_request_reports_section():
@@ -618,6 +654,116 @@ def test_zero_drive_amplitude_exits_2(tmp_path, capsys, argv, ini):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("argv, ini", [
+    (["point", "--gamma", "0.1", "--omega", "0.5", "--Omega", "0.2"], None),
+    (["thermal"], _THERMAL_INI),
+    (["amplify"], _AMPLIFY_INI),
+    (["scan", "--preset", "fig2"], None),
+], ids=["point", "thermal", "amplify", "scan"])
+def test_underflowing_drive_amplitude_exits_2(tmp_path, capsys, argv, ini):
+    # |E| = 1e-200 is nonzero, but |E|^2 rounds to 0 and every cross
+    # section divides by it
+    if ini is not None:
+        argv = argv + ["--config", _write(tmp_path, ini)]
+    if argv[0] in ("scan", "amplify"):
+        argv = argv + ["--out", str(tmp_path / "x.csv")]
+    rc = cli.main(argv + ["--amplitude", "1e-200"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "config error: [drive] the field amplitude is too small: "
+        "|Ex|^2 + |Ey|^2 underflows to 0\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# CLI: numeric input edges
+
+
+_SAMPLES_ERR = "config error: [{}] samples: must be at least 2, got '{}'"
+
+
+@pytest.mark.parametrize("argv, ini, err", [
+    (["spinup", "--samples=1"], _SPINUP_INI, _SAMPLES_ERR.format("spinup", 1)),
+    (["spinup", "--samples=0"], _SPINUP_INI, _SAMPLES_ERR.format("spinup", 0)),
+    (["spinup", "--samples=-4"], _SPINUP_INI,
+     _SAMPLES_ERR.format("spinup", -4)),
+    (["amplify", "--samples=1"], _AMPLIFY_INI,
+     _SAMPLES_ERR.format("medium", 1)),
+    (["amplify", "--samples=0"], _AMPLIFY_INI,
+     _SAMPLES_ERR.format("medium", 0)),
+    (["amplify", "--samples=-4"], _AMPLIFY_INI,
+     _SAMPLES_ERR.format("medium", -4)),
+    (["spinup", "--Omega-init=1e-3"], _SPINUP_INI,
+     "config error: [spinup]: Omega_target must exceed Omega_init"),
+    (["spinup", "--Omega-init=0.5"], _SPINUP_INI,
+     "config error: [spinup]: Omega_target must exceed Omega_init"),
+    (["spinup", "--Omega-init=-0.1"], _SPINUP_INI,
+     "config error: [spinup]: Omega_init must be non-negative"),
+    (["spinup", "--max-time=-5"], _SPINUP_INI,
+     "config error: [spinup]: max_time must be positive"),
+    (["spinup", "--max-time=0"], _SPINUP_INI,
+     "config error: [spinup]: max_time must be positive"),
+    # the integrator's first trial step lands at Omega ~ 1e102, where the
+    # torque overflows; that is no singular resonance
+    (["spinup", "--amplitude=8e54", "--Omega-init=1e-300", "--max-time=1"],
+     _SPINUP_INI,
+     "error: an input is too large: a response value overflows a double"),
+    # rates near 1e158 overflow the integrator's own error norm
+    (["spinup", "--amplitude=1e80"], _SPINUP_INI,
+     "config error: [spinup]: spin-up integration failed: Required step "
+     "size is less than spacing between numbers."),
+], ids=["spinup-samples-1", "spinup-samples-0", "spinup-samples-negative",
+        "amplify-samples-1", "amplify-samples-0", "amplify-samples-negative",
+        "Omega-init-at-target", "Omega-init-beyond-target",
+        "Omega-init-negative", "max-time-negative", "max-time-zero",
+        "torque-overflow", "integrator-failure"])
+def test_bad_numeric_input_exits_2(tmp_path, capsys, argv, ini, err):
+    out = tmp_path / "x.csv"
+    rc = cli.main(argv + ["--config", _write(tmp_path, ini),
+                          "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == err + "\n"
+    assert not out.exists()
+
+
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 0.0, -1.0,
+                     -5.0, 1e300, -1e300, 1e-300]),
+    st.floats())
+
+
+def _main_in_tmpdir(argv, ini):
+    """cli.main with ``ini`` as --config and --out in a fresh directory;
+    Hypothesis reruns a test body, so tmp_path cannot be shared."""
+    with tempfile.TemporaryDirectory() as tmp:
+        conf = os.path.join(tmp, "conf.ini")
+        with open(conf, "w") as fh:
+            fh.write(textwrap.dedent(ini))
+        return cli.main(argv + ["--config", conf,
+                                "--out", os.path.join(tmp, "out.csv")])
+
+
+@settings(max_examples=40, deadline=None)
+@given(samples=st.integers(-3, 4), max_time=_EDGE_FLOATS,
+       Omega_init=_EDGE_FLOATS, amplitude=_EDGE_FLOATS)
+def test_spinup_numeric_inputs_exit_0_or_2(samples, max_time, Omega_init,
+                                           amplitude):
+    # "--flag=value" keeps argparse from reading "-inf" as a flag
+    rc = _main_in_tmpdir(["spinup", f"--samples={samples}",
+                          f"--max-time={max_time!r}",
+                          f"--Omega-init={Omega_init!r}",
+                          f"--amplitude={amplitude!r}"], _SPINUP_INI)
+    assert rc in (0, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(samples=st.integers(-3, 4), amplitude=_EDGE_FLOATS)
+def test_amplify_numeric_inputs_exit_0_or_2(samples, amplitude):
+    rc = _main_in_tmpdir(["amplify", f"--samples={samples}",
+                          f"--amplitude={amplitude!r}"], _AMPLIFY_INI)
+    assert rc in (0, 2)
+
+
 # ---------------------------------------------------------------------------
 # CLI: validate
 
@@ -628,3 +774,12 @@ def test_validate_passes(capsys):
     assert rc == 0
     assert "[FAIL]" not in out
     assert "16/16 checks passed" in out
+
+
+def test_validate_negative_seed_rejected_at_parse(capsys):
+    # numpy's default_rng takes only non-negative seeds
+    with pytest.raises(SystemExit) as info:
+        cli.main(["validate", "--seed", "-1"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: must be a non-negative integer, got '-1'" in err

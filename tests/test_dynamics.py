@@ -168,6 +168,24 @@ def test_max_time_outcome():
     assert traj.terminal_rotation < 1e-2
 
 
+@pytest.mark.parametrize("n_samples", [1, 0, -3])
+def test_too_few_samples_rejected(n_samples):
+    # a single sample is t = 0 alone, which would report Omega_init as the
+    # end of a run that reached its target
+    body = RigidBodyParams(2.0)
+    with pytest.raises(ValueError, match="n_samples"):
+        spin_up_trajectory(MODEL, DRIVE, body, 0.0, 1e-3,
+                           n_samples=n_samples)
+
+
+@pytest.mark.parametrize("max_time", [0.0, -5.0])
+def test_non_positive_max_time_rejected(max_time):
+    # a negative limit would integrate the rotation backwards in time
+    body = RigidBodyParams(2.0)
+    with pytest.raises(ValueError, match="max_time"):
+        spin_up_trajectory(MODEL, DRIVE, body, 0.0, 1e-3, max_time=max_time)
+
+
 # ---------------------------------------------------------------------------
 # melt and burst termination
 

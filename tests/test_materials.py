@@ -103,14 +103,6 @@ def test_lossless_sphere_feels_no_torque():
     assert abs(mz) <= 1e-14 * abs(2.0 * alpha.imag)
 
 
-def test_lossy_sphere_doubling_flag():
-    pol = AnisotropicPolarizability(0.5 + 0.2j, 0.1 + 0.05j)
-    base = dipole_torque_low_rotation(pol, 0.7, 2.0, light_speed=1.0)
-    doubled = dipole_torque_low_rotation(pol, 0.7, 2.0, light_speed=1.0,
-                                         lossy_sphere_doubling=True)
-    assert doubled == pytest.approx(2.0 * base, rel=1e-15)
-
-
 def test_dipole_torque_rejects_nonpositive_frequency():
     pol = AnisotropicPolarizability(0.5 + 0.2j, 0.0)
     with pytest.raises(ValueError):

@@ -50,13 +50,6 @@ def test_empty_ensemble_rejected():
         MediumSpec(1.0, 1.0, ())
 
 
-def test_single_member_factory():
-    spec = MediumSpec.single(MODEL, 0.3)
-    assert len(spec.members) == 1
-    assert spec.members[0].weight == 1.0
-    assert spec.members[0].rotation == 0.3
-
-
 # ---------------------------------------------------------------------------
 # ensemble mean
 

@@ -1,6 +1,7 @@
 """Grid evaluation, unit conversion, CSV export, and the re-parse check."""
 
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -14,9 +15,7 @@ from rotospin import (
     SingularResonanceError,
     cross_section_set,
     grid_scan,
-    polarization_amplitudes,
     reparse_balance_check,
-    spectrum_sweep,
     write_grid_csv,
 )
 from rotospin.scan import CSV_HEADER, read_sidecar
@@ -28,34 +27,14 @@ _LONG = dict(omega_count=65, Omega_count=65)
 
 
 def _request(units="physical", **overrides):
-    ex, ey = polarization_amplitudes("lcp")
-    kw = dict(model=MODEL, amplitude_x=ex, amplitude_y=ey,
+    lcp = DriveField.lcp(0.0)
+    kw = dict(model=MODEL, amplitude_x=lcp.amplitude_x,
+              amplitude_y=lcp.amplitude_y,
               omega_min=0.1, omega_max=1.9, omega_count=7,
               Omega_min=0.0, Omega_max=1.8, Omega_count=5,
               units=units, polarization_label="lcp")
     kw.update(overrides)
     return ScanRequest(**kw)
-
-
-# ---------------------------------------------------------------------------
-# polarization shorthand
-
-
-def test_polarization_amplitudes():
-    r = 1.0 / np.sqrt(2.0)
-    assert polarization_amplitudes("lcp") == (r, 1j * r)
-    assert polarization_amplitudes("rcp") == (r, -1j * r)
-    assert polarization_amplitudes("linear") == (1.0, 0.0)
-    ex, ey = polarization_amplitudes("linear", angle=np.pi / 2.0)
-    assert_allclose([abs(ex), abs(ey)], [0.0, 1.0], atol=1e-15)
-    assert polarization_amplitudes("explicit", ex=0.3, ey=0.4j) == (0.3, 0.4j)
-
-
-def test_polarization_amplitudes_errors():
-    with pytest.raises(ValueError):
-        polarization_amplitudes("diagonal")
-    with pytest.raises(ValueError):
-        polarization_amplitudes("explicit", ex=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -94,16 +73,21 @@ def test_unknown_units_rejected():
 
 
 def test_single_cell_matches_direct_evaluation():
-    # every cell of a small lattice equals the scalar evaluation; the
-    # lattice holds both co-rotation corners, omega = +/-Omega at
-    # |Omega| = omega0, so each drive also checks the singular mask
-    for pol, ex, ey in (("lcp", None, None), ("linear", None, None),
-                        ("explicit", 0.3 + 0.1j, -0.2 + 0.5j)):
-        ex, ey = polarization_amplitudes(pol, ex=ex, ey=ey)
-        grid = grid_scan(_request(amplitude_x=ex, amplitude_y=ey,
-                                  omega_min=0.0, omega_max=2.0,
-                                  omega_count=5, Omega_min=-1.0,
-                                  Omega_max=2.0, Omega_count=4))
+    # every cell of a small lattice equals the scalar evaluation; the map
+    # holds both co-rotation corners, omega = +/-Omega at |Omega| =
+    # omega0, so each drive also checks the singular mask, and the
+    # spectrum is the fixed-Omega sweep, one Omega row
+    map_ = dict(omega_min=0.0, omega_max=2.0, omega_count=5,
+                Omega_min=-1.0, Omega_max=2.0, Omega_count=4)
+    spectrum = dict(omega_min=0.1, omega_max=2.9, omega_count=9,
+                    Omega_min=2.0, Omega_max=2.0, Omega_count=1)
+    drives = (DriveField.lcp(0.0), DriveField.linear(0.0),
+              DriveField(0.0, 0.3 + 0.1j, -0.2 + 0.5j))
+    for d, lattice in itertools.product(drives, (map_, spectrum)):
+        ex, ey = d.amplitude_x, d.amplitude_y
+        grid = grid_scan(_request(amplitude_x=ex, amplitude_y=ey, **lattice))
+        assert grid.singular.shape == (lattice["Omega_count"],
+                                       lattice["omega_count"])
         for i, Om in enumerate(grid.Omega):
             for j, om in enumerate(grid.omega):
                 try:
@@ -116,7 +100,7 @@ def test_single_cell_matches_direct_evaluation():
                 assert_allclose(dataclasses.astuple(grid.cell(i, j)),
                                 dataclasses.astuple(direct), rtol=1e-14,
                                 atol=0.0)
-        assert grid.singular.any()
+        assert grid.singular.any() == (lattice is map_)
 
 
 def test_fig2_divisors_restore_physical_values():
@@ -128,14 +112,6 @@ def test_fig2_divisors_restore_physical_values():
         assert_allclose(restored, phys.values[name], rtol=1e-13)
 
 
-def test_spectrum_sweep_matches_grid_cells():
-    ex, ey = polarization_amplitudes("lcp")
-    sets, grid = spectrum_sweep(MODEL, ex, ey, 2.0, 0.1, 2.9, 9)
-    assert len(sets) == 9
-    for j, s in enumerate(sets):
-        assert s == grid.cell(0, j)
-
-
 # ---------------------------------------------------------------------------
 # singular cells
 
@@ -144,8 +120,9 @@ def test_undamped_resonance_is_masked():
     # gamma = tau = 0 and Omega = 0: the response diverges exactly at
     # omega = omega0, and nowhere else on this axis
     lossless = OscillatorModel.normalized(0.0)
-    ex, ey = polarization_amplitudes("lcp")
-    req = ScanRequest(model=lossless, amplitude_x=ex, amplitude_y=ey,
+    lcp = DriveField.lcp(0.0)
+    req = ScanRequest(model=lossless, amplitude_x=lcp.amplitude_x,
+                      amplitude_y=lcp.amplitude_y,
                       omega_min=0.0, omega_max=2.0, omega_count=3,
                       Omega_min=0.0, Omega_max=0.0, Omega_count=1)
     grid = grid_scan(req)
