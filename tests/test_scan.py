@@ -1,7 +1,6 @@
 """Grid evaluation, unit conversion, CSV export, and the re-parse check."""
 
 import dataclasses
-import itertools
 import warnings
 
 import numpy as np
@@ -72,18 +71,12 @@ def test_unknown_units_rejected():
 # evaluation
 
 
-def test_single_cell_matches_direct_evaluation():
-    # every cell of a small lattice equals the scalar evaluation; the map
-    # holds both co-rotation corners, omega = +/-Omega at |Omega| =
-    # omega0, so each drive also checks the singular mask, and the
-    # spectrum is the fixed-Omega sweep, one Omega row
-    map_ = dict(omega_min=0.0, omega_max=2.0, omega_count=5,
-                Omega_min=-1.0, Omega_max=2.0, Omega_count=4)
-    spectrum = dict(omega_min=0.1, omega_max=2.9, omega_count=9,
-                    Omega_min=2.0, Omega_max=2.0, Omega_count=1)
-    drives = (DriveField.lcp(0.0), DriveField.linear(0.0),
-              DriveField(0.0, 0.3 + 0.1j, -0.2 + 0.5j))
-    for d, lattice in itertools.product(drives, (map_, spectrum)):
+_DRIVES = (DriveField.lcp(0.0), DriveField.linear(0.0),
+           DriveField(0.0, 0.3 + 0.1j, -0.2 + 0.5j))
+
+
+def _assert_cells_match_direct(lattice, any_singular):
+    for d in _DRIVES:
         ex, ey = d.amplitude_x, d.amplitude_y
         grid = grid_scan(_request(amplitude_x=ex, amplitude_y=ey, **lattice))
         assert grid.singular.shape == (lattice["Omega_count"],
@@ -100,7 +93,24 @@ def test_single_cell_matches_direct_evaluation():
                 assert_allclose(dataclasses.astuple(grid.cell(i, j)),
                                 dataclasses.astuple(direct), rtol=1e-14,
                                 atol=0.0)
-        assert grid.singular.any() == (lattice is map_)
+        assert grid.singular.any() == any_singular
+
+
+def test_single_cell_matches_direct_evaluation():
+    # every cell of a small lattice equals the scalar evaluation; the map
+    # holds both co-rotation corners, omega = +/-Omega at |Omega| =
+    # omega0, so each drive also checks the singular mask
+    _assert_cells_match_direct(dict(omega_min=0.0, omega_max=2.0,
+                                    omega_count=5, Omega_min=-1.0,
+                                    Omega_max=2.0, Omega_count=4), True)
+
+
+def test_spectrum_sweep_matches_grid_cells():
+    # the fixed-Omega spectrum that `rotospin spectrum` runs is one Omega
+    # row of the lattice: each of its cells equals the scalar evaluation
+    _assert_cells_match_direct(dict(omega_min=0.1, omega_max=2.9,
+                                    omega_count=9, Omega_min=2.0,
+                                    Omega_max=2.0, Omega_count=1), False)
 
 
 def test_fig2_divisors_restore_physical_values():
