@@ -221,6 +221,9 @@ def drive_amplitudes(cfg: Sections, model: OscillatorModel):
         if intensity < 0:
             raise ConfigError("[drive] intensity must be non-negative")
         amplitude = float(np.sqrt(2.0 * np.pi * intensity / model.light_speed))
+        if not math.isfinite(amplitude):
+            raise ConfigError("[drive] intensity is too large: the field "
+                              "amplitude sqrt(2 pi I / c) overflows a double")
     angle = _get_float(cfg, "drive", "angle", 0.0)
     if kind == "explicit":
         ex, ey = _parse_complex(cfg, "ex"), _parse_complex(cfg, "ey")

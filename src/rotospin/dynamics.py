@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
 
 from .response import DriveField, OscillatorModel, absorption_cross_section, torque
 
@@ -43,6 +41,7 @@ def _require_no_stall(model, drive, Omega_init, Omega_target):
     if not stalled.size:
         return
     i = stalled[0]
+    from scipy.optimize import brentq
     stall = Om[i] if i == 0 or push[i] == 0 else brentq(
         lambda x: torque(model, drive, x), Om[i - 1], Om[i])
     raise UnreachableTargetError(
@@ -166,6 +165,7 @@ def spin_up_trajectory(model: OscillatorModel, drive: DriveField,
         raise ValueError("max_time must be positive")
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
+    from scipy.integrate import solve_ivp
 
     i_mom = body.moment_of_inertia
     m0 = torque(model, drive, Omega_init)
@@ -264,6 +264,7 @@ def time_to_target_by_quadrature(model, drive, body, Omega_target,
     if Omega_target == Omega_init:
         return 0.0
     _require_no_stall(model, drive, Omega_init, Omega_target)
+    from scipy.integrate import quad
     i_mom = body.moment_of_inertia
 
     def inv_rate(Om):

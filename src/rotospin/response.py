@@ -139,7 +139,11 @@ class OscillatorModel:
                  light_speed=SPEED_OF_LIGHT):
         """Model with the radiative time tied to the coupling,
         tau = (2/3) (Q^2/m) / c^3."""
-        tau = 2.0 * coupling / (3.0 * light_speed**3)
+        c3 = light_speed**3
+        if not c3 > 0:
+            raise ValueError("light_speed must be positive, and its cube "
+                             "must not underflow to 0")
+        tau = 2.0 * coupling / (3.0 * c3)
         return cls(coupling, natural_frequency, damping_rate, tau, light_speed)
 
     @classmethod
@@ -299,30 +303,38 @@ class CrossSectionSet:
         }
 
 
-def _terms(model, drive, Omega):
-    """Shared intermediates (s, t_plus, t_minus): the shifted frequencies
-    and the weighted inverse denominators t_pm = |E_pm/E|^2 / |d_pm|^2."""
+def _weights(model, drive, Omega):
+    """(t_plus, t_minus, singular): the weighted inverse denominators
+    t_pm = |E_pm/E|^2 / |d_pm|^2 and the mask of singular points.
+
+    A channel the drive does not excite weighs 0 even on its resonance.
+    A point is singular where an excited channel's weight is inf: its
+    |d|^2 is zero, or so small that the quotient overflows.  A NaN weight
+    is an overflow of the denominator itself, not a resonance.
+    """
     e2 = drive.field_norm_sq
     if e2 == 0:
         raise ValueError("drive field has zero amplitude")
-    wp = abs(drive.e_plus) ** 2 / e2
-    wm = abs(drive.e_minus) ** 2 / e2
-    d = denominators(model, drive.frequency, Omega)
-    d2p = _abs2(d.plus)
-    d2m = _abs2(d.minus)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # a channel the drive does not excite contributes 0 even on its
-        # resonance; an excited channel with d = 0 becomes NaN (not inf),
-        # keeping every downstream product NaN at singular cells
-        tp = np.where(wp == 0.0, 0.0, np.where(d2p == 0.0, np.nan, wp / d2p))
-        tm = np.where(wm == 0.0, 0.0, np.where(d2m == 0.0, np.nan, wm / d2m))
-    if tp.ndim == 0 and not (math.isfinite(tp) and math.isfinite(tm)):
-        # a scalar point is singular where an excited channel's |d|^2 is
-        # zero or so small that its weight overflows; a NaN |d|^2 is an
-        # overflow of the denominator itself, left to _scalar_or_array
-        if any(math.isinf(t) or (w != 0 and d2 == 0)
-               for w, d2, t in ((wp, d2p, tp), (wm, d2m, tm))):
+    with np.errstate(all="ignore"):
+        d = denominators(model, drive.frequency, Omega)
+        tp, tm = (np.where(w == 0.0, 0.0, w / _abs2(dw))
+                  for w, dw in ((abs(drive.e_plus) ** 2 / e2, d.plus),
+                                (abs(drive.e_minus) ** 2 / e2, d.minus)))
+    return tp, tm, np.isinf(tp) | np.isinf(tm)
+
+
+def _terms(model, drive, Omega):
+    """Shared intermediates (s, t_plus, t_minus): the shifted frequencies
+    and the weights of ``_weights``.  A singular scalar point raises; in
+    arrays a singular channel's weight becomes NaN (not inf), keeping
+    every downstream product NaN at singular cells."""
+    tp, tm, singular = _weights(model, drive, Omega)
+    if singular.ndim == 0:
+        if singular:
             raise SingularResonanceError(_SINGULAR_MSG)
+    elif singular.any():
+        tp = np.where(np.isinf(tp), np.nan, tp)
+        tm = np.where(np.isinf(tm), np.nan, tm)
     return shifted_frequencies(drive.frequency, Omega), tp, tm
 
 

@@ -4,7 +4,8 @@ A scan evaluates the whole (omega, Omega) lattice in one broadcast call
 of the response kernel.  Cells with an exactly vanishing response
 denominator (the lossless resonance ellipse, or omega = +/-Omega at
 |Omega| = omega0) are flagged in a boolean mask and exported as NaN with
-a ``singular`` marker column.
+a ``singular`` marker column.  A cell whose value overflows a double
+raises ``OverflowError``, as a scalar evaluation there does.
 
 Two unit conventions are supported.  ``physical`` leaves the areas in
 cm^2 (or the normalized-model equivalent).  ``fig2`` divides the
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .response import (CrossSectionSet, DriveField, OscillatorModel,
-                       cross_section_set)
+                       _weights, cross_section_set)
 
 CSV_HEADER = ("omega", "Omega", "sigma_mech", "sigma_abs", "sigma_elastic",
               "sigma_in_plus", "sigma_in_minus", "sigma_ext", "singular")
@@ -60,8 +61,8 @@ class ScanRequest:
                                  self.omega_count, "omega"),
                                 (self.Omega_min, self.Omega_max,
                                  self.Omega_count, "Omega")):
-            if not (np.isfinite(lo) and np.isfinite(hi)):
-                raise ValueError(f"{name} range must be finite")
+            if not np.isfinite(hi - lo):
+                raise ValueError(f"{name} range and its width must be finite")
             if n < 1 or (n == 1 and lo != hi):
                 raise ValueError(f"{name}_count must be >= 2, or 1 with a "
                                  "degenerate range")
@@ -69,10 +70,13 @@ class ScanRequest:
                 raise ValueError(f"{name} range must be increasing")
         if self.units not in ("physical", "fig2"):
             raise ValueError("units must be 'physical' or 'fig2'")
-        if self.units == "fig2":
-            if self.model.damping_rate == 0 or self.model.radiative_time == 0:
-                raise ValueError("fig2 units divide by gamma and tau; both "
-                                 "must be nonzero")
+        m = self.model
+        if self.units == "fig2" and not (
+                m.light_speed * m.natural_frequency**2 > 0
+                and all(0 < d < np.inf for d in self.unit_divisors().values())):
+            raise ValueError("fig2 units divide by Q^2 gamma / (m c omega0^2) "
+                             "and Q^2 tau / (m c); both must be nonzero and "
+                             "finite")
         if abs(self.amplitude_x) == 0 and abs(self.amplitude_y) == 0:
             raise ValueError("drive amplitude must be nonzero")
 
@@ -127,6 +131,12 @@ def grid_scan(req: ScanRequest) -> ScanGrid:
     singular = np.zeros(omega.shape, dtype=bool)
     for arr in values.values():
         singular |= ~np.isfinite(arr)
+    # the scalar route's verdict: a non-finite cell off a resonance is an
+    # overflow, not a singular cell
+    if singular.any() and not _weights(
+            req.model, DriveField(omega[singular], req.amplitude_x,
+                                  req.amplitude_y), Omega[singular])[2].all():
+        raise OverflowError("a response value overflows a double")
     for arr in values.values():
         arr[singular] = np.nan
 

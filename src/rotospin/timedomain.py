@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 
 @dataclass(frozen=True)
@@ -111,6 +110,7 @@ def force_law_averages(model, drive, Omega, settle_factor=50.0,
 
     t_settle = settle_factor / gamma
     window = _averaging_window(omega, Omega)
+    from scipy.integrate import solve_ivp
 
     sol1 = solve_ivp(transient, (0.0, t_settle), [0.0, 0.0],
                      method="DOP853", rtol=rtol, atol=atol)

@@ -13,7 +13,6 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import dynamics, medium, scan, timedomain
 from .materials import (AnisotropicPolarizability, DrudeEllipsoid,
@@ -258,6 +257,7 @@ def ridge_offset_along_ray(model, angle, omega0=1.0):
     r_grid = np.linspace(1e-3, 2.0 * omega0, 800)
     coarse = r_grid[int(np.argmin(neg_abs(r_grid)))]
     window = 3.0 * (r_grid[1] - r_grid[0])
+    from scipy.optimize import minimize_scalar
     res = minimize_scalar(neg_abs, bounds=(max(coarse - window, 1e-4),
                                            coarse + window),
                           method="bounded",

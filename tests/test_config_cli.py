@@ -2,6 +2,8 @@
 
 import csv
 import os
+import subprocess
+import sys
 import tempfile
 import textwrap
 
@@ -332,6 +334,19 @@ def test_point_corotating_zero_torque(capsys):
     assert float(kv["torque"]) == 0.0
 
 
+@pytest.mark.parametrize("light_speed", ["0", "1e-300", "-1"])
+def test_physical_model_light_speed_out_of_range_exits_2(capsys, light_speed):
+    # the linked tau = 2 (Q^2/m) / (3 c^3) divides by c^3, which is zero
+    # or underflows to zero here
+    rc = cli.main(["point", "--physical", "--gamma", "1e13", "--omega0",
+                   "3e15", "--coupling", "1e4", "--omega", "0.5", "--Omega",
+                   "0.2", f"--light-speed={light_speed}"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "config error: [model]: light_speed must be positive, and its cube "
+        "must not underflow to 0\n")
+
+
 def test_point_missing_gamma_exits_2(capsys):
     rc = cli.main(["point", "--omega", "0.5", "--Omega", "0.2"])
     assert rc == 2
@@ -345,6 +360,22 @@ def test_point_huge_frequency_exits_2(capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "too large" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--preset", "fig2", "--omega-max", "1e80", "--omega-count", "3",
+     "--Omega-count", "2"],
+    ["spectrum", "--normalized", "--gamma", "0.1", "--tau", "0.001",
+     "--omega-min", "0.1", "--omega-max", "1", "--omega-count", "5",
+     "--Omega", "1e300"],
+], ids=["scan", "spectrum"])
+def test_overflowing_map_exits_2(tmp_path, capsys, argv):
+    # the same overflow as in `point`, not a lattice of singular cells
+    rc = cli.main(argv + ["--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: an input is too large: a "
+                                       "response value overflows a double\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flag, value", [("--gamma", "nan"),
@@ -712,11 +743,22 @@ _SAMPLES_ERR = "config error: [{}] samples: must be at least 2, got '{}'"
     (["spinup", "--amplitude=1e80"], _SPINUP_INI,
      "config error: [spinup]: spin-up integration failed: Required step "
      "size is less than spacing between numbers."),
+    # c omega0^2 underflows to 0 in the fig2 friction divisor
+    (["spectrum", "--preset=fig3a", "--omega0=1e-300"], "",
+     "config error: [spectrum]: fig2 units divide by Q^2 gamma / (m c "
+     "omega0^2) and Q^2 tau / (m c); both must be nonzero and finite"),
+    # |E| = sqrt(2 pi I / c) overflows a double
+    (["scan", "--preset=fig2", "--light-speed=1e-300", "--intensity=1e300"],
+     "", "config error: [drive] intensity is too large: the field amplitude "
+         "sqrt(2 pi I / c) overflows a double"),
+    (["scan", "--preset=fig2", "--omega-min=-1e308", "--omega-max=1.7e308"],
+     "", "config error: [scan]: omega range and its width must be finite"),
 ], ids=["spinup-samples-1", "spinup-samples-0", "spinup-samples-negative",
         "amplify-samples-1", "amplify-samples-0", "amplify-samples-negative",
         "Omega-init-at-target", "Omega-init-beyond-target",
         "Omega-init-negative", "max-time-negative", "max-time-zero",
-        "torque-overflow", "integrator-failure"])
+        "torque-overflow", "integrator-failure", "fig2-divisor-underflow",
+        "intensity-overflow", "axis-width-overflow"])
 def test_bad_numeric_input_exits_2(tmp_path, capsys, argv, ini, err):
     out = tmp_path / "x.csv"
     rc = cli.main(argv + ["--config", _write(tmp_path, ini),
@@ -733,14 +775,17 @@ _EDGE_FLOATS = st.one_of(
 
 
 def _main_in_tmpdir(argv, ini):
-    """cli.main with ``ini`` as --config and --out in a fresh directory;
-    Hypothesis reruns a test body, so tmp_path cannot be shared."""
+    """cli.main with ``ini`` as --config and, for a command that writes
+    one, --out in a fresh directory; Hypothesis reruns a test body, so
+    tmp_path cannot be shared."""
     with tempfile.TemporaryDirectory() as tmp:
         conf = os.path.join(tmp, "conf.ini")
         with open(conf, "w") as fh:
             fh.write(textwrap.dedent(ini))
-        return cli.main(argv + ["--config", conf,
-                                "--out", os.path.join(tmp, "out.csv")])
+        argv = argv + ["--config", conf]
+        if argv[0] not in ("point", "thermal"):
+            argv += ["--out", os.path.join(tmp, "out.csv")]
+        return cli.main(argv)
 
 
 @settings(max_examples=40, deadline=None)
@@ -764,6 +809,60 @@ def test_amplify_numeric_inputs_exit_0_or_2(samples, amplitude):
     assert rc in (0, 2)
 
 
+_MODEL_INIS = st.sampled_from([
+    "[model]\ngamma = 0.1\ntau = 1e-3\n",
+    "[model]\nmode = physical\ngamma = 1e13\nomega0 = 3e15\ncoupling = 1e4\n",
+    "[model]\nsource = drude-sphere\nplasma_frequency = 1.4e16\n"
+    "damping = 1e14\nradius = 1e-6\n",
+    "[model]\nsource = drude-ellipsoid\nplasma_frequency = 1.4e16\n"
+    "damping = 1e14\nvolume = 1e-18\ndepolarization_factor = 0.2\n",
+])
+
+_COMMAND_INIS = {
+    "point": "[point]\nOmega = 0.2\n",
+    "thermal": "[thermal]\nOmega = 0.2\nambient_temperature = 1.0\n"
+               "radiative_coefficient = 1.0\n",
+    "scan": "[scan]\nomega_min = 0\nomega_max = 2\nomega_count = 4\n"
+            "Omega_min = -1\nOmega_max = 2\nOmega_count = 3\n",
+    "spectrum": "[spectrum]\nOmega = 2\nomega_min = 0\nomega_max = 3\n"
+                "omega_count = 5\n",
+}
+
+#: small counts only: a drawn 10**9 would be a legitimate, huge lattice
+_EDGE_COUNTS = st.one_of(st.integers(-3, 6),
+                         st.sampled_from(["nan", "inf", "-inf", "1e300"]))
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_INIS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_numeric_inputs_exit_0_or_2(command, data):
+    # up to three numeric flags of the command take edge values on top of
+    # a valid config; every other key keeps its regular value
+    rows = [row for group in ("model", "drive", command)
+            for row in cli._FLAGS[group]]
+    types = {flag: opts["type"] for flag, _, opts in rows if "type" in opts}
+    ini = (data.draw(_MODEL_INIS) + "[drive]\nomega = 0.5\npolarization = "
+           + data.draw(st.sampled_from(["lcp", "rcp", "linear"])) + "\n"
+           + _COMMAND_INIS[command])
+    if command in ("scan", "spectrum"):
+        ini += "units = " + data.draw(st.sampled_from(["physical", "fig2"]))
+    argv = [command]
+    for flag in data.draw(st.lists(st.sampled_from(sorted(types)),
+                                   unique=True, max_size=3)):
+        value = data.draw(_EDGE_FLOATS if types[flag] is float
+                          else _EDGE_COUNTS)
+        argv.append(f"{flag}={value!r}" if types[flag] is float
+                    else f"{flag}={value}")
+    try:
+        rc = _main_in_tmpdir(argv, ini)
+    except SystemExit as exc:
+        rc = exc.code       # argparse rejects a count that is no integer
+    # a single point may also sit on a singular resonance (omega = Omega =
+    # -omega0, say), which exits 3; a map flags such cells instead
+    assert rc in ((0, 2, 3) if command in ("point", "thermal") else (0, 2))
+
+
 # ---------------------------------------------------------------------------
 # CLI: validate
 
@@ -783,3 +882,48 @@ def test_validate_negative_seed_rejected_at_parse(capsys):
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert "argument --seed: must be a non-negative integer, got '-1'" in err
+
+
+# ---------------------------------------------------------------------------
+# CLI: cold start
+
+
+_COLD_START = """\
+import sys
+import rotospin.cli as cli
+
+layers = ("cli", "config", "response", "scan", "dynamics", "medium",
+          "timedomain", "materials", "validation")
+missing = [m for m in layers if "rotospin." + m not in sys.modules]
+assert not missing, f"not loaded by import rotospin.cli: {{missing}}"
+for argv in {runs!r}:
+    assert cli.main(argv) == 0, argv
+try:
+    cli.main(["--help"])
+except SystemExit as exc:
+    assert exc.code == 0
+scipy = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+assert not scipy, f"scipy loaded: {{scipy[:5]}}"
+"""
+
+
+def test_closed_form_commands_import_no_scipy(tmp_path):
+    # scipy is for spin-up and the self-checks; the bench tracer needs
+    # every layer bound once rotospin.cli is imported
+    runs = [
+        ["point", "--gamma", "0.1", "--omega", "0.5", "--Omega", "0.2"],
+        ["scan", "--preset", "fig2", "--omega-count", "4",
+         "--Omega-count", "3", "--out", str(tmp_path / "scan.csv")],
+        ["spectrum", "--preset", "fig3a", "--omega-count", "5",
+         "--out", str(tmp_path / "spectrum.csv")],
+        ["thermal", "--config", _write(tmp_path, _THERMAL_INI, "t.ini")],
+        ["amplify", "--config", _write(tmp_path, _AMPLIFY_INI, "a.ini"),
+         "--out", str(tmp_path / "gain.csv")],
+    ]
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c",
+                           _COLD_START.format(runs=runs)],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -51,10 +51,30 @@ def test_range_must_increase():
         _request(omega_min=2.0, omega_max=1.0)
 
 
+@pytest.mark.parametrize("axis", ["omega", "Omega"])
+def test_range_wider_than_a_double_rejected(axis):
+    # both ends are finite, but max - min overflows, and linspace would
+    # fill the axis with NaN
+    with pytest.raises(ValueError, match="width must be finite"):
+        _request(**{f"{axis}_min": -1e308, f"{axis}_max": 1.7e308})
+
+
 def test_fig2_units_need_both_rates():
     lossless = OscillatorModel.normalized(0.1)
     with pytest.raises(ValueError):
         _request(units="fig2", model=lossless)
+
+
+@pytest.mark.parametrize("model", [
+    OscillatorModel.normalized(0.1, 1e-4, natural_frequency=1e-300),
+    OscillatorModel.normalized(1e-300, 1e-4, coupling=1e-300),
+    OscillatorModel.normalized(0.1, 1e300, coupling=1e300),
+], ids=["c-omega0-squared-underflows", "friction-underflows",
+        "scatter-overflows"])
+def test_fig2_divisors_must_be_nonzero_and_finite(model):
+    # a zero or infinite divisor leaves values that no sidecar restores
+    with pytest.raises(ValueError, match="nonzero and finite"):
+        _request(units="fig2", model=model)
 
 
 def test_zero_amplitude_rejected():
@@ -149,6 +169,18 @@ def test_corotating_corner_is_masked_despite_damping():
     expect = np.zeros((3, 3), dtype=bool)
     expect[1, 1] = True
     assert np.array_equal(grid.singular, expect)
+
+
+@pytest.mark.parametrize("lattice", [
+    dict(omega_min=0.1, omega_max=1e80, omega_count=3),
+    dict(Omega_min=0.0, Omega_max=1e300, Omega_count=2),
+], ids=["omega-power", "Omega-square"])
+def test_overflowing_cells_raise_rather_than_mask(lattice):
+    # omega**4 or Omega**2 leaves the range of doubles far from any
+    # resonance: the scalar route calls that an overflow, and so must the
+    # grid, instead of flagging the cells singular
+    with pytest.raises(OverflowError):
+        grid_scan(_request(**lattice))
 
 
 # ---------------------------------------------------------------------------
