@@ -4,7 +4,7 @@ oscillators."""
 from .dynamics import (RigidBodyParams, SpinUpTrajectory, ThermalParams,
                        UnreachableTargetError, centrifugal_burst_frequency,
                        equilibrium_temperature, spin_up_trajectory,
-                       time_to_target, time_to_target_by_quadrature)
+                       time_to_target_by_quadrature)
 from .materials import (AnisotropicPolarizability, DrudeEllipsoid,
                         DrudeSphere, dipole_torque_low_rotation,
                         from_drude_ellipsoid, from_drude_sphere,
@@ -44,7 +44,7 @@ __all__ = [
     "from_drude_sphere", "from_drude_ellipsoid",
     "dipole_torque_low_rotation", "optical_theorem_residual",
     "RigidBodyParams", "ThermalParams", "SpinUpTrajectory",
-    "UnreachableTargetError", "spin_up_trajectory", "time_to_target",
+    "UnreachableTargetError", "spin_up_trajectory",
     "time_to_target_by_quadrature", "equilibrium_temperature",
     "centrifugal_burst_frequency",
     "ScanRequest", "ScanGrid", "grid_scan", "write_grid_csv",

@@ -236,8 +236,8 @@ def cmd_spinup(args) -> int:
     except (dynamics.UnreachableTargetError, SingularResonanceError):
         raise
     except (ValueError, RuntimeError) as exc:
-        # arguments out of range, or an integrator that gave up, as it
-        # does when the rotation rate leaves the range of doubles
+        # arguments out of range, or a quadrature that did not converge
+        # or whose time overflows a double
         raise ConfigError(f"[spinup]: {exc}") from exc
     out = cfgmod.build_output(cfg, default="spinup.csv")
     scan.write_columns(out, ("t", "Omega"), traj.times, traj.rotation)
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("scan", cmd_scan, "(omega, Omega) grid map to CSV", preset=True)
     add("spectrum", cmd_spectrum, "fixed-Omega frequency sweep to CSV",
         preset=True)
-    add("spinup", cmd_spinup, "integrate the rotation spin-up")
+    add("spinup", cmd_spinup, "solve the rotation spin-up")
     add("thermal", cmd_thermal, "radiative equilibrium temperature")
     add("amplify", cmd_amplify, "beam gain through a rotating-particle "
                                 "medium")

@@ -2,12 +2,12 @@
 the centrifugal break-up estimate.
 
 The rotational dynamics is the quasi-static rigid-body closure
-dOmega/dt = M(Omega) / I_mom with the torque evaluated at the
-instantaneous rotation frequency.  Thermal equilibrium follows the
-six-power radiation law T_eq^6 = T0^6 + P_abs/C_rad, and the break-up
-frequency equates rotational kinetic energy with the surface energy,
-(1/2) I_mom Omega^2 = 4 pi R^2 sigma_surf, an order-of-magnitude
-convention.
+dOmega/dt = M(Omega) / I_mom, separable, so a spin-up is solved in
+Omega: its end is a root search and its duration a quadrature of
+I_mom / M.  Thermal equilibrium follows the six-power radiation law
+T_eq^6 = T0^6 + P_abs/C_rad, and the break-up frequency equates
+rotational kinetic energy with the surface energy, (1/2) I_mom Omega^2
+= 4 pi R^2 sigma_surf, an order-of-magnitude convention.
 """
 
 from __future__ import annotations
@@ -23,30 +23,23 @@ class UnreachableTargetError(ValueError):
     """The torque cannot push the rotation toward the requested target."""
 
 
-#: torque samples per interval when looking for a stall before a spin-up
-_STALL_SAMPLES = 257
+#: samples of a crossing search, and panel edges of a sampled trajectory
+_SAMPLES = 257
 
 
-def _require_no_stall(model, drive, Omega_init, Omega_target):
-    """Raise UnreachableTargetError if the torque stops pushing the rotation
-    toward Omega_target somewhere on the way from Omega_init.
-
-    The rotation cannot cross a zero of the torque, so a run toward a
-    target beyond one would only end at its time limit.
-    """
-    Om = np.linspace(Omega_init, Omega_target, _STALL_SAMPLES)
-    direction = np.sign(Omega_target - Omega_init)
-    push = direction * np.broadcast_to(torque(model, drive, Om), Om.shape)
-    stalled = np.flatnonzero(push <= 0)
-    if not stalled.size:
-        return
-    i = stalled[0]
+def _first_crossing(f, lo, hi):
+    """First x on the way from lo to hi where f(x) >= 0, or None: one
+    broadcast call samples f, and brentq refines the first sign change."""
+    x = np.linspace(lo, hi, _SAMPLES)
+    y = np.broadcast_to(f(x), x.shape)
+    hits = np.flatnonzero(y >= 0)
+    if not hits.size:
+        return None
+    i = hits[0]
+    if i == 0 or y[i] == 0:
+        return float(x[i])
     from scipy.optimize import brentq
-    stall = Om[i] if i == 0 or push[i] == 0 else brentq(
-        lambda x: torque(model, drive, x), Om[i - 1], Om[i])
-    raise UnreachableTargetError(
-        f"the torque stalls the rotation at Omega = {stall:.6g}, short of "
-        f"Omega_target = {Omega_target:.6g}")
+    return brentq(f, x[i - 1], x[i], xtol=1e-14 * abs(hi - lo))
 
 
 @dataclass(frozen=True)
@@ -106,7 +99,7 @@ class ThermalParams:
 
 @dataclass(frozen=True)
 class SpinUpTrajectory:
-    """Sampled (t, Omega) history plus how the integration ended."""
+    """Sampled (t, Omega) history plus how the run ended."""
 
     times: np.ndarray
     rotation: np.ndarray
@@ -148,14 +141,15 @@ def centrifugal_burst_frequency(body: RigidBodyParams):
 def spin_up_trajectory(model: OscillatorModel, drive: DriveField,
                        body: RigidBodyParams, Omega_init, Omega_target,
                        max_time=None, thermal: ThermalParams | None = None,
-                       rtol=1e-8, n_samples=200) -> SpinUpTrajectory:
-    """Integrate dOmega/dt = M(Omega)/I from Omega_init toward Omega_target.
+                       n_samples=200) -> SpinUpTrajectory:
+    """Spin-up under dOmega/dt = M(Omega)/I from Omega_init toward
+    Omega_target, sampled at ``n_samples`` evenly spaced times.
 
-    Stops at the first of: target reached, melting (when ``thermal`` and
-    the body's melting temperature are given), centrifugal burst (when
-    the body carries surface data), or ``max_time`` (default: 10x the
-    constant-torque estimate).  Raises ``UnreachableTargetError`` when
-    the torque does not point toward the target all the way there.
+    The run ends at the first of the target, the melting point (given
+    ``thermal`` and a melting temperature) and the burst (given surface
+    data), after ``time_to_target_by_quadrature``; or at ``max_time``
+    (default: 10x the constant-torque estimate) as "max-time".  Raises
+    ``UnreachableTargetError`` when the torque stalls the rotation first.
     """
     if not Omega_target > Omega_init:
         raise ValueError("Omega_target must exceed Omega_init")
@@ -165,111 +159,72 @@ def spin_up_trajectory(model: OscillatorModel, drive: DriveField,
         raise ValueError("max_time must be positive")
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
-    from scipy.integrate import solve_ivp
 
-    i_mom = body.moment_of_inertia
-    m0 = torque(model, drive, Omega_init)
-    # Omega_init is the stall search's first sample, so m0 > 0 past it
-    _require_no_stall(model, drive, Omega_init, Omega_target)
-
-    if max_time is None:
-        max_time = 10.0 * i_mom * (Omega_target - Omega_init) / m0
-
-    intensity = drive.intensity(model.light_speed)
-
-    def rhs(t, y):
-        return [torque(model, drive, y[0]) / i_mom]
-
-    events = []
-
-    def hit_target(t, y):
-        return y[0] - Omega_target
-    hit_target.terminal = True
-    hit_target.direction = 1.0
-    events.append(("target", hit_target))
-
+    Omega_end, outcome = Omega_target, "target"
     if body.surface_tension is not None and body.radius is not None:
-        burst_at = centrifugal_burst_frequency(body)
-        if Omega_init >= burst_at:
-            return SpinUpTrajectory(times=np.zeros(1),
-                                    rotation=np.full(1, Omega_init),
-                                    outcome="burst")
-
-        def hit_burst(t, y):
-            return y[0] - burst_at
-        hit_burst.terminal = True
-        hit_burst.direction = 1.0
-        events.append(("burst", hit_burst))
-
+        burst_at = max(centrifugal_burst_frequency(body), Omega_init)
+        if burst_at < Omega_end:
+            Omega_end, outcome = burst_at, "burst"
     if thermal is not None and body.melting_temperature is not None:
-        t_melt = body.melting_temperature
+        intensity = drive.intensity(model.light_speed)
+        melt_at = _first_crossing(lambda Om: equilibrium_temperature(
+            thermal, absorption_cross_section(model, drive, Om) * intensity)
+            - body.melting_temperature, Omega_init, Omega_end)
+        if melt_at is not None and melt_at < Omega_end:
+            Omega_end, outcome = melt_at, "melt"
+    if Omega_end == Omega_init:
+        return SpinUpTrajectory(np.zeros(1), np.full(1, Omega_init), outcome)
 
-        def hit_melt(t, y):
-            p_abs = absorption_cross_section(model, drive, y[0]) * intensity
-            return equilibrium_temperature(thermal, p_abs) - t_melt
-        # events only fire on sign changes; a condition violated from the
-        # start has to be caught before integrating
-        if hit_melt(0.0, [Omega_init]) >= 0:
-            return SpinUpTrajectory(times=np.zeros(1),
-                                    rotation=np.full(1, Omega_init),
-                                    outcome="melt")
-        hit_melt.terminal = True
-        hit_melt.direction = 1.0
-        events.append(("melt", hit_melt))
+    t_end = time_to_target_by_quadrature(model, drive, body, Omega_end,
+                                         Omega_init)
+    if max_time is None:
+        # the quadrature's stall search has seen M(Omega_init) > 0
+        max_time = (10.0 * body.moment_of_inertia * (Omega_target - Omega_init)
+                    / torque(model, drive, Omega_init))
+    t_stop = min(t_end, max_time)
+    outcome = "max-time" if t_stop < t_end else outcome
 
-    scale = max(abs(Omega_init), abs(Omega_target))
-    with np.errstate(over="ignore", invalid="ignore"):
-        # a step the solver cannot control shows in sol.success; numpy's
-        # overflow warnings from inside the solver add nothing to it
-        sol = solve_ivp(rhs, (0.0, max_time), [Omega_init],
-                        method="DOP853", rtol=rtol, atol=1e-12 * scale,
-                        events=[e for _, e in events], dense_output=True)
-    if not sol.success:
-        raise RuntimeError(f"spin-up integration failed: {sol.message}")
-
-    outcome = "max-time"
-    t_end = max_time
-    for (name, _), t_hits in zip(events, sol.t_events):
-        if t_hits.size:
-            outcome = name
-            t_end = float(t_hits[0])
-            break
-
-    times = np.linspace(0.0, t_end, n_samples)
-    rotation = sol.sol(times)[0]
-    return SpinUpTrajectory(times=times, rotation=rotation, outcome=outcome)
-
-
-def time_to_target(model, drive, body, Omega_target, Omega_init=0.0,
-                   **kwargs) -> float:
-    """Terminal time of the spin-up run; zero when already at target."""
-    if Omega_target == Omega_init:
-        return 0.0
-    traj = spin_up_trajectory(model, drive, body, Omega_init, Omega_target,
-                              **kwargs)
-    if traj.outcome != "target":
-        raise RuntimeError(f"target not reached: run ended with "
-                           f"'{traj.outcome}' at t={traj.terminal_time:.3e}")
-    return traj.terminal_time
+    # Simpson's rule on 1/M, scaled to at most 1 against overflow, gives
+    # t(Omega) at the panel edges as a fraction s of the run, inverted by
+    # the cubic Hermite interpolant with the exact slopes dOmega/ds.
+    Om = np.linspace(Omega_init, Omega_end, 2 * _SAMPLES - 1)
+    w = torque(model, drive, Om)
+    w = w.min() / w
+    s = np.cumsum(w[:-2:2] + 4.0 * w[1::2] + w[2::2])
+    from scipy.interpolate import CubicHermiteSpline
+    inverse = CubicHermiteSpline(np.concatenate(([0.0], s / s[-1])), Om[::2],
+                                 (Om[2] - Om[0]) / 6.0 * s[-1] / w[::2])
+    rotation = inverse(np.linspace(0.0, t_stop / t_end, n_samples))
+    if outcome != "max-time":
+        rotation[-1] = Omega_end
+    return SpinUpTrajectory(np.linspace(0.0, t_stop, n_samples), rotation,
+                            outcome)
 
 
 def time_to_target_by_quadrature(model, drive, body, Omega_target,
                                  Omega_init=0.0) -> float:
-    """Independent route: t = integral of I_mom dOmega / M(Omega).
+    """Spin-up time t = integral of I_mom dOmega / M(Omega), the duration
+    of every ``spin_up_trajectory``; zero when already at the target.
 
-    High-order adaptive quadrature of the separable dynamics; used to
-    cross-check the trajectory integrator.  Raises
-    ``UnreachableTargetError`` when the torque vanishes on the way.
+    Raises ``UnreachableTargetError`` when the torque stalls the rotation
+    on the way, and ``RuntimeError`` when the adaptive quadrature fails.
     """
     if Omega_target == Omega_init:
         return 0.0
-    _require_no_stall(model, drive, Omega_init, Omega_target)
+    direction = np.sign(Omega_target - Omega_init)
+    stall = _first_crossing(lambda Om: -direction * torque(model, drive, Om),
+                            Omega_init, Omega_target)
+    if stall is not None:
+        raise UnreachableTargetError(
+            f"the torque stalls the rotation at Omega = {stall:.6g}, short "
+            f"of Omega_target = {Omega_target:.6g}")
     from scipy.integrate import quad
-    i_mom = body.moment_of_inertia
-
-    def inv_rate(Om):
-        return i_mom / torque(model, drive, Om)
-
-    val, _ = quad(inv_rate, Omega_init, Omega_target,
-                  epsabs=0.0, epsrel=1e-10, limit=200)
+    val, _, _, *failure = quad(
+        lambda Om: body.moment_of_inertia / torque(model, drive, Om),
+        Omega_init, Omega_target, epsabs=0.0, epsrel=1e-10, limit=200,
+        full_output=1)
+    if failure or not 0 < val < np.inf:
+        reason = failure[0] if failure else "time out of double range"
+        raise RuntimeError("spin-up quadrature failed: "
+                           + " ".join(reason.split()))
     return val

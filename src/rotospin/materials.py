@@ -15,6 +15,7 @@ the full rotating-frame result at Omega = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,11 +72,21 @@ class AnisotropicPolarizability:
     perpendicular: complex
 
 
+def _finite_coupling(coupling, formula):
+    """The mapped coupling as a float, or a ValueError on overflow."""
+    if not np.isfinite(coupling):
+        raise ValueError(f"the coupling {formula} of the Drude inputs "
+                         "overflows a double")
+    return float(coupling)
+
+
 def from_drude_sphere(sphere: DrudeSphere,
                       light_speed=SPEED_OF_LIGHT) -> OscillatorModel:
     """omega0 = wp/sqrt(3), coupling = omega0^2 R^3, gamma copied."""
-    omega0 = sphere.plasma_frequency / np.sqrt(3.0)
-    coupling = omega0**2 * sphere.radius**3
+    omega0 = sphere.plasma_frequency / math.sqrt(3.0)
+    with np.errstate(over="ignore"):
+        coupling = np.float64(omega0)**2 * np.float64(sphere.radius)**3
+    coupling = _finite_coupling(coupling, "plasma_frequency^2 radius^3 / 3")
     return OscillatorModel.physical(coupling, omega0, sphere.damping,
                                     light_speed)
 
@@ -83,9 +94,12 @@ def from_drude_sphere(sphere: DrudeSphere,
 def from_drude_ellipsoid(ellipsoid: DrudeEllipsoid,
                          light_speed=SPEED_OF_LIGHT) -> OscillatorModel:
     """omega0 = wp*sqrt(L), coupling = wp^2 V / 4pi, gamma copied."""
-    omega0 = ellipsoid.plasma_frequency * np.sqrt(
+    omega0 = ellipsoid.plasma_frequency * math.sqrt(
         ellipsoid.depolarization_factor)
-    coupling = ellipsoid.plasma_frequency**2 * ellipsoid.volume / (4.0 * np.pi)
+    with np.errstate(over="ignore"):
+        coupling = (np.float64(ellipsoid.plasma_frequency)**2
+                    * ellipsoid.volume / (4.0 * np.pi))
+    coupling = _finite_coupling(coupling, "plasma_frequency^2 volume / 4 pi")
     return OscillatorModel.physical(coupling, omega0, ellipsoid.damping,
                                     light_speed)
 

@@ -70,10 +70,8 @@ class ScanRequest:
                 raise ValueError(f"{name} range must be increasing")
         if self.units not in ("physical", "fig2"):
             raise ValueError("units must be 'physical' or 'fig2'")
-        m = self.model
-        if self.units == "fig2" and not (
-                m.light_speed * m.natural_frequency**2 > 0
-                and all(0 < d < np.inf for d in self.unit_divisors().values())):
+        if self.units == "fig2" and not all(
+                0 < d < np.inf for d in self.unit_divisors().values()):
             raise ValueError("fig2 units divide by Q^2 gamma / (m c omega0^2) "
                              "and Q^2 tau / (m c); both must be nonzero and "
                              "finite")
@@ -89,13 +87,16 @@ class ScanRequest:
         return np.linspace(self.Omega_min, self.Omega_max, self.Omega_count)
 
     def unit_divisors(self) -> dict:
-        """Per-column divisor applied to physical values on export."""
+        """Per-column divisor applied to physical values on export; 0, inf
+        or NaN where a fig2 divisor leaves the range of doubles."""
         if self.units == "physical":
             return {name: 1.0 for name in _FRICTION_COLUMNS + _SCATTER_COLUMNS}
         m = self.model
-        friction = (m.coupling * m.damping_rate
-                    / (m.light_speed * m.natural_frequency**2))
-        scatter = m.coupling * m.radiative_time / m.light_speed
+        coupling, c = np.float64(m.coupling), np.float64(m.light_speed)
+        with np.errstate(all="ignore"):
+            friction = float(coupling * m.damping_rate
+                             / (c * np.float64(m.natural_frequency)**2))
+            scatter = float(coupling * m.radiative_time / c)
         out = {name: friction for name in _FRICTION_COLUMNS}
         out.update({name: scatter for name in _SCATTER_COLUMNS})
         return out

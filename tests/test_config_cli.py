@@ -378,6 +378,46 @@ def test_overflowing_map_exits_2(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+_DRUDE_SCAN = ["--units", "fig2", "--omega-min", "0", "--omega-max", "1",
+               "--omega-count", "3", "--Omega-min", "0", "--Omega-max", "1",
+               "--Omega-count", "3"]
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["point", "--source", "drude-sphere", "--radius", "1e-6",
+      "--plasma-frequency", "1e300", "--omega", "0.5", "--Omega", "0.2"],
+     "config error: [model]: the coupling plasma_frequency^2 radius^3 / 3 "
+     "of the Drude inputs overflows a double"),
+    (["point", "--source", "drude-ellipsoid", "--volume", "1e-18",
+      "--depolarization-factor", "0.2", "--plasma-frequency", "1e300",
+      "--omega", "0.5", "--Omega", "0.2"],
+     "config error: [model]: the coupling plasma_frequency^2 volume / 4 pi "
+     "of the Drude inputs overflows a double"),
+    (["scan", "--source", "drude-sphere", "--radius", "1e-6",
+      "--plasma-frequency", "1e150", *_DRUDE_SCAN],
+     "config error: [scan]: fig2 units divide by Q^2 gamma / (m c omega0^2) "
+     "and Q^2 tau / (m c); both must be nonzero and finite"),
+], ids=["sphere", "ellipsoid", "fig2-divisor"])
+def test_overflowing_drude_input_exits_2(tmp_path, capsys, argv, err):
+    # one line on stderr: no numpy overflow warning ahead of it
+    out = ["--out", str(tmp_path / "x.csv")] if argv[0] == "scan" else []
+    rc = cli.main(argv + ["--damping", "1e14"] + out)
+    assert rc == 2
+    assert capsys.readouterr().err == err + "\n"
+
+
+def test_drude_fig2_scan_reparses(tmp_path):
+    # the sidecar records the divisors as plain floats, which re-parse
+    out = tmp_path / "x.csv"
+    rc = cli.main(["scan", "--source", "drude-sphere", "--radius", "1e-6",
+                   "--plasma-frequency", "1.4e16", "--damping", "1e14",
+                   *_DRUDE_SCAN, "--omega-max", "1e16", "--Omega-max", "1e15",
+                   "--out", str(out)])
+    assert rc == 0
+    worst, checked = reparse_balance_check(out)
+    assert checked == 8 and worst <= 1e-10
+
+
 @pytest.mark.parametrize("flag, value", [("--gamma", "nan"),
                                          ("--omega", "inf"),
                                          ("--Omega", "nan")])
@@ -506,6 +546,23 @@ def test_spinup_stalled_target_exits_2(tmp_path, capsys):
                    "--out", str(tmp_path / "t.csv")])
     assert rc == 2
     assert "Omega = 0.5" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_spinup_quadrature_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # a torque too ragged for the adaptive quadrature: one error line,
+    # never a silent estimate
+    monkeypatch.setattr(
+        "rotospin.dynamics.torque",
+        lambda model, drive, Om: 1.0 + 0.9 * np.sin(1e7 * np.asarray(Om)))
+    rc = cli.main(["spinup", "--config", _write(tmp_path, _SPINUP_INI),
+                   "--Omega-target", "1", "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [spinup]: spin-up quadrature failed: "
+                          "The maximum number of subdivisions (200) has been "
+                          "achieved.")
+    assert err.count("\n") == 1
     assert not (tmp_path / "t.csv").exists()
 
 
@@ -734,15 +791,6 @@ _SAMPLES_ERR = "config error: [{}] samples: must be at least 2, got '{}'"
      "config error: [spinup]: max_time must be positive"),
     (["spinup", "--max-time=0"], _SPINUP_INI,
      "config error: [spinup]: max_time must be positive"),
-    # the integrator's first trial step lands at Omega ~ 1e102, where the
-    # torque overflows; that is no singular resonance
-    (["spinup", "--amplitude=8e54", "--Omega-init=1e-300", "--max-time=1"],
-     _SPINUP_INI,
-     "error: an input is too large: a response value overflows a double"),
-    # rates near 1e158 overflow the integrator's own error norm
-    (["spinup", "--amplitude=1e80"], _SPINUP_INI,
-     "config error: [spinup]: spin-up integration failed: Required step "
-     "size is less than spacing between numbers."),
     # c omega0^2 underflows to 0 in the fig2 friction divisor
     (["spectrum", "--preset=fig3a", "--omega0=1e-300"], "",
      "config error: [spectrum]: fig2 units divide by Q^2 gamma / (m c "
@@ -757,7 +805,7 @@ _SAMPLES_ERR = "config error: [{}] samples: must be at least 2, got '{}'"
         "amplify-samples-1", "amplify-samples-0", "amplify-samples-negative",
         "Omega-init-at-target", "Omega-init-beyond-target",
         "Omega-init-negative", "max-time-negative", "max-time-zero",
-        "torque-overflow", "integrator-failure", "fig2-divisor-underflow",
+        "fig2-divisor-underflow",
         "intensity-overflow", "axis-width-overflow"])
 def test_bad_numeric_input_exits_2(tmp_path, capsys, argv, ini, err):
     out = tmp_path / "x.csv"
@@ -766,6 +814,28 @@ def test_bad_numeric_input_exits_2(tmp_path, capsys, argv, ini, err):
     assert rc == 2
     assert capsys.readouterr().err == err + "\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("amplitude, flags", [
+    (8e54, ["--Omega-init=1e-300", "--max-time=1"]),
+    (1e80, []),
+], ids=["torque-overflow", "integrator-failure"])
+def test_extreme_amplitude_spinup_exits_0(tmp_path, capsys, amplitude, flags):
+    # |E|^2 = 6.4e109 and 1e160 are in range: the torque scales by |E|^2
+    # and the time by 1/|E|^2, to 3.5e-112 and 2.3e-162 here.  A time
+    # stepper failed on both, with a trial step to Omega ~ 1e102 where the
+    # torque overflows, and with rates that overflow its error norm.
+    conf = _write(tmp_path, _SPINUP_INI)
+    times = []
+    for amp in (amplitude, 1.0):
+        rc = cli.main(["spinup", f"--amplitude={amp!r}", *flags, "--config",
+                       conf, "--out", str(tmp_path / "x.csv")])
+        assert rc == 0
+        kv = _kv(capsys.readouterr().out)
+        assert kv["outcome"] == "target"
+        assert float(kv["terminal_Omega"]) == 1e-3
+        times.append(float(kv["terminal_time"]))
+    assert_allclose(times[0] * amplitude**2, times[1], rtol=1e-10)
 
 
 _EDGE_FLOATS = st.one_of(

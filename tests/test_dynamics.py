@@ -1,9 +1,10 @@
-"""Spin-up integration, its quadrature cross-check, radiative heating,
-and the centrifugal break-up estimate."""
+"""Spin-up by quadrature in Omega, its cross-check against a time-stepped
+ODE, radiative heating, and the centrifugal break-up estimate."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 
 from rotospin import (
     DriveField,
@@ -15,10 +16,11 @@ from rotospin import (
     centrifugal_burst_frequency,
     equilibrium_temperature,
     spin_up_trajectory,
-    time_to_target,
     time_to_target_by_quadrature,
     torque,
 )
+from rotospin import dynamics
+from rotospin.validation import ode_spin_up_time
 
 MODEL = OscillatorModel.normalized(0.1)
 DRIVE = DriveField.lcp(0.5)
@@ -106,11 +108,22 @@ def test_trajectory_reaches_target():
     assert traj.terminal_rotation == pytest.approx(1e-3, rel=1e-6)
     assert np.all(np.diff(traj.rotation) >= 0.0)
     assert traj.times[0] == 0.0
+    assert traj.terminal_time == pytest.approx(
+        time_to_target_by_quadrature(MODEL, DRIVE, body, 1e-3), rel=1e-12)
+
+
+def test_samples_invert_the_quadrature_time():
+    # every sampled (t, Omega) lies on t(Omega) = integral of I dOmega / M
+    body = RigidBodyParams(2.0)
+    traj = spin_up_trajectory(MODEL, DRIVE, body, 0.0, 0.3, n_samples=9)
+    for t, Om in zip(traj.times[1:], traj.rotation[1:]):
+        assert time_to_target_by_quadrature(MODEL, DRIVE, body, Om) == \
+            pytest.approx(t, rel=1e-8)
 
 
 def test_ode_and_quadrature_agree():
     body = RigidBodyParams(2.0)
-    t_ode = time_to_target(MODEL, DRIVE, body, 1e-3)
+    t_ode = ode_spin_up_time(MODEL, DRIVE, body, 1e-3)
     t_quad = time_to_target_by_quadrature(MODEL, DRIVE, body, 1e-3)
     assert_allclose(t_ode, t_quad, rtol=1e-8)
 
@@ -119,21 +132,46 @@ def test_constant_torque_limit():
     # for a tiny target the torque is effectively constant and
     # t -> I * Omega_target / M(0)
     body = RigidBodyParams(2.0)
-    t = time_to_target(MODEL, DRIVE, body, 1e-5)
+    t = spin_up_trajectory(MODEL, DRIVE, body, 0.0, 1e-5).terminal_time
     assert_allclose(t, 2.0 * 1e-5 / torque(MODEL, DRIVE, 0.0), rtol=1e-4)
 
 
 def test_time_scales_inversely_with_intensity():
     # M scales with |E|^2, so doubling the amplitude quarters the time
     body = RigidBodyParams(2.0)
-    t1 = time_to_target(MODEL, DriveField.lcp(0.5, 1.0), body, 1e-3)
-    t2 = time_to_target(MODEL, DriveField.lcp(0.5, 2.0), body, 1e-3)
+    t1, t2 = (spin_up_trajectory(MODEL, DriveField.lcp(0.5, e), body, 0.0,
+                                 1e-3).terminal_time for e in (1.0, 2.0))
     assert_allclose(t1 / t2, 4.0, rtol=1e-8)
+
+
+def test_sub_femtosecond_spin_up_is_not_zero():
+    # amplitude 1e8 spins up in ~2.27e-18: a time-stepping integrator's
+    # absolute tolerance would round this run to t = 0
+    body = RigidBodyParams(2.0)
+    traj = spin_up_trajectory(MODEL, DriveField.lcp(0.5, 1e8), body, 0.0,
+                              1e-3)
+    assert traj.outcome == "target"
+    assert traj.terminal_rotation == 1e-3
+    expected = quad(lambda Om: 2.0 / torque(MODEL, DriveField.lcp(0.5, 1e8),
+                                            Om), 0.0, 1e-3,
+                    epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    assert traj.terminal_time == pytest.approx(expected, rel=1e-9)
+    assert traj.terminal_time == pytest.approx(2.27e-18, rel=1e-2)
 
 
 def test_zero_span_is_zero_time():
     body = RigidBodyParams(2.0)
-    assert time_to_target(MODEL, DRIVE, body, 0.3, Omega_init=0.3) == 0.0
+    assert time_to_target_by_quadrature(MODEL, DRIVE, body, 0.3,
+                                        Omega_init=0.3) == 0.0
+
+
+def test_quadrature_failure_raises(monkeypatch):
+    # a torque that oscillates faster than 200 subintervals resolve
+    def ragged(model, drive, Om):
+        return 1.0 + 0.9 * np.sin(1e7 * np.asarray(Om))
+    monkeypatch.setattr(dynamics, "torque", ragged)
+    with pytest.raises(RuntimeError, match="quadrature failed: The maximum"):
+        spin_up_trajectory(MODEL, DRIVE, RigidBodyParams(1.0), 0.0, 1.0)
 
 
 def test_unreachable_target_raises():
@@ -166,6 +204,10 @@ def test_max_time_outcome():
     assert traj.outcome == "max-time"
     assert traj.terminal_time == pytest.approx(1e-4)
     assert traj.terminal_rotation < 1e-2
+    # the run stops where the quadrature time reaches max_time
+    assert time_to_target_by_quadrature(
+        MODEL, DRIVE, body, traj.terminal_rotation) == pytest.approx(
+            1e-4, rel=1e-8)
 
 
 @pytest.mark.parametrize("n_samples", [1, 0, -3])
@@ -204,10 +246,12 @@ def test_melt_stops_at_threshold_rotation():
     traj = spin_up_trajectory(m, d, body, 0.0, 0.2, thermal=th)
     assert traj.outcome == "melt"
     assert traj.terminal_rotation == pytest.approx(0.02, abs=1e-6)
+    assert traj.terminal_time == pytest.approx(time_to_target_by_quadrature(
+        m, d, body, traj.terminal_rotation), rel=1e-12)
 
 
 def test_melt_detected_before_integration():
-    # already above the melting point at rest: no integration happens
+    # already above the melting point at rest: the run ends at t = 0
     m = OscillatorModel.normalized(0.1)
     d = DriveField.lcp(1.05)
     th = ThermalParams(1.0, 1.0)
@@ -226,6 +270,18 @@ def test_burst_stops_at_burst_frequency():
     traj = spin_up_trajectory(MODEL, DRIVE, body, 0.0, 0.4)
     assert traj.outcome == "burst"
     assert traj.terminal_rotation == pytest.approx(0.05, rel=1e-6)
+    assert traj.terminal_time == pytest.approx(time_to_target_by_quadrature(
+        MODEL, DRIVE, body, traj.terminal_rotation), rel=1e-12)
+
+
+def test_burst_before_a_stall_ends_the_run():
+    # the torque would stall the rotation at Omega = 0.5, short of 0.6,
+    # but the particle bursts at 0.05 first
+    sigma_surf = 0.05**2 / (8.0 * np.pi)
+    body = RigidBodyParams(1.0, radius=1.0, surface_tension=sigma_surf)
+    traj = spin_up_trajectory(MODEL, DRIVE, body, 0.0, 0.6)
+    assert traj.outcome == "burst"
+    assert traj.terminal_rotation == pytest.approx(0.05, rel=1e-12)
 
 
 def test_burst_detected_before_integration():
@@ -234,3 +290,32 @@ def test_burst_detected_before_integration():
     traj = spin_up_trajectory(MODEL, DRIVE, body, 0.06, 0.4)
     assert traj.outcome == "burst"
     assert traj.terminal_time == 0.0
+
+
+# two melt runs of the library benchmark (seed 107 cycle 380 scenario 0,
+# seed 203 cycle 150 scenario 2) on which a time-stepped trajectory's end
+# time was off by 1.0e-6 and 6.8e-6:
+# (gamma, tau, omega, I_mom, T_melt, T0, C_rad, Omega_init, Omega_target)
+_BENCH_MELT_RUNS = [
+    (0.09670377867823922, 0.0004527068815352855, 1.7915967135288982,
+     8.93838604902154, 365.42260805529844, 306.85076268717,
+     1.178472672029792e-16, 0.13888068784269128, 0.793204867985296),
+    (0.2495317751036167, 0.000955305478922747, 1.7508386374304687,
+     1.6864130670965651, 328.312065421087, 270.72279539350785,
+     5.653429895766003e-16, 0.11997281814733483, 0.6922469859017218),
+]
+
+
+@pytest.mark.parametrize("run", _BENCH_MELT_RUNS, ids=["s107-380", "s203-150"])
+def test_melt_time_matches_fine_quadrature(run):
+    gamma, tau, omega, i_mom, t_melt, t0, c_rad, om_init, om_target = run
+    m = OscillatorModel.normalized(gamma, tau)
+    d = DriveField.lcp(omega)
+    body = RigidBodyParams(i_mom, melting_temperature=t_melt)
+    traj = spin_up_trajectory(m, d, body, om_init, om_target,
+                              thermal=ThermalParams(t0, c_rad))
+    assert traj.outcome == "melt"
+    fine = quad(lambda Om: i_mom / torque(m, d, Om), om_init,
+                traj.terminal_rotation, epsabs=0.0, epsrel=1e-13,
+                limit=200)[0]
+    assert abs(traj.terminal_time - fine) <= 1e-9 * fine
