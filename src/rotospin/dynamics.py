@@ -120,9 +120,17 @@ def equilibrium_temperature(thermal: ThermalParams, absorbed_power):
     if np.any(p < 0):
         raise ValueError("absorbed_power must be non-negative")
     t0 = thermal.ambient_temperature
-    t6 = t0**6 + p / thermal.radiative_coefficient
+    c_rad = thermal.radiative_coefficient
+    with np.errstate(over="ignore"):
+        ratio = p / c_rad
     # zero-power shortcut: (T0^6)^(1/6) would lose the last bit
-    out = np.where(p == 0.0, t0, t6 ** (1.0 / 6.0))
+    out = np.where(p == 0.0, t0, (t0**6 + ratio) ** (1.0 / 6.0))
+    huge = np.isinf(ratio)
+    if huge.any():
+        # P/C_rad beyond a double: T = r (1 + (T0/r)^6)^(1/6) with
+        # r = (P/C_rad)^(1/6) taken root by root
+        r = p[huge] ** (1.0 / 6.0) / c_rad ** (1.0 / 6.0)
+        out[huge] = r * (1.0 + (t0 / r) ** 6) ** (1.0 / 6.0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -26,6 +26,10 @@ denominator vanishes exactly (see that class for when this happens), and
 :class:`OverflowError` when a result is too large for a double.  Array
 inputs instead propagate non-finite entries; grid code is expected to
 mask them.
+
+A point, where ``Omega`` and the drive frequency are both scalars
+(Python or numpy, or 0-d arrays), is evaluated in plain Python floats
+under the same singular and overflow rules; numpy serves arrays only.
 """
 
 from __future__ import annotations
@@ -56,11 +60,6 @@ class SingularResonanceError(ValueError):
     """
 
 
-def _abs2(z):
-    z = np.asarray(z)
-    return z.real**2 + z.imag**2
-
-
 _SINGULAR_MSG = ("response denominator vanishes (gamma = tau = 0 on the "
                  "resonance ellipse, or omega = +/-Omega at |Omega| = "
                  "omega0); no bounded steady state exists there")
@@ -81,22 +80,29 @@ def _amplitude(e, d):
         return np.where(d == 0, complex(np.nan, np.nan), np.asarray(e) / d)
 
 
-def _scalar_or_array(x):
-    """Collapse 0-d results to float.  ``_terms`` has already raised at a
-    singular point, so a non-finite scalar here is an overflow."""
-    if np.ndim(x) == 0:
-        if not math.isfinite(x):
-            raise OverflowError("a response value overflows a double")
-        return float(x)
+def _is_array(x):
+    return isinstance(x, np.ndarray) and x.ndim > 0
+
+
+def _finite(x):
+    """A point's value, checked: ``_terms`` has already raised at a
+    singular point, so a non-finite float here is an overflow.  Arrays
+    pass through."""
+    if isinstance(x, float) and not math.isfinite(x):
+        raise OverflowError("a response value overflows a double")
     return x
 
 
 def _quiet(fn):
-    """Suppress 0*inf style warnings; singular cells carry NaN instead."""
+    """Suppress 0*inf style warnings in a broadcast call; singular cells
+    carry NaN instead.  A point is evaluated in Python floats, which
+    never warn."""
     @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        with np.errstate(all="ignore"):
-            return fn(*args, **kwargs)
+    def wrapper(model, drive, Omega):
+        if _is_array(drive.frequency) or _is_array(Omega):
+            with np.errstate(all="ignore"):
+                return fn(model, drive, Omega)
+        return fn(model, drive, Omega)
     return wrapper
 
 
@@ -123,6 +129,8 @@ class OscillatorModel:
                      "radiative_time", "light_speed"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+            # plain floats keep a point's arithmetic out of numpy
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not self.coupling > 0:
             raise ValueError("coupling must be positive")
         if not self.natural_frequency > 0:
@@ -139,7 +147,11 @@ class OscillatorModel:
                  light_speed=SPEED_OF_LIGHT):
         """Model with the radiative time tied to the coupling,
         tau = (2/3) (Q^2/m) / c^3."""
-        c3 = light_speed**3
+        try:
+            c3 = float(light_speed)**3
+        except OverflowError:
+            raise ValueError("light_speed is too large: its cube overflows "
+                             "a double") from None
         if not c3 > 0:
             raise ValueError("light_speed must be positive, and its cube "
                              "must not underflow to 0")
@@ -185,6 +197,8 @@ class DriveField:
                 and cmath.isfinite(self.amplitude_x)
                 and cmath.isfinite(self.amplitude_y)):
             raise ValueError("drive frequency and amplitudes must be finite")
+        for name in ("amplitude_x", "amplitude_y"):
+            object.__setattr__(self, name, complex(getattr(self, name)))
 
     @classmethod
     def lcp(cls, frequency, amplitude=1.0):
@@ -237,8 +251,9 @@ class ShiftedFrequencies:
 
 
 def shifted_frequencies(omega, Omega) -> ShiftedFrequencies:
+    twice = 2.0 * Omega
     return ShiftedFrequencies(omega + Omega, omega - Omega,
-                              omega + 2.0 * Omega, omega - 2.0 * Omega)
+                              omega + twice, omega - twice)
 
 
 @dataclass(frozen=True)
@@ -252,16 +267,23 @@ class ResponseDenominators:
 def denominators(model: OscillatorModel, omega, Omega) -> ResponseDenominators:
     """d_pm = omega0^2 - Omega^2 - w_pm(w_pm + i*gamma)
     - i*tau*w_pm*(w_pm^2 + 3*Omega^2)."""
-    w0sq = model.natural_frequency**2
+    return ResponseDenominators(
+        *_denominators(model, shifted_frequencies(omega, Omega), Omega))
+
+
+def _denominators(model, s, Omega):
+    """(d_plus, d_minus) from the shifted frequencies ``s``."""
+    osq = Omega**2
+    spring = model.natural_frequency**2 - osq
+    osq3 = 3.0 * osq
     gamma = model.damping_rate
     tau = model.radiative_time
-    s = shifted_frequencies(omega, Omega)
 
     def one(ws):
-        return (w0sq - Omega**2 - ws * (ws + 1j * gamma)
-                - 1j * tau * ws * (ws**2 + 3.0 * Omega**2))
+        return (spring - ws * (ws + 1j * gamma)
+                - 1j * tau * ws * (ws**2 + osq3))
 
-    return ResponseDenominators(one(s.plus), one(s.minus))
+    return one(s.plus), one(s.minus)
 
 
 @dataclass(frozen=True)
@@ -303,39 +325,52 @@ class CrossSectionSet:
         }
 
 
-def _weights(model, drive, Omega):
-    """(t_plus, t_minus, singular): the weighted inverse denominators
-    t_pm = |E_pm/E|^2 / |d_pm|^2 and the mask of singular points.
+def _weights(model, drive, Omega, e2=None):
+    """(omega, Omega, s, t_plus, t_minus): the drive and rotation
+    frequencies, the shifted frequencies ``s`` and the weighted inverse
+    denominators t_pm = |E_pm/E|^2 / |d_pm|^2 (``e2`` = |E|^2, when the
+    caller has it).  At a point, omega and Omega are Python floats and so
+    is every result; over arrays, numpy's warnings must be off.
 
     A channel the drive does not excite weighs 0 even on its resonance.
     A point is singular where an excited channel's weight is inf: its
     |d|^2 is zero, or so small that the quotient overflows.  A NaN weight
     is an overflow of the denominator itself, not a resonance.
     """
-    e2 = drive.field_norm_sq
+    if e2 is None:
+        e2 = drive.field_norm_sq
     if e2 == 0:
         raise ValueError("drive field has zero amplitude")
-    with np.errstate(all="ignore"):
-        d = denominators(model, drive.frequency, Omega)
-        tp, tm = (np.where(w == 0.0, 0.0, w / _abs2(dw))
-                  for w, dw in ((abs(drive.e_plus) ** 2 / e2, d.plus),
-                                (abs(drive.e_minus) ** 2 / e2, d.minus)))
-    return tp, tm, np.isinf(tp) | np.isinf(tm)
+    omega = drive.frequency
+    point = not (_is_array(omega) or _is_array(Omega))
+    if point:
+        omega, Omega = float(omega), float(Omega)
+    s = shifted_frequencies(omega, Omega)
+    weights = []
+    for e, d in zip((drive.e_plus, drive.e_minus),
+                    _denominators(model, s, Omega)):
+        w = abs(e) ** 2 / e2
+        if w == 0.0:
+            weights.append(0.0)
+            continue
+        # re*re, not re**2, which raises at a point: an overflowing |d|^2
+        # is inf, and its weight 0
+        d2 = d.real * d.real + d.imag * d.imag
+        weights.append(math.inf if point and d2 == 0.0 else w / d2)
+    return omega, Omega, s, *weights
 
 
-def _terms(model, drive, Omega):
-    """Shared intermediates (s, t_plus, t_minus): the shifted frequencies
-    and the weights of ``_weights``.  A singular scalar point raises; in
-    arrays a singular channel's weight becomes NaN (not inf), keeping
-    every downstream product NaN at singular cells."""
-    tp, tm, singular = _weights(model, drive, Omega)
-    if singular.ndim == 0:
-        if singular:
+def _terms(model, drive, Omega, e2=None):
+    """``_weights`` with the singular points dealt with: a singular point
+    raises, and in arrays a singular channel's weight becomes NaN (not
+    inf), keeping every downstream product NaN at singular cells."""
+    omega, Omega, s, tp, tm = _weights(model, drive, Omega, e2)
+    if isinstance(tp, float) and isinstance(tm, float):
+        if tp == math.inf or tm == math.inf:
             raise SingularResonanceError(_SINGULAR_MSG)
-    elif singular.any():
-        tp = np.where(np.isinf(tp), np.nan, tp)
-        tm = np.where(np.isinf(tm), np.nan, tm)
-    return shifted_frequencies(drive.frequency, Omega), tp, tm
+    else:
+        tp, tm = (np.where(np.isinf(t), np.nan, t) for t in (tp, tm))
+    return omega, Omega, s, tp, tm
 
 
 def _brake(model, s, tp, tm):
@@ -382,23 +417,25 @@ def torque(model: OscillatorModel, drive: DriveField, Omega):
     Positive torque spins the particle up; it changes sign once the
     rotation outruns the drive (both gamma and tau channels contribute).
     """
-    if drive.field_norm_sq == 0:
+    e2 = drive.field_norm_sq
+    if e2 == 0:
         return 0.0
-    brake = _brake(model, *_terms(model, drive, Omega))
-    return _scalar_or_array(0.5 * model.coupling * drive.field_norm_sq * brake)
+    _, _, *terms = _terms(model, drive, Omega, e2)
+    return _finite(0.5 * model.coupling * e2 * _brake(model, *terms))
 
 
 @_quiet
 def absorption_cross_section(model, drive, Omega):
     """sigma_abs: proportional to the friction rate gamma; >= 0."""
-    return _scalar_or_array(_absorption(model, *_terms(model, drive, Omega)))
+    _, _, *terms = _terms(model, drive, Omega)
+    return _finite(_absorption(model, *terms))
 
 
 @_quiet
 def elastic_cross_section(model, drive, Omega):
     """sigma at the drive frequency (elastic re-emission); >= 0."""
-    _, tp, tm = _terms(model, drive, Omega)
-    return _scalar_or_array(_elastic(model, drive.frequency, tp, tm))
+    omega, _, _, tp, tm = _terms(model, drive, Omega)
+    return _finite(_elastic(model, omega, tp, tm))
 
 
 @_quiet
@@ -408,45 +445,44 @@ def inelastic_cross_sections(model, drive, Omega):
     Each helicity feeds exactly one sideband, so LCP light (E_plus = 0)
     emits only the down-shifted line.
     """
-    up, down = _inelastic(model, *_terms(model, drive, Omega))
-    return _scalar_or_array(up), _scalar_or_array(down)
+    _, _, *terms = _terms(model, drive, Omega)
+    up, down = _inelastic(model, *terms)
+    return _finite(up), _finite(down)
 
 
 @_quiet
 def mechanical_cross_section(model, drive, Omega):
     """sigma_mech = M*Omega/I; sign-indefinite."""
-    return _scalar_or_array(
-        _mechanical(model, Omega, *_terms(model, drive, Omega)))
+    _, Omega, *terms = _terms(model, drive, Omega)
+    return _finite(_mechanical(model, Omega, *terms))
 
 
 @_quiet
 def extinction_cross_section(model, drive, Omega):
     """Net power removed from the beam, as an area; negative extinction
     means the rotating particle amplifies the beam."""
-    return _scalar_or_array(_extinction(model, drive.frequency, Omega,
-                                        *_terms(model, drive, Omega)))
+    return _finite(_extinction(model, *_terms(model, drive, Omega)))
 
 
 @_quiet
 def cross_section_set(model, drive, Omega) -> CrossSectionSet:
     """All six cross sections at once, sharing intermediates."""
-    s, tp, tm = _terms(model, drive, Omega)
-    omega = drive.frequency
+    omega, Omega, s, tp, tm = _terms(model, drive, Omega)
     values = (_mechanical(model, Omega, s, tp, tm),
               _absorption(model, s, tp, tm),
               _elastic(model, omega, tp, tm),
               *_inelastic(model, s, tp, tm),
               _extinction(model, omega, Omega, s, tp, tm))
-    return CrossSectionSet(*(_scalar_or_array(v) for v in values))
+    return CrossSectionSet(*map(_finite, values))
 
 
 def _helicity_amplitudes(model, drive, Omega):
     """(s, a_plus, a_minus): the shifted frequencies and the complex
     amplitudes E_pm/d_pm of the two helicity components."""
-    d = denominators(model, drive.frequency, Omega)
-    return (shifted_frequencies(drive.frequency, Omega),
-            _amplitude(drive.e_plus, d.plus),
-            _amplitude(drive.e_minus, d.minus))
+    s = shifted_frequencies(drive.frequency, Omega)
+    d_plus, d_minus = _denominators(model, s, Omega)
+    return (s, _amplitude(drive.e_plus, d_plus),
+            _amplitude(drive.e_minus, d_minus))
 
 
 def steady_state_displacement(model, drive, Omega, t, charge_to_mass=1.0):

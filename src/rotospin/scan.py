@@ -134,10 +134,13 @@ def grid_scan(req: ScanRequest) -> ScanGrid:
         singular |= ~np.isfinite(arr)
     # the scalar route's verdict: a non-finite cell off a resonance is an
     # overflow, not a singular cell
-    if singular.any() and not _weights(
-            req.model, DriveField(omega[singular], req.amplitude_x,
-                                  req.amplitude_y), Omega[singular])[2].all():
-        raise OverflowError("a response value overflows a double")
+    if singular.any():
+        with np.errstate(all="ignore"):
+            *_, tp, tm = _weights(
+                req.model, DriveField(omega[singular], req.amplitude_x,
+                                      req.amplitude_y), Omega[singular])
+        if not (np.isinf(tp) | np.isinf(tm)).all():
+            raise OverflowError("a response value overflows a double")
     for arr in values.values():
         arr[singular] = np.nan
 

@@ -347,6 +347,18 @@ def test_physical_model_light_speed_out_of_range_exits_2(capsys, light_speed):
         "must not underflow to 0\n")
 
 
+def test_physical_model_light_speed_cube_overflow_exits_2(capsys):
+    # c^3 leaves the double range above about 5.6e102: the error names
+    # the input instead of a bare overflow
+    rc = cli.main(["point", "--physical", "--gamma", "1e13", "--omega0",
+                   "3e15", "--coupling", "1e4", "--omega", "0.5", "--Omega",
+                   "0.2", "--light-speed=1e200"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [model]: light_speed")
+    assert err.count("\n") == 1
+
+
 def test_point_missing_gamma_exits_2(capsys):
     rc = cli.main(["point", "--omega", "0.5", "--Omega", "0.2"])
     assert rc == 2
@@ -587,6 +599,28 @@ def test_thermal_from_config(tmp_path, capsys):
     kv = _kv(capsys.readouterr().out)
     assert float(kv["sigma_abs"]) > 0.0
     assert float(kv["T_eq"]) > 1.0
+
+
+def test_thermal_power_ratio_beyond_doubles(tmp_path, capsys):
+    # P/C_rad overflows a double, but T_eq = (P/C_rad)^(1/6) does not
+    conf = _write(tmp_path, """\
+        [model]
+        gamma = 0.1
+
+        [drive]
+        omega = 1.05
+
+        [thermal]
+        ambient_temperature = 1.0
+        radiative_coefficient = 1e-320
+        """)
+    rc = cli.main(["thermal", "--config", conf, "--Omega", "0.2"])
+    assert rc == 0
+    kv = _kv(capsys.readouterr().out)
+    power = float(kv["absorbed_power"])
+    assert float(kv["T_eq"]) == pytest.approx(
+        power ** (1.0 / 6.0) / 1e-320 ** (1.0 / 6.0), rel=1e-14)
+    assert 1e53 < float(kv["T_eq"]) < 1e54
 
 
 def test_amplify_from_config(tmp_path, capsys):

@@ -73,6 +73,23 @@ def test_equilibrium_temperature_sixth_root_asymptote():
     assert slope == pytest.approx(1.0 / 6.0, abs=1e-6)
 
 
+def test_equilibrium_temperature_power_ratio_beyond_doubles():
+    # P/C_rad overflows a double while (P/C_rad)^(1/6) is about 1.7e53;
+    # the in-range entries keep the plain formula's bits, and zero power
+    # keeps T0 exactly
+    th = ThermalParams(3.0, 1e-320)
+    powers = np.array([0.0, 1e-300, 1e-20, 0.25, 1e300])
+    temps = equilibrium_temperature(th, powers)
+    assert temps[0] == 3.0
+    with np.errstate(over="ignore"):
+        plain = (3.0**6 + powers[1:3] / 1e-320) ** (1.0 / 6.0)
+    assert np.array_equal(temps[1:3], plain)
+    for p, t in zip(powers[3:], temps[3:]):
+        assert t == pytest.approx(p ** (1.0 / 6.0) / 1e-320 ** (1.0 / 6.0),
+                                  rel=1e-14)
+    assert equilibrium_temperature(th, 0.25) == temps[3]
+
+
 def test_equilibrium_temperature_rejects_negative_power():
     with pytest.raises(ValueError):
         equilibrium_temperature(ThermalParams(300.0, 1.0), -1.0)

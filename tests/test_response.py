@@ -4,10 +4,11 @@ singular-resonance handling."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from rotospin import (
+    CrossSectionSet,
     DriveField,
     OscillatorModel,
     SingularResonanceError,
@@ -26,6 +27,7 @@ from rotospin import (
     steady_state_displacement,
     torque,
 )
+from rotospin.response import _weights
 
 # reference point used throughout: omega = 0.5, Omega = 0.2, gamma = 0.1,
 # tau = 0, LCP drive with |E| = 1 (normalized units)
@@ -373,6 +375,178 @@ def test_vectorized_rotation_axis():
     assert mvals.shape == Oms.shape
     for k, Om in enumerate(Oms):
         assert mvals[k] == torque(m, d, float(Om))
+
+
+# ---------------------------------------------------------------------------
+# a point against the same point as a 1-element array
+
+
+_VIEWS = (torque, absorption_cross_section, elastic_cross_section,
+          inelastic_cross_sections, mechanical_cross_section,
+          extinction_cross_section, cross_section_set)
+
+
+def _values(result):
+    """A view's result as a tuple of its values."""
+    if isinstance(result, CrossSectionSet):
+        return tuple(result.as_dict().values())
+    return result if isinstance(result, tuple) else (result,)
+
+
+def _cell(result):
+    """The values of a view's result over a 1-element array."""
+    return tuple(float(v[0]) for v in _values(result))
+
+
+def _helicity_parts(drive):
+    """The drive's E_plus-only and E_minus-only components, each a drive."""
+    ep, em = drive.e_plus / 2.0, drive.e_minus / 2.0
+    return (DriveField(drive.frequency, ep, -1j * ep),
+            DriveField(drive.frequency, em, 1j * em))
+
+
+@st.composite
+def _points(draw):
+    """(model, omega, Omega): anywhere, on the lossless resonance ellipse,
+    at a co-rotation corner omega = +/-Omega with |Omega| = omega0, or at
+    a huge drive frequency."""
+    w0 = draw(st.floats(0.25, 4.0))
+    where = draw(st.sampled_from(["any", "ellipse", "corner", "huge"]))
+    if where == "ellipse":
+        branch = draw(st.sampled_from(["lower", "upper"]))
+        omega, Omega = resonance_locus(w0, branch, 16)[draw(st.integers(0, 15))]
+        return (OscillatorModel.normalized(0.0, 0.0, natural_frequency=w0),
+                float(omega), float(Omega))
+    model = OscillatorModel.normalized(draw(rates), draw(rates),
+                                       natural_frequency=w0)
+    if where == "corner":
+        Omega = draw(st.sampled_from([w0, -w0]))
+        return model, draw(st.sampled_from([1.0, -1.0])) * Omega, Omega
+    if where == "huge":
+        return (model, draw(st.sampled_from([1e80, -1e80, 1e110, -1e110])),
+                draw(finite))
+    return model, draw(finite), draw(finite)
+
+
+_KINDS = st.sampled_from([float, np.float64, np.asarray])
+
+
+@settings(max_examples=300, deadline=None)
+@given(point=_points(), pol=st.sampled_from(["lcp", "rcp", "linear", "any"]),
+       exr=amps, exi=amps, eyr=amps, eyi=amps, w_kind=_KINDS, Om_kind=_KINDS)
+def test_point_matches_one_element_array(point, pol, exr, exi, eyr, eyi,
+                                         w_kind, Om_kind):
+    model, omega, Omega = point
+    base = {"lcp": DriveField.lcp(omega), "rcp": DriveField.rcp(omega),
+            "linear": DriveField.linear(omega, 1.0, exr),
+            "any": _drive(omega, exr, exi, eyr, eyi)}[pol]
+    assume(base.field_norm_sq > 1e-12)
+    ex, ey = base.amplitude_x, base.amplitude_y
+    drive = DriveField(w_kind(omega), ex, ey)
+    cell = DriveField(np.array([omega]), ex, ey)
+    with np.errstate(all="ignore"):
+        *_, tp, tm = _weights(model, cell, Omega)
+    singular = bool(np.isinf(tp) | np.isinf(tm))
+    for view in _VIEWS:
+        expected = _cell(view(model, cell, Omega))
+        if singular or not np.all(np.isfinite(expected)):
+            error = SingularResonanceError if singular else OverflowError
+            with pytest.raises(error) as info:
+                view(model, drive, Om_kind(Omega))
+            assert type(info.value) is error
+            continue
+        got = _values(view(model, drive, Om_kind(Omega)))
+        assert all(type(v) is float for v in got)
+        # the two routes differ only in how numpy and libm round powers;
+        # the scale bounds the helicity sum's cancellation
+        scale = np.zeros(len(got))
+        for part in _helicity_parts(base):
+            share = part.field_norm_sq / base.field_norm_sq
+            if share:
+                scale += np.abs(_values(view(model, part, Omega))) * (
+                    1.0 if view is torque else share)
+        for g, e, s in zip(got, expected, scale):
+            assert abs(g - e) <= 1e-14 * max(abs(g), abs(e), s)
+
+
+# repr of the values and messages of the errors, as the kernel gave them
+# before points were evaluated in plain floats
+_PINNED = {
+    "lcp": (
+        OscillatorModel.normalized(0.1, 0.02), DriveField.lcp(0.5), 0.2,
+        "0.03961063941648056",
+        "CrossSectionSet(mechanical=0.04977619751792386, "
+        "absorption=0.07461455324139153, elastic=0.005181566197318857, "
+        "inelastic_plus=0.0, inelastic_minus=8.290505915710163e-06, "
+        "extinction=0.12958060746254996)"),
+    "rcp": (
+        OscillatorModel.normalized(0.05, 1e-3), DriveField.rcp(1.3, 2.0), -0.4,
+        "-59.55448780330878",
+        "CrossSectionSet(mechanical=37.41918827423557, "
+        "absorption=83.95995152944823, elastic=2.960469352632804, "
+        "inelastic_plus=0.06478391321716684, inelastic_minus=0.0, "
+        "extinction=124.40439306953377)"),
+    "linear": (
+        OscillatorModel.normalized(0.2, 0.0, natural_frequency=1.5),
+        DriveField.linear(0.9, 1.5, 0.3), 0.7,
+        "-0.4697110904007451",
+        "CrossSectionSet(mechanical=-0.9181765667900821, "
+        "absorption=2.1751064141210206, elastic=0.0, inelastic_plus=0.0, "
+        "inelastic_minus=0.0, extinction=1.2569298473309385)"),
+    "explicit": (
+        OscillatorModel.normalized(0.3, 0.1, coupling=2.0, light_speed=3.0),
+        DriveField(-0.8, 0.3 - 0.4j, 1.1 + 0.2j), 1.2,
+        "-0.9792601421957481",
+        "CrossSectionSet(mechanical=-1.640766116626911, "
+        "absorption=0.24318241694489243, elastic=0.034684679241918, "
+        "inelastic_plus=0.5089060998787526, inelastic_minus=0.7367802878709632, "
+        "extinction=-0.11721263269038447)"),
+    "physical": (
+        OscillatorModel.physical(1e4, 3e15, 1e13), DriveField.lcp(2.9e15, 1e3),
+        1e14,
+        "2.1159478996846962e-22",
+        "CrossSectionSet(mechanical=4.434698872263288e-24, "
+        "absorption=1.2417156840177462e-22, elastic=1.3858452324038817e-32, "
+        "inelastic_plus=0.0, inelastic_minus=1.0413046245466107e-32, "
+        "extinction=1.286062672983094e-22)"),
+    "physical_rcp": (
+        OscillatorModel.physical(2.5e3, 1e15, 5e12),
+        DriveField.rcp(1.2e15, 10.0), -3e14,
+        "-1.1227264788835407e-25",
+        "CrossSectionSet(mechanical=7.059182105344227e-23, "
+        "absorption=2.1177546315969807e-22, elastic=3.353530390491414e-33, "
+        "inelastic_plus=2.095956494057134e-34, inelastic_minus=0.0, "
+        "extinction=2.8236728421670345e-22)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_pinned_point_values(name):
+    model, drive, Omega, m_repr, cs_repr = _PINNED[name]
+    assert repr(torque(model, drive, Omega)) == m_repr
+    assert repr(cross_section_set(model, drive, Omega)) == cs_repr
+
+
+def test_pinned_point_errors():
+    huge = OscillatorModel.normalized(0.1, 1e-3), DriveField.lcp(1e80), 0.5
+    assert repr(torque(*huge)) == "0.0"
+    with pytest.raises(OverflowError) as info:
+        cross_section_set(*huge)
+    assert str(info.value) == "(34, 'Numerical result out of range')"
+    # sigma_ext itself stays finite at 1e80 but not at 1e110
+    tough = (OscillatorModel.normalized(0.3, 0.2), DriveField.lcp(1e110), 0.2)
+    with pytest.raises(OverflowError) as info:
+        extinction_cross_section(*tough)
+    assert str(info.value) == "a response value overflows a double"
+    lossless = OscillatorModel.normalized(0.0, 0.0), DriveField.lcp(1.0), 1.0
+    for view in (torque, cross_section_set):
+        with pytest.raises(SingularResonanceError) as info:
+            view(*lossless)
+        assert type(info.value) is SingularResonanceError
+        assert str(info.value) == (
+            "response denominator vanishes (gamma = tau = 0 on the resonance "
+            "ellipse, or omega = +/-Omega at |Omega| = omega0); no bounded "
+            "steady state exists there")
 
 
 # ---------------------------------------------------------------------------
