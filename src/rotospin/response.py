@@ -21,22 +21,21 @@ Conventions worth pinning down, since they vary across texts:
   ``(Q^2/mc)*(tau/2)`` instead of ``Q^4/(3 m^2 c^4)`` so that the power
   balance among the partial cross sections closes exactly in both modes.
 
-Scalar inputs raise :class:`SingularResonanceError` when a response
-denominator vanishes exactly (see that class for when this happens), and
-:class:`OverflowError` when a result is too large for a double.  Array
-inputs instead propagate non-finite entries; grid code is expected to
-mask them.
-
-A point, where ``Omega`` and the drive frequency are both scalars
-(Python or numpy, or 0-d arrays), is evaluated in plain Python floats
-under the same singular and overflow rules; numpy serves arrays only.
+The torque and the cross sections evaluate a point or arrays.  A point,
+where ``Omega`` and the drive frequency are both scalars (Python or
+numpy, or 0-d arrays), is evaluated in plain Python floats.  It raises
+:class:`SingularResonanceError` when a response denominator vanishes
+exactly (see that class for when this happens), and
+:class:`OverflowError` when a result is too large for a double.  A call
+where either operand is an array broadcasts the two in numpy, a scalar
+operand included, without warnings: singular cells carry NaN and
+overflowing cells inf or NaN, and grid code is expected to mask them.
 """
 
 from __future__ import annotations
 
 import cmath
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 
@@ -67,7 +66,7 @@ _SINGULAR_MSG = ("response denominator vanishes (gamma = tau = 0 on the "
 
 def _amplitude(e, d):
     """e/d with the zero-drive shortcut and a loud lossless-resonance error."""
-    if np.ndim(e) == 0 and e == 0:
+    if e == 0:
         return 0j
     if np.ndim(d) == 0:
         # a denominator so small that e/d overflows is as singular as zero
@@ -82,28 +81,6 @@ def _amplitude(e, d):
 
 def _is_array(x):
     return isinstance(x, np.ndarray) and x.ndim > 0
-
-
-def _finite(x):
-    """A point's value, checked: ``_terms`` has already raised at a
-    singular point, so a non-finite float here is an overflow.  Arrays
-    pass through."""
-    if isinstance(x, float) and not math.isfinite(x):
-        raise OverflowError("a response value overflows a double")
-    return x
-
-
-def _quiet(fn):
-    """Suppress 0*inf style warnings in a broadcast call; singular cells
-    carry NaN instead.  A point is evaluated in Python floats, which
-    never warn."""
-    @functools.wraps(fn)
-    def wrapper(model, drive, Omega):
-        if _is_array(drive.frequency) or _is_array(Omega):
-            with np.errstate(all="ignore"):
-                return fn(model, drive, Omega)
-        return fn(model, drive, Omega)
-    return wrapper
 
 
 @dataclass(frozen=True)
@@ -168,7 +145,11 @@ class OscillatorModel:
 
     @property
     def is_physically_linked(self) -> bool:
-        expected = 2.0 * self.coupling / (3.0 * self.light_speed**3)
+        c = self.light_speed
+        try:
+            expected = 2.0 * self.coupling / (3.0 * c**3)
+        except OverflowError:  # c^3 is beyond a double, tau need not be
+            expected = 2.0 * self.coupling / 3.0 / c / c / c
         return bool(np.isclose(self.radiative_time, expected, rtol=1e-12, atol=0.0))
 
     @property
@@ -330,7 +311,8 @@ def _weights(model, drive, Omega, e2=None):
     frequencies, the shifted frequencies ``s`` and the weighted inverse
     denominators t_pm = |E_pm/E|^2 / |d_pm|^2 (``e2`` = |E|^2, when the
     caller has it).  At a point, omega and Omega are Python floats and so
-    is every result; over arrays, numpy's warnings must be off.
+    is every result; otherwise both are numpy arrays, and numpy's warnings
+    must be off.
 
     A channel the drive does not excite weighs 0 even on its resonance.
     A point is singular where an excited channel's weight is inf: its
@@ -345,6 +327,9 @@ def _weights(model, drive, Omega, e2=None):
     point = not (_is_array(omega) or _is_array(Omega))
     if point:
         omega, Omega = float(omega), float(Omega)
+    else:
+        # a scalar operand too: Python's ** raises where numpy gives inf
+        omega, Omega = np.asarray(omega, float), np.asarray(Omega, float)
     s = shifted_frequencies(omega, Omega)
     weights = []
     for e, d in zip((drive.e_plus, drive.e_minus),
@@ -360,20 +345,28 @@ def _weights(model, drive, Omega, e2=None):
     return omega, Omega, s, *weights
 
 
-def _terms(model, drive, Omega, e2=None):
-    """``_weights`` with the singular points dealt with: a singular point
-    raises, and in arrays a singular channel's weight becomes NaN (not
-    inf), keeping every downstream product NaN at singular cells."""
+def _evaluate(formula, model, drive, Omega, e2=None):
+    """``formula(model, omega, Omega, s, t_plus, t_minus)`` over the terms
+    of ``_weights``.  A point raises at a singular point and where a
+    result, or an element of a result tuple, is not finite.  Arrays run
+    without warnings; a singular channel's weight becomes NaN, not inf,
+    so every downstream product is NaN at singular cells."""
+    if _is_array(drive.frequency) or _is_array(Omega):
+        with np.errstate(all="ignore"):
+            omega, Omega, s, tp, tm = _weights(model, drive, Omega, e2)
+            tp, tm = (np.where(np.isinf(t), np.nan, t) for t in (tp, tm))
+            return formula(model, omega, Omega, s, tp, tm)
     omega, Omega, s, tp, tm = _weights(model, drive, Omega, e2)
-    if isinstance(tp, float) and isinstance(tm, float):
-        if tp == math.inf or tm == math.inf:
-            raise SingularResonanceError(_SINGULAR_MSG)
-    else:
-        tp, tm = (np.where(np.isinf(t), np.nan, t) for t in (tp, tm))
-    return omega, Omega, s, tp, tm
+    if tp == math.inf or tm == math.inf:
+        raise SingularResonanceError(_SINGULAR_MSG)
+    out = formula(model, omega, Omega, s, tp, tm)
+    if not (math.isfinite(out) if type(out) is float
+            else all(map(math.isfinite, out))):
+        raise OverflowError("a response value overflows a double")
+    return out
 
 
-def _brake(model, s, tp, tm):
+def _brake(model, omega, Omega, s, tp, tm):
     """Helicity sum shared by the torque and sigma_mech."""
     gamma = model.damping_rate
     tau = model.radiative_time
@@ -381,21 +374,21 @@ def _brake(model, s, tp, tm):
             + (gamma * s.minus + tau * s.minus2**3) * tm)
 
 
-def _mechanical(model, Omega, s, tp, tm):
+def _mechanical(model, omega, Omega, s, tp, tm):
     return (np.pi * model.coupling * Omega / model.light_speed
-            * _brake(model, s, tp, tm))
+            * _brake(model, omega, Omega, s, tp, tm))
 
 
-def _absorption(model, s, tp, tm):
+def _absorption(model, omega, Omega, s, tp, tm):
     return (np.pi * model.damping_rate * model.coupling / model.light_speed
             * (s.plus**2 * tp + s.minus**2 * tm))
 
 
-def _elastic(model, omega, tp, tm):
+def _elastic(model, omega, Omega, s, tp, tm):
     return model.scattering_prefactor * omega**4 * (tp + tm)
 
 
-def _inelastic(model, s, tp, tm):
+def _inelastic(model, omega, Omega, s, tp, tm):
     pref = model.scattering_prefactor
     return pref * s.plus2**4 * tp, pref * s.minus2**4 * tm
 
@@ -410,7 +403,11 @@ def _extinction(model, omega, Omega, s, tp, tm):
     )
 
 
-@_quiet
+def _all_channels(*terms):
+    return (_mechanical(*terms), _absorption(*terms), _elastic(*terms),
+            *_inelastic(*terms), _extinction(*terms))
+
+
 def torque(model: OscillatorModel, drive: DriveField, Omega):
     """Time-averaged torque about z, erg.
 
@@ -420,60 +417,43 @@ def torque(model: OscillatorModel, drive: DriveField, Omega):
     e2 = drive.field_norm_sq
     if e2 == 0:
         return 0.0
-    _, _, *terms = _terms(model, drive, Omega, e2)
-    return _finite(0.5 * model.coupling * e2 * _brake(model, *terms))
+    return _evaluate(lambda *terms: 0.5 * model.coupling * e2 * _brake(*terms),
+                     model, drive, Omega, e2)
 
 
-@_quiet
 def absorption_cross_section(model, drive, Omega):
     """sigma_abs: proportional to the friction rate gamma; >= 0."""
-    _, _, *terms = _terms(model, drive, Omega)
-    return _finite(_absorption(model, *terms))
+    return _evaluate(_absorption, model, drive, Omega)
 
 
-@_quiet
 def elastic_cross_section(model, drive, Omega):
     """sigma at the drive frequency (elastic re-emission); >= 0."""
-    omega, _, _, tp, tm = _terms(model, drive, Omega)
-    return _finite(_elastic(model, omega, tp, tm))
+    return _evaluate(_elastic, model, drive, Omega)
 
 
-@_quiet
 def inelastic_cross_sections(model, drive, Omega):
     """(sigma at w+2*Omega, sigma at w-2*Omega); both >= 0.
 
     Each helicity feeds exactly one sideband, so LCP light (E_plus = 0)
     emits only the down-shifted line.
     """
-    _, _, *terms = _terms(model, drive, Omega)
-    up, down = _inelastic(model, *terms)
-    return _finite(up), _finite(down)
+    return _evaluate(_inelastic, model, drive, Omega)
 
 
-@_quiet
 def mechanical_cross_section(model, drive, Omega):
     """sigma_mech = M*Omega/I; sign-indefinite."""
-    _, Omega, *terms = _terms(model, drive, Omega)
-    return _finite(_mechanical(model, Omega, *terms))
+    return _evaluate(_mechanical, model, drive, Omega)
 
 
-@_quiet
 def extinction_cross_section(model, drive, Omega):
     """Net power removed from the beam, as an area; negative extinction
     means the rotating particle amplifies the beam."""
-    return _finite(_extinction(model, *_terms(model, drive, Omega)))
+    return _evaluate(_extinction, model, drive, Omega)
 
 
-@_quiet
 def cross_section_set(model, drive, Omega) -> CrossSectionSet:
     """All six cross sections at once, sharing intermediates."""
-    omega, Omega, s, tp, tm = _terms(model, drive, Omega)
-    values = (_mechanical(model, Omega, s, tp, tm),
-              _absorption(model, s, tp, tm),
-              _elastic(model, omega, tp, tm),
-              *_inelastic(model, s, tp, tm),
-              _extinction(model, omega, Omega, s, tp, tm))
-    return CrossSectionSet(*map(_finite, values))
+    return CrossSectionSet(*_evaluate(_all_channels, model, drive, Omega))
 
 
 def _helicity_amplitudes(model, drive, Omega):

@@ -21,7 +21,7 @@ from .materials import (AnisotropicPolarizability, DrudeEllipsoid,
                         optical_theorem_residual)
 from .response import (DriveField, OscillatorModel, cross_section_set,
                        denominators, radial_ode_residual, resonance_locus,
-                       shifted_frequencies, static_polarizability, torque)
+                       static_polarizability, torque)
 
 BALANCE_TOL = 1e-10
 ODE_TOL = 1e-8

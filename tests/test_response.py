@@ -199,13 +199,23 @@ def test_cross_sections_reference_values():
 
 
 def test_individual_functions_match_set():
-    cs = cross_section_set(MODEL, DRIVE, OMEGA_ROT)
-    assert mechanical_cross_section(MODEL, DRIVE, OMEGA_ROT) == cs.mechanical
-    assert absorption_cross_section(MODEL, DRIVE, OMEGA_ROT) == cs.absorption
-    assert elastic_cross_section(MODEL, DRIVE, OMEGA_ROT) == cs.elastic
-    up, down = inelastic_cross_sections(MODEL, DRIVE, OMEGA_ROT)
-    assert (up, down) == (cs.inelastic_plus, cs.inelastic_minus)
-    assert extinction_cross_section(MODEL, DRIVE, OMEGA_ROT) == cs.extinction
+    # a point, and a broadcast lattice whose corner omega = Omega =
+    # omega0 is singular
+    lattice = (DriveField.lcp(np.array([0.5, 1.0, 1.7])[:, None]),
+               np.array([-0.3, 0.2, 1.0]))
+    for drive, Omega in ((DRIVE, OMEGA_ROT), lattice):
+        cs = cross_section_set(MODEL, drive, Omega)
+        for got, expected in (
+                (mechanical_cross_section(MODEL, drive, Omega), cs.mechanical),
+                (absorption_cross_section(MODEL, drive, Omega), cs.absorption),
+                (elastic_cross_section(MODEL, drive, Omega), cs.elastic),
+                (inelastic_cross_sections(MODEL, drive, Omega),
+                 (cs.inelastic_plus, cs.inelastic_minus)),
+                (extinction_cross_section(MODEL, drive, Omega),
+                 cs.extinction)):
+            # bit for bit, NaN in the same cells
+            np.testing.assert_array_equal(got, expected, strict=True)
+    assert np.isnan(cs.extinction).sum() == 1
 
 
 def test_mechanical_is_torque_power_over_intensity():
@@ -375,6 +385,23 @@ def test_vectorized_rotation_axis():
     assert mvals.shape == Oms.shape
     for k, Om in enumerate(Oms):
         assert mvals[k] == torque(m, d, float(Om))
+
+
+@pytest.mark.parametrize("omega, Omega", [(0.5, 1e155), (1e80, 0.5),
+                                          (1e155, 0.3), (0.7, 0.2)])
+def test_broadcast_cells_do_not_depend_on_which_operand_is_array(omega,
+                                                                 Omega):
+    # a huge scalar operand overflows like an array's cell: NaN or inf,
+    # never an exception, and without a warning
+    m = OscillatorModel.normalized(0.1, 1e-3)
+    w, Om = np.array([omega]), np.array([Omega])
+    for view in _VIEWS:
+        expected = _values(view(m, DriveField.lcp(w), Om))
+        for drive, rotation in ((DriveField.lcp(w), Omega),
+                                (DriveField.lcp(omega), Om)):
+            got = _values(view(m, drive, rotation))
+            for g, e in zip(got, expected, strict=True):
+                np.testing.assert_array_equal(g, e, strict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -816,6 +843,9 @@ def test_physical_link():
     assert m.radiative_time == pytest.approx(2.0 * 3.0 / (3.0 * 8.0))
     assert m.is_physically_linked
     assert not OscillatorModel.normalized(0.1, 0.05).is_physically_linked
+    # c^3 overflows a double, so the linked tau is 0
+    assert not OscillatorModel(1.0, 1.0, 0.1, 1e-3, 1e200).is_physically_linked
+    assert OscillatorModel(1.0, 1.0, 0.1, 0.0, 1e200).is_physically_linked
 
 
 def test_scattering_prefactor_definition():
