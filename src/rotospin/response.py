@@ -145,11 +145,10 @@ class OscillatorModel:
 
     @property
     def is_physically_linked(self) -> bool:
+        # three divisions by c overflow or underflow only where the
+        # linked tau itself does; c**3 may do so sooner
         c = self.light_speed
-        try:
-            expected = 2.0 * self.coupling / (3.0 * c**3)
-        except OverflowError:  # c^3 is beyond a double, tau need not be
-            expected = 2.0 * self.coupling / 3.0 / c / c / c
+        expected = 2.0 * self.coupling / 3.0 / c / c / c
         return bool(np.isclose(self.radiative_time, expected, rtol=1e-12, atol=0.0))
 
     @property
@@ -366,7 +365,7 @@ def _evaluate(formula, model, drive, Omega, e2=None):
     return out
 
 
-def _brake(model, omega, Omega, s, tp, tm):
+def _brake(model, s, tp, tm):
     """Helicity sum shared by the torque and sigma_mech."""
     gamma = model.damping_rate
     tau = model.radiative_time
@@ -376,7 +375,7 @@ def _brake(model, omega, Omega, s, tp, tm):
 
 def _mechanical(model, omega, Omega, s, tp, tm):
     return (np.pi * model.coupling * Omega / model.light_speed
-            * _brake(model, omega, Omega, s, tp, tm))
+            * _brake(model, s, tp, tm))
 
 
 def _absorption(model, omega, Omega, s, tp, tm):
@@ -417,7 +416,8 @@ def torque(model: OscillatorModel, drive: DriveField, Omega):
     e2 = drive.field_norm_sq
     if e2 == 0:
         return 0.0
-    return _evaluate(lambda *terms: 0.5 * model.coupling * e2 * _brake(*terms),
+    return _evaluate(lambda m, w, Om, s, tp, tm:
+                     0.5 * m.coupling * e2 * _brake(m, s, tp, tm),
                      model, drive, Omega, e2)
 
 

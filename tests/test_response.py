@@ -846,6 +846,8 @@ def test_physical_link():
     # c^3 overflows a double, so the linked tau is 0
     assert not OscillatorModel(1.0, 1.0, 0.1, 1e-3, 1e200).is_physically_linked
     assert OscillatorModel(1.0, 1.0, 0.1, 0.0, 1e200).is_physically_linked
+    # c^3 underflows to 0, so the linked tau is beyond a double
+    assert not OscillatorModel.normalized(0.1, light_speed=1e-110).is_physically_linked
 
 
 def test_scattering_prefactor_definition():
