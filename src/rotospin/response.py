@@ -415,6 +415,9 @@ def torque(model: OscillatorModel, drive: DriveField, Omega):
     """
     e2 = drive.field_norm_sq
     if e2 == 0:
+        if _is_array(drive.frequency) or _is_array(Omega):
+            return np.zeros(np.broadcast_shapes(np.shape(drive.frequency),
+                                                np.shape(Omega)))
         return 0.0
     return _evaluate(lambda m, w, Om, s, tp, tm:
                      0.5 * m.coupling * e2 * _brake(m, s, tp, tm),
@@ -567,14 +570,23 @@ def induced_dipole_spectrum(model, drive, Omega) -> DipoleSpectrum:
 
 def static_polarizability(model, omega) -> complex:
     """Complex polarizability of the non-rotating particle,
-    alpha = (Q^2/m) / (omega0^2 - w(w + i*gamma) - i*tau*w^3)."""
-    d = (model.natural_frequency**2
-         - omega * (omega + 1j * model.damping_rate)
-         - 1j * model.radiative_time * omega**3)
-    if np.ndim(d) == 0 and d == 0:
+    alpha = (Q^2/m) / (omega0^2 - w(w + i*gamma) - i*tau*w^3).
+
+    Arrays run without warnings: an overflowing cell is not finite."""
+    if _is_array(omega):
+        with np.errstate(all="ignore"):
+            return model.coupling / _static_denominator(model, omega)
+    d = _static_denominator(model, omega)
+    if d == 0:
         raise SingularResonanceError(
             "lossless model driven exactly at its natural frequency")
     return model.coupling / d
+
+
+def _static_denominator(model, omega):
+    return (model.natural_frequency**2
+            - omega * (omega + 1j * model.damping_rate)
+            - 1j * model.radiative_time * omega**3)
 
 
 def resonance_locus(omega0, branch="lower", n_points=256) -> np.ndarray:

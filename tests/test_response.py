@@ -172,6 +172,16 @@ def test_torque_zero_field():
     assert torque(MODEL, DriveField(0.5, 0.0, 0.0), 0.3) == 0.0
 
 
+def test_torque_zero_field_keeps_broadcast_shape():
+    m = OscillatorModel.normalized(0.1, 1e-3)
+    out = torque(m, DriveField(np.array([0.5, 1.0]), 0, 0), 0.2)
+    assert isinstance(out, np.ndarray)
+    assert_allclose(out, [0.0, 0.0], atol=0)
+    grid = torque(m, DriveField(np.array([[0.5], [1.0]]), 0, 0),
+                  np.array([0.1, 0.2, 0.3]))
+    assert grid.shape == (2, 3) and not grid.any()
+
+
 def test_torque_scales_with_field_squared():
     weak = torque(MODEL, DriveField.lcp(0.5, 1.0), 0.2)
     strong = torque(MODEL, DriveField.lcp(0.5, 3.0), 0.2)
@@ -713,6 +723,17 @@ def test_static_polarizability_basics():
     m = OscillatorModel.normalized(0.0, 0.0, coupling=2.0)
     with pytest.raises(SingularResonanceError):
         static_polarizability(m, 1.0)
+
+
+def test_static_polarizability_array_overflow_is_quiet():
+    # an overflowing cell reads as a non-finite value, without a numpy
+    # RuntimeWarning (which the test configuration turns into an error)
+    m = OscillatorModel.normalized(0.1, 1e-3)
+    alpha = static_polarizability(m, np.array([1e120, 0.5]))
+    assert not np.isfinite(alpha[0])
+    assert alpha[1] == static_polarizability(m, 0.5)
+    with pytest.raises(OverflowError):
+        static_polarizability(m, 1e120)
 
 
 # ---------------------------------------------------------------------------
