@@ -14,16 +14,13 @@ from .medium import (EnsembleExtinction, MediumMember, MediumSpec,
                      intensity_profile, propagate_intensity,
                      sustaining_power)
 from .response import (SPEED_OF_LIGHT, CrossSectionSet, DipoleSpectrum,
-                       DriveField, OscillatorModel, ResponseDenominators,
-                       ShiftedFrequencies, SingularResonanceError,
+                       DriveField, OscillatorModel, SingularResonanceError,
                        SpectralLine, absorption_cross_section,
-                       cross_section_set, denominators,
-                       elastic_cross_section, extinction_cross_section,
-                       induced_dipole_spectrum, inelastic_cross_sections,
-                       mechanical_cross_section, radial_ode_residual,
-                       resonance_locus, shifted_frequencies,
-                       static_polarizability, steady_state_displacement,
-                       torque)
+                       cross_section_set, elastic_cross_section,
+                       extinction_cross_section, induced_dipole_spectrum,
+                       inelastic_cross_sections, mechanical_cross_section,
+                       radial_ode_residual, resonance_locus,
+                       static_polarizability, torque)
 from .scan import (ScanGrid, ScanRequest, grid_scan, reparse_balance_check,
                    write_grid_csv)
 from .timedomain import TimeDomainAverages, force_law_averages
@@ -32,12 +29,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SPEED_OF_LIGHT", "OscillatorModel", "DriveField", "CrossSectionSet",
-    "ShiftedFrequencies", "ResponseDenominators", "SpectralLine",
-    "DipoleSpectrum", "SingularResonanceError", "shifted_frequencies",
-    "denominators", "torque", "absorption_cross_section",
-    "elastic_cross_section", "inelastic_cross_sections",
-    "mechanical_cross_section", "extinction_cross_section",
-    "cross_section_set", "steady_state_displacement",
+    "SpectralLine", "DipoleSpectrum", "SingularResonanceError", "torque",
+    "absorption_cross_section", "elastic_cross_section",
+    "inelastic_cross_sections", "mechanical_cross_section",
+    "extinction_cross_section", "cross_section_set",
     "radial_ode_residual", "induced_dipole_spectrum",
     "static_polarizability", "resonance_locus",
     "DrudeSphere", "DrudeEllipsoid", "AnisotropicPolarizability",

@@ -24,9 +24,6 @@ EXIT_CONFIG = 2
 EXIT_SINGULAR = 3
 EXIT_VALIDATION = 4
 
-_BALANCE_SELF_CHECK = 1e-10
-
-
 def _float(help=None):
     return {"type": float, "help": help}
 
@@ -187,9 +184,9 @@ def cmd_point(args) -> int:
     _print_kv([("omega", drive.frequency), ("Omega", Omega),
                ("torque", m_val)] + list(cs.as_dict().items())
               + [("balance_residual", residual)])
-    if rel > _BALANCE_SELF_CHECK:
+    if rel > validation.BALANCE_TOL:
         print(f"self-check failed: balance residual {rel:.3e} exceeds "
-              f"{_BALANCE_SELF_CHECK:.0e}", file=sys.stderr)
+              f"{validation.BALANCE_TOL:.0e}", file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_OK
 

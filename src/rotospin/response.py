@@ -30,6 +30,10 @@ exactly (see that class for when this happens), and
 where either operand is an array broadcasts the two in numpy, a scalar
 operand included, without warnings: singular cells carry NaN and
 overflowing cells inf or NaN, and grid code is expected to mask them.
+:func:`static_polarizability` takes a point or an array of drive
+frequencies in the same way.  :func:`induced_dipole_spectrum` and
+:func:`radial_ode_residual` take one point only: an array drive frequency
+or ``Omega`` raises numpy's :class:`TypeError`.
 """
 
 from __future__ import annotations
@@ -62,21 +66,6 @@ class SingularResonanceError(ValueError):
 _SINGULAR_MSG = ("response denominator vanishes (gamma = tau = 0 on the "
                  "resonance ellipse, or omega = +/-Omega at |Omega| = "
                  "omega0); no bounded steady state exists there")
-
-
-def _amplitude(e, d):
-    """e/d with the zero-drive shortcut and a loud lossless-resonance error."""
-    if e == 0:
-        return 0j
-    if np.ndim(d) == 0:
-        # a denominator so small that e/d overflows is as singular as zero
-        if d == 0 or not cmath.isfinite(e / d):
-            raise SingularResonanceError(_SINGULAR_MSG)
-        return e / d
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # singular cells become NaN, never inf, so every downstream
-        # product stays NaN regardless of its other factor
-        return np.where(d == 0, complex(np.nan, np.nan), np.asarray(e) / d)
 
 
 def _is_array(x):
@@ -221,7 +210,7 @@ class DriveField:
 
 
 @dataclass(frozen=True)
-class ShiftedFrequencies:
+class _Shifted:
     """Rotation-shifted drive frequencies."""
 
     plus: float      # w + Omega
@@ -230,29 +219,15 @@ class ShiftedFrequencies:
     minus2: float    # w - 2*Omega
 
 
-def shifted_frequencies(omega, Omega) -> ShiftedFrequencies:
+def _shifted(omega, Omega) -> _Shifted:
     twice = 2.0 * Omega
-    return ShiftedFrequencies(omega + Omega, omega - Omega,
-                              omega + twice, omega - twice)
-
-
-@dataclass(frozen=True)
-class ResponseDenominators:
-    """Complex denominators of the two helicity channels (rad^2/s^2)."""
-
-    plus: complex
-    minus: complex
-
-
-def denominators(model: OscillatorModel, omega, Omega) -> ResponseDenominators:
-    """d_pm = omega0^2 - Omega^2 - w_pm(w_pm + i*gamma)
-    - i*tau*w_pm*(w_pm^2 + 3*Omega^2)."""
-    return ResponseDenominators(
-        *_denominators(model, shifted_frequencies(omega, Omega), Omega))
+    return _Shifted(omega + Omega, omega - Omega, omega + twice, omega - twice)
 
 
 def _denominators(model, s, Omega):
-    """(d_plus, d_minus) from the shifted frequencies ``s``."""
+    """(d_plus, d_minus) from the shifted frequencies ``s``:
+    d_pm = omega0^2 - Omega^2 - w_pm(w_pm + i*gamma)
+    - i*tau*w_pm*(w_pm^2 + 3*Omega^2) (rad^2/s^2)."""
     osq = Omega**2
     spring = model.natural_frequency**2 - osq
     osq3 = 3.0 * osq
@@ -329,7 +304,7 @@ def _weights(model, drive, Omega, e2=None):
     else:
         # a scalar operand too: Python's ** raises where numpy gives inf
         omega, Omega = np.asarray(omega, float), np.asarray(Omega, float)
-    s = shifted_frequencies(omega, Omega)
+    s = _shifted(omega, Omega)
     weights = []
     for e, d in zip((drive.e_plus, drive.e_minus),
                     _denominators(model, s, Omega)):
@@ -460,29 +435,30 @@ def cross_section_set(model, drive, Omega) -> CrossSectionSet:
 
 
 def _helicity_amplitudes(model, drive, Omega):
-    """(s, a_plus, a_minus): the shifted frequencies and the complex
-    amplitudes E_pm/d_pm of the two helicity components."""
-    s = shifted_frequencies(drive.frequency, Omega)
-    d_plus, d_minus = _denominators(model, s, Omega)
-    return (s, _amplitude(drive.e_plus, d_plus),
-            _amplitude(drive.e_minus, d_minus))
+    """(omega, Omega, s, a_plus, a_minus) at one point: the drive and
+    rotation frequencies as Python floats, the shifted frequencies ``s``
+    and the complex amplitudes a_pm = E_pm/d_pm of the two helicity
+    components, in units where Q/m = 1.
 
-
-def steady_state_displacement(model, drive, Omega, t, charge_to_mass=1.0):
-    """Radial displacement along the co-rotating rod axis at time ``t``.
-
-    The model fixes only Q^2/m, which leaves the displacement scale
-    undetermined; ``charge_to_mass`` supplies Q/m (default 1).  Every
-    observable built from the displacement is independent of that choice.
+    An unexcited channel is 0j even on its resonance.  An excited one
+    raises SingularResonanceError where d_pm is zero, or so small that
+    E_pm/d_pm is not finite.  An array operand raises numpy's TypeError.
     """
-    s, a_plus, a_minus = _helicity_amplitudes(model, drive, Omega)
-    t = np.asarray(t, dtype=float)
-    rho = charge_to_mass * (a_plus * np.exp(-1j * s.plus * t)
-                            + a_minus * np.exp(-1j * s.minus * t)).real
-    return rho if rho.ndim else float(rho)
+    omega, Omega = float(drive.frequency), float(Omega)
+    s = _shifted(omega, Omega)
+    amplitudes = []
+    for e, d in zip((drive.e_plus, drive.e_minus),
+                    _denominators(model, s, Omega)):
+        if e == 0:
+            amplitudes.append(0j)
+        elif d == 0 or not cmath.isfinite(e / d):
+            raise SingularResonanceError(_SINGULAR_MSG)
+        else:
+            amplitudes.append(e / d)
+    return omega, Omega, s, *amplitudes
 
 
-def radial_ode_residual(model, drive, Omega, t, charge_to_mass=1.0):
+def radial_ode_residual(model, drive, Omega, t):
     """Relative residual of the closed-form displacement in the radial
     equation of motion
 
@@ -493,10 +469,12 @@ def radial_ode_residual(model, drive, Omega, t, charge_to_mass=1.0):
     component is a single complex exponential), so this checks the
     algebra of the closed form, not an integrator.  The residual is
     normalized by the sum of the magnitudes of all contributions, making
-    10^-16-level output the signature of a correct steady state.
+    10^-16-level output the signature of a correct steady state; Q/m
+    multiplies every term and cancels from it.  ``t`` may be an array,
+    but the drive frequency and ``Omega`` are one point (an array raises
+    numpy's TypeError).
     """
-    s, a_plus, a_minus = _helicity_amplitudes(model, drive, Omega)
-    qm = charge_to_mass
+    _, Omega, s, a_plus, a_minus = _helicity_amplitudes(model, drive, Omega)
     w0sq = model.natural_frequency**2
     gamma = model.damping_rate
     tau = model.radiative_time
@@ -510,15 +488,14 @@ def radial_ode_residual(model, drive, Omega, t, charge_to_mass=1.0):
         rho1 = (-1j * w * a * ph).real
         rho2 = ((-1j * w) ** 2 * a * ph).real
         rho3 = ((-1j * w) ** 3 * a * ph).real
-        lhs = lhs + qm * (w0sq * rho - Omega**2 * rho + rho2 + gamma * rho1
-                          - tau * rho3 + 3.0 * tau * Omega**2 * rho1)
-        scale = scale + qm * abs(a) * (w0sq + Omega**2 + w**2
-                                       + gamma * abs(w)
-                                       + tau * (abs(w) ** 3
-                                                + 3.0 * Omega**2 * abs(w)))
-    forcing = qm * ((drive.e_plus * np.exp(-1j * s.plus * t)).real
-                    + (drive.e_minus * np.exp(-1j * s.minus * t)).real)
-    scale = scale + qm * (abs(drive.e_plus) + abs(drive.e_minus))
+        lhs = lhs + (w0sq * rho - Omega**2 * rho + rho2 + gamma * rho1
+                     - tau * rho3 + 3.0 * tau * Omega**2 * rho1)
+        scale = scale + abs(a) * (w0sq + Omega**2 + w**2 + gamma * abs(w)
+                                  + tau * (abs(w) ** 3
+                                           + 3.0 * Omega**2 * abs(w)))
+    forcing = ((drive.e_plus * np.exp(-1j * s.plus * t)).real
+               + (drive.e_minus * np.exp(-1j * s.minus * t)).real)
+    scale = scale + (abs(drive.e_plus) + abs(drive.e_minus))
     if scale == 0:
         return 0.0 if np.ndim(t) == 0 else np.zeros_like(t)
     out = np.abs(lhs - forcing) / scale
@@ -556,11 +533,12 @@ def induced_dipole_spectrum(model, drive, Omega) -> DipoleSpectrum:
 
     Rotation splits the response into a carrier at the drive frequency
     and two sidebands shifted by +/- 2*Omega; each sideband is fed by a
-    single circular component of the drive.
+    single circular component of the drive.  Takes one (w, Omega) point:
+    an array operand raises numpy's TypeError.
     """
-    s, a_plus, a_minus = _helicity_amplitudes(model, drive, Omega)
+    omega, _, s, a_plus, a_minus = _helicity_amplitudes(model, drive, Omega)
     q = model.coupling / 4.0
-    carrier = SpectralLine(drive.frequency,
+    carrier = SpectralLine(omega,
                            q * (a_plus + a_minus),
                            -1j * q * (a_plus - a_minus))
     up = SpectralLine(s.plus2, q * a_plus, 1j * q * a_plus)
@@ -572,11 +550,13 @@ def static_polarizability(model, omega) -> complex:
     """Complex polarizability of the non-rotating particle,
     alpha = (Q^2/m) / (omega0^2 - w(w + i*gamma) - i*tau*w^3).
 
-    Arrays run without warnings: an overflowing cell is not finite."""
+    Arrays run without warnings: an overflowing cell is not finite.  A
+    point, numpy scalars included, runs in Python floats and raises
+    OverflowError where the denominator overflows."""
     if _is_array(omega):
         with np.errstate(all="ignore"):
             return model.coupling / _static_denominator(model, omega)
-    d = _static_denominator(model, omega)
+    d = _static_denominator(model, float(omega))
     if d == 0:
         raise SingularResonanceError(
             "lossless model driven exactly at its natural frequency")

@@ -96,8 +96,11 @@ def force_law_averages(model, drive, Omega, settle_factor=50.0,
     Requires ``tau == 0`` and ``gamma > 0`` (the transient must decay),
     and ``Omega**2 < omega0**2`` so the co-rotating effective spring
     stays stable.  The transient is skipped for ``settle_factor/gamma``
-    seconds; with the default 50 the leftover amplitude is exp(-25).
+    seconds, with ``settle_factor`` finite and positive; with the default
+    50 the leftover amplitude is exp(-25).
     """
+    if not (math.isfinite(settle_factor) and settle_factor > 0):
+        raise ValueError("settle_factor must be finite and positive")
     if model.radiative_time != 0:
         raise ValueError("time-domain route handles tau = 0 only")
     gamma = model.damping_rate

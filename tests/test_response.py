@@ -1,6 +1,6 @@
 """Tests for the closed-form response: denominators, torque, the six
-cross sections, the energy balance, the dipole spectrum, and the
-singular-resonance handling."""
+cross sections, the energy balance, the helicity amplitudes and the
+dipole spectrum, and the singular-resonance handling."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from rotospin import (
     SingularResonanceError,
     absorption_cross_section,
     cross_section_set,
-    denominators,
     elastic_cross_section,
     extinction_cross_section,
     induced_dipole_spectrum,
@@ -22,12 +21,11 @@ from rotospin import (
     mechanical_cross_section,
     radial_ode_residual,
     resonance_locus,
-    shifted_frequencies,
     static_polarizability,
-    steady_state_displacement,
     torque,
 )
-from rotospin.response import _weights
+from rotospin.response import (_denominators, _helicity_amplitudes,
+                               _shifted, _weights)
 
 # reference point used throughout: omega = 0.5, Omega = 0.2, gamma = 0.1,
 # tau = 0, LCP drive with |E| = 1 (normalized units)
@@ -41,13 +39,13 @@ OMEGA_ROT = 0.2
 
 
 def test_shifted_frequencies():
-    s = shifted_frequencies(0.5, 0.2)
+    s = _shifted(0.5, 0.2)
     assert_allclose([s.plus, s.minus, s.plus2, s.minus2],
                     [0.7, 0.3, 0.9, 0.1], rtol=1e-15)
 
 
 def test_shifted_frequencies_signed():
-    s = shifted_frequencies(1.0, -0.3)
+    s = _shifted(1.0, -0.3)
     assert_allclose([s.plus, s.minus, s.plus2, s.minus2],
                     [0.7, 1.3, 0.4, 1.6], rtol=1e-15)
 
@@ -98,29 +96,34 @@ def test_mirrored_swaps_helicities():
 # denominators
 
 
+def _d_pm(model, omega, Omega):
+    """(d_plus, d_minus) at one (omega, Omega) point."""
+    return _denominators(model, _shifted(omega, Omega), Omega)
+
+
 def test_denominator_reference_values():
     # hand substitution at (omega, Omega) = (0.5, 0.2), gamma = 0.1:
     # d- = 1 - 0.04 - 0.3*(0.3 + 0.1i) = 0.87 - 0.03i
     # d+ = 1 - 0.04 - 0.7*(0.7 + 0.1i) = 0.47 - 0.07i
-    d = denominators(MODEL, 0.5, 0.2)
-    assert_allclose([d.minus.real, d.minus.imag], [0.87, -0.03], atol=1e-15)
-    assert_allclose([d.plus.real, d.plus.imag], [0.47, -0.07], atol=1e-15)
+    d_plus, d_minus = _d_pm(MODEL, 0.5, 0.2)
+    assert_allclose([d_minus.real, d_minus.imag], [0.87, -0.03], atol=1e-15)
+    assert_allclose([d_plus.real, d_plus.imag], [0.47, -0.07], atol=1e-15)
 
 
 def test_denominator_radiative_terms():
     m = OscillatorModel.normalized(0.1, 0.2)
-    d = denominators(m, 0.5, 0.2)
+    _, d_minus = _d_pm(m, 0.5, 0.2)
     # extra term -i*tau*w_pm*(w_pm^2 + 3 Omega^2)
     extra_minus = -1j * 0.2 * 0.3 * (0.09 + 3.0 * 0.04)
-    assert d.minus == pytest.approx((0.87 - 0.03j) + extra_minus, rel=1e-14)
+    assert d_minus == pytest.approx((0.87 - 0.03j) + extra_minus, rel=1e-14)
 
 
 def test_denominator_vanishes_at_corotation_corner_any_damping():
     # at omega = Omega = omega0 every term of d- carries a factor of
     # omega - Omega or omega0^2 - Omega^2, so losses do not regularize it
     m = OscillatorModel.normalized(0.3, 0.2)
-    assert denominators(m, 1.0, 1.0).minus == 0.0
-    assert denominators(m, 0.9, 0.9).minus != 0.0
+    assert _d_pm(m, 1.0, 1.0)[1] == 0.0
+    assert _d_pm(m, 0.9, 0.9)[1] != 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +252,7 @@ def test_elastic_fourth_power_scaling():
     m = OscillatorModel.normalized(0.0, 0.05)
     d1 = DriveField.lcp(0.4)
     base = elastic_cross_section(m, d1, 2.0)
-    dmin = denominators(m, 0.4, 2.0).minus
+    _, dmin = _d_pm(m, 0.4, 2.0)
     expected = (m.scattering_prefactor * 0.4**4 * 2.0 / abs(dmin) ** 2)
     assert_allclose(base, expected, rtol=1e-14)
 
@@ -587,23 +590,30 @@ def test_pinned_point_errors():
 
 
 # ---------------------------------------------------------------------------
-# steady state displacement and the equation of motion
+# the helicity amplitudes and the equation of motion
 
 
 def test_hookes_law_statics():
-    # static field along x: u = 2*Ex*(Q/m)/omega0^2 on the frozen rod
+    # static field along x: the dipole is Q^2/m * Ex / omega0^2 on the
+    # frozen rod, linear in the coupling Q^2/m
     d = DriveField.linear(0.0, amplitude=0.7)
-    u = steady_state_displacement(MODEL, d, 0.0, t=0.0)
-    assert_allclose(u, 2.0 * 0.7 / 1.0**2, rtol=1e-14)
-    u2 = steady_state_displacement(MODEL, d, 0.0, t=0.0, charge_to_mass=2.5)
-    assert_allclose(u2, 2.5 * u, rtol=1e-14)
+    for coupling in (1.0, 2.5):
+        m = OscillatorModel.normalized(0.1, coupling=coupling)
+        sp = induced_dipole_spectrum(m, d, 0.0)
+        sx = sum(line.amplitude_x for line in sp.lines())
+        sy = sum(line.amplitude_y for line in sp.lines())
+        assert_allclose([sx.real, sx.imag], [coupling * 0.7 / 1.0**2, 0.0],
+                        rtol=1e-14, atol=1e-15)
+        assert abs(sy) < 1e-15
 
 
 def test_displacement_is_real_array():
+    # an array of times gives a real array of equation-of-motion residuals
     t = np.linspace(0.0, 20.0, 64)
-    u = steady_state_displacement(MODEL, DRIVE, OMEGA_ROT, t)
-    assert u.shape == t.shape
-    assert u.dtype == np.float64
+    res = radial_ode_residual(MODEL, DRIVE, OMEGA_ROT, t)
+    assert res.shape == t.shape
+    assert res.dtype == np.float64
+    assert np.all(res < 1e-12)
 
 
 def test_ode_residual_reference_points():
@@ -638,6 +648,25 @@ def test_ode_residual_overflowing_amplitude_is_singular():
     d = DriveField(1.0, 0.6 + 0.2j, -0.4 + 0.3j)
     with pytest.raises(SingularResonanceError):
         radial_ode_residual(m, d, 0.0, 0.0)
+
+
+def test_helicity_amplitudes_take_one_point():
+    m = OscillatorModel.normalized(0.1, 1e-3)
+    with pytest.raises(TypeError):
+        _helicity_amplitudes(m, DriveField.lcp(np.array([0.5, 1e155])), 0.2)
+    with pytest.raises(TypeError):
+        induced_dipole_spectrum(m, DriveField.lcp(0.5), np.array([0.2, 0.3]))
+    # a huge scalar Omega, numpy's included, overflows like the kernel's
+    # points: OverflowError, not a numpy RuntimeWarning
+    for Omega in (1e155, np.float64(1e155)):
+        for route in (induced_dipole_spectrum, _helicity_amplitudes):
+            with pytest.raises(OverflowError):
+                route(m, DriveField.lcp(0.5), Omega)
+    # a numpy point comes back as Python floats
+    omega, Omega, s, a_plus, a_minus = _helicity_amplitudes(
+        m, DriveField.lcp(np.float64(0.5)), np.array(0.2))
+    assert all(type(v) is float for v in (omega, Omega, s.plus, s.minus2))
+    assert a_plus == 0j and type(a_minus) is complex
 
 
 # ---------------------------------------------------------------------------
@@ -732,8 +761,10 @@ def test_static_polarizability_array_overflow_is_quiet():
     alpha = static_polarizability(m, np.array([1e120, 0.5]))
     assert not np.isfinite(alpha[0])
     assert alpha[1] == static_polarizability(m, 0.5)
-    with pytest.raises(OverflowError):
-        static_polarizability(m, 1e120)
+    # a numpy scalar is a point too, and overflows like a Python float
+    for point in (1e120, np.float64(1e120)):
+        with pytest.raises(OverflowError):
+            static_polarizability(m, point)
 
 
 # ---------------------------------------------------------------------------
@@ -746,8 +777,6 @@ def test_lossless_resonance_raises_scalar():
         torque(lossless, DriveField.lcp(1.0), 0.0)
     with pytest.raises(SingularResonanceError):
         cross_section_set(lossless, DriveField.lcp(1.0), 0.0)
-    with pytest.raises(SingularResonanceError):
-        steady_state_displacement(lossless, DriveField.lcp(1.0), 0.0, 0.0)
     with pytest.raises(SingularResonanceError):
         induced_dipole_spectrum(lossless, DriveField.lcp(1.0), 0.0)
 
@@ -817,11 +846,11 @@ def test_resonance_locus_on_ellipse():
 def test_resonance_locus_hits_exact_zeros():
     lossless = OscillatorModel.normalized(0.0, 0.0)
     # lower branch: theta = pi/2 gives (omega, Omega) = (1, 1)
-    assert denominators(lossless, 1.0, 1.0).minus == 0.0
+    assert _d_pm(lossless, 1.0, 1.0)[1] == 0.0
     # upper branch: (1, -1)
-    assert denominators(lossless, 1.0, -1.0).plus == 0.0
+    assert _d_pm(lossless, 1.0, -1.0)[0] == 0.0
     # both branches pass through (omega0, 0)
-    assert denominators(lossless, 1.0, 0.0).minus == 0.0
+    assert _d_pm(lossless, 1.0, 0.0)[1] == 0.0
 
 
 def test_resonance_locus_validation():

@@ -25,3 +25,21 @@ def test_no_unused_top_level_imports():
               if path.name != "__init__.py"}
     assert len(unused) >= 9
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _init_imports():
+    """Names that ``__init__.py`` binds by relative ``from .module import``."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return [a.asname or a.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for a in node.names]
+
+
+def test_all_matches_the_package_imports():
+    # a deletion that leaves a stale import or export behind fails here
+    import rotospin
+
+    exported = rotospin.__all__
+    assert len(exported) == len(set(exported))
+    assert set(exported) == set(_init_imports())
+    assert all(hasattr(rotospin, name) for name in exported)
