@@ -5,10 +5,9 @@ from .dynamics import (RigidBodyParams, SpinUpTrajectory, ThermalParams,
                        UnreachableTargetError, centrifugal_burst_frequency,
                        equilibrium_temperature, spin_up_trajectory,
                        time_to_target_by_quadrature)
-from .materials import (AnisotropicPolarizability, DrudeEllipsoid,
-                        DrudeSphere, dipole_torque_low_rotation,
-                        from_drude_ellipsoid, from_drude_sphere,
-                        optical_theorem_residual)
+from .materials import (DrudeEllipsoid, DrudeSphere,
+                        dipole_torque_low_rotation, from_drude_ellipsoid,
+                        from_drude_sphere, optical_theorem_residual)
 from .medium import (EnsembleExtinction, MediumMember, MediumSpec,
                      ensemble_extinction, gain_coefficient,
                      intensity_profile, propagate_intensity,
@@ -35,7 +34,7 @@ __all__ = [
     "extinction_cross_section", "cross_section_set",
     "radial_ode_residual", "induced_dipole_spectrum",
     "static_polarizability", "resonance_locus",
-    "DrudeSphere", "DrudeEllipsoid", "AnisotropicPolarizability",
+    "DrudeSphere", "DrudeEllipsoid",
     "from_drude_sphere", "from_drude_ellipsoid",
     "dipole_torque_low_rotation", "optical_theorem_residual",
     "RigidBodyParams", "ThermalParams", "SpinUpTrajectory",

@@ -145,9 +145,6 @@ def _layered(args) -> dict:
     layers = []
     preset = getattr(args, "preset", None)
     if preset:
-        if preset not in cfgmod.PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}; choose from "
-                              f"{sorted(cfgmod.PRESETS)}")
         layers.append(cfgmod.PRESETS[preset])
     if getattr(args, "config", None):
         layers.append(cfgmod.load_config(args.config))

@@ -156,7 +156,8 @@ def spin_up_trajectory(model: OscillatorModel, drive: DriveField,
     The run ends at the first of the target, the melting point (given
     ``thermal`` and a melting temperature) and the burst (given surface
     data), after ``time_to_target_by_quadrature``; or at ``max_time``
-    (default: 10x the constant-torque estimate) as "max-time".  Raises
+    (default: 10x the constant-torque estimate) as "max-time"; one that
+    ends at once holds ``n_samples`` samples of (0, Omega_init).  Raises
     ``UnreachableTargetError`` when the torque stalls the rotation first.
     """
     if not Omega_target > Omega_init:
@@ -181,7 +182,8 @@ def spin_up_trajectory(model: OscillatorModel, drive: DriveField,
         if melt_at is not None and melt_at < Omega_end:
             Omega_end, outcome = melt_at, "melt"
     if Omega_end == Omega_init:
-        return SpinUpTrajectory(np.zeros(1), np.full(1, Omega_init), outcome)
+        return SpinUpTrajectory(np.zeros(n_samples),
+                                np.full(n_samples, float(Omega_init)), outcome)
 
     t_end = time_to_target_by_quadrature(model, drive, body, Omega_end,
                                          Omega_init)

@@ -64,14 +64,6 @@ class DrudeEllipsoid:
             raise ValueError("depolarization_factor must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
-class AnisotropicPolarizability:
-    """Complex polarizabilities along and across the rod axis, cm^3."""
-
-    parallel: complex
-    perpendicular: complex
-
-
 def _finite_coupling(coupling, formula):
     """The mapped coupling as a float, or a ValueError on overflow."""
     if not np.isfinite(coupling):
@@ -104,16 +96,17 @@ def from_drude_ellipsoid(ellipsoid: DrudeEllipsoid,
                                     light_speed)
 
 
-def dipole_torque_low_rotation(pol: AnisotropicPolarizability, omega,
-                               field_norm_sq, light_speed=SPEED_OF_LIGHT):
-    """Torque of LCP light on a slowly rotating anisotropic particle.
+def dipole_torque_low_rotation(a_par, a_perp, omega, field_norm_sq,
+                               light_speed=SPEED_OF_LIGHT):
+    """Torque of LCP light on a slowly rotating anisotropic particle with
+    complex polarizabilities ``a_par`` along and ``a_perp`` across the rod
+    axis (cm^3).
 
     M / |E|^2 = Im(a_par + a_perp) - (4 w^3 / 3 c^3) Re(a_par * conj(a_perp)).
     """
     if not omega > 0:
         raise ValueError("omega must be positive")
-    a_par = complex(pol.parallel)
-    a_perp = complex(pol.perpendicular)
+    a_par, a_perp = complex(a_par), complex(a_perp)
     per_field = ((a_par + a_perp).imag
                  - 4.0 * omega**3 / (3.0 * light_speed**3)
                  * (a_par * a_perp.conjugate()).real)

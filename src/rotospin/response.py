@@ -133,14 +133,6 @@ class OscillatorModel:
                    radiative_time, light_speed)
 
     @property
-    def is_physically_linked(self) -> bool:
-        # three divisions by c overflow or underflow only where the
-        # linked tau itself does; c**3 may do so sooner
-        c = self.light_speed
-        expected = 2.0 * self.coupling / 3.0 / c / c / c
-        return bool(np.isclose(self.radiative_time, expected, rtol=1e-12, atol=0.0))
-
-    @property
     def scattering_prefactor(self) -> float:
         # pi*(Q^2/mc)*(tau/2); equals pi*Q^4/(3 m^2 c^4) when tau is linked
         return np.pi * self.coupling / self.light_speed * self.radiative_time / 2.0
@@ -253,13 +245,10 @@ class CrossSectionSet:
     extinction: float
 
     @property
-    def partial_sum(self):
-        return (self.elastic + self.inelastic_plus + self.inelastic_minus
-                + self.mechanical + self.absorption)
-
-    @property
     def balance_residual(self):
-        return self.extinction - self.partial_sum
+        return self.extinction - (self.elastic + self.inelastic_plus
+                                  + self.inelastic_minus + self.mechanical
+                                  + self.absorption)
 
     @property
     def balance_scale(self):

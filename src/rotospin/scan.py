@@ -21,7 +21,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,11 +114,7 @@ class ScanGrid:
     Omega: np.ndarray
     values: dict                      # column name -> 2-D array
     singular: np.ndarray              # 2-D bool
-    metadata: dict = field(default_factory=dict)
-
-    def cell(self, i_Omega, i_omega) -> CrossSectionSet:
-        return CrossSectionSet(*(float(self.values[name][i_Omega, i_omega])
-                                 for name in CSV_HEADER[2:-1]))
+    metadata: dict
 
 
 def grid_scan(req: ScanRequest) -> ScanGrid:
@@ -210,16 +206,16 @@ def write_columns(path, header, *columns):
         _write_columns(fh, header, columns)
 
 
-def write_grid_csv(grid: ScanGrid, path, sidecar_path=None) -> str:
-    """Write the grid as CSV plus a key-value sidecar; returns sidecar path.
+def write_grid_csv(grid: ScanGrid, path) -> str:
+    """Write the grid as CSV plus the key-value sidecar ``PATH.meta``;
+    returns the sidecar path.
 
     Rows are emitted row-major, the Omega axis outermost.  Values use 17
     significant digits so a re-parse reproduces the doubles bit-exactly;
     the singular flag is written as 1 or 0.  Each file is replaced
     atomically.
     """
-    if sidecar_path is None:
-        sidecar_path = str(path) + ".meta"
+    sidecar_path = f"{path}.meta"
     columns = [np.tile(grid.omega, len(grid.Omega)),
                np.repeat(grid.Omega, len(grid.omega))]
     columns += [grid.values[name].ravel() for name in CSV_HEADER[2:-1]]
@@ -244,17 +240,16 @@ def read_sidecar(path) -> dict:
     return out
 
 
-def reparse_balance_check(csv_path, sidecar_path=None):
+def reparse_balance_check(csv_path):
     """Re-read an exported CSV and re-verify the power balance per row.
 
-    Columns are first restored to a common unit with the sidecar's
-    divisors.  Returns (max_relative_residual, n_rows_checked); singular
-    rows and rows with no response are skipped.  A non-finite value in
-    any other row makes the residual NaN, which fails every tolerance.
+    Columns are first restored to a common unit with the divisors of the
+    sidecar ``CSV_PATH.meta``.  Returns (max_relative_residual,
+    n_rows_checked); singular rows and rows with no response are skipped.
+    A non-finite value in any other row makes the residual NaN, which
+    fails every tolerance.
     """
-    if sidecar_path is None:
-        sidecar_path = str(csv_path) + ".meta"
-    meta = read_sidecar(sidecar_path)
+    meta = read_sidecar(f"{csv_path}.meta")
     div = [float(meta[f"divisor_{name}"]) for name in CSV_HEADER[2:-1]]
 
     worst, checked = 0.0, 0

@@ -31,6 +31,11 @@ import numpy as np
 # DOP853 steps allowed per phase: the transient of the gamma = 0.1
 # reference case takes about 2300, and one at gamma = 1e-3 about 2e5
 _MAX_STEPS = 10**7
+_RTOL, _ATOL = 1e-11, 1e-13
+# the transient is skipped for this many 1/gamma: leftover amplitude exp(-25)
+_SETTLE_FACTOR = 50.0
+# largest denominator accepted for the ratio omega/Omega
+_MAX_DENOMINATOR = 1000
 
 
 @dataclass(frozen=True)
@@ -43,7 +48,7 @@ class TimeDomainAverages:
     window: float            # s, averaging window (integer beat periods)
 
 
-def _averaging_window(omega, Omega, max_denominator=1000):
+def _averaging_window(omega, Omega):
     """Half the common period of all product harmonics.
 
     The steady displacement oscillates at ``omega +/- Omega``; every
@@ -58,7 +63,8 @@ def _averaging_window(omega, Omega, max_denominator=1000):
         return np.pi / abs(omega)
     if omega == 0:
         return np.pi / abs(Omega)
-    ratio = Fraction(abs(omega) / abs(Omega)).limit_denominator(max_denominator)
+    ratio = Fraction(abs(omega) / abs(Omega)).limit_denominator(
+        _MAX_DENOMINATOR)
     if ratio == 0:
         raise ValueError("drive and rotation frequencies are incommensurate "
                          "at the requested precision")
@@ -71,7 +77,7 @@ def _averaging_window(omega, Omega, max_denominator=1000):
     return np.pi / g
 
 
-def _dop853(phase, rhs, y0, t0, t1, rtol, atol):
+def _dop853(phase, rhs, y0, t0, t1):
     """Integrate ``rhs`` from ``(t0, y0)`` to ``t1``; return the end state.
 
     Each call builds its own ``ode`` and finishes it before returning:
@@ -79,7 +85,7 @@ def _dop853(phase, rhs, y0, t0, t1, rtol, atol):
     """
     from scipy.integrate import ode
 
-    r = ode(rhs).set_integrator("dop853", rtol=rtol, atol=atol,
+    r = ode(rhs).set_integrator("dop853", rtol=_RTOL, atol=_ATOL,
                                 nsteps=_MAX_STEPS)
     r.set_initial_value(y0, t0)
     y = r.integrate(t1)
@@ -89,18 +95,13 @@ def _dop853(phase, rhs, y0, t0, t1, rtol, atol):
     return y.tolist()
 
 
-def force_law_averages(model, drive, Omega, settle_factor=50.0,
-                       rtol=1e-11, atol=1e-13) -> TimeDomainAverages:
+def force_law_averages(model, drive, Omega) -> TimeDomainAverages:
     """Integrate the force law from rest and average torque and power.
 
     Requires ``tau == 0`` and ``gamma > 0`` (the transient must decay),
     and ``Omega**2 < omega0**2`` so the co-rotating effective spring
-    stays stable.  The transient is skipped for ``settle_factor/gamma``
-    seconds, with ``settle_factor`` finite and positive; with the default
-    50 the leftover amplitude is exp(-25).
+    stays stable.  The transient is skipped for 50/gamma seconds.
     """
-    if not (math.isfinite(settle_factor) and settle_factor > 0):
-        raise ValueError("settle_factor must be finite and positive")
     if model.radiative_time != 0:
         raise ValueError("time-domain route handles tau = 0 only")
     gamma = model.damping_rate
@@ -138,13 +139,13 @@ def force_law_averages(model, drive, Omega, settle_factor=50.0,
                 u * e_phi - 2.0 * Omega * u * v,
                 gamma * v * v]
 
-    t_settle = settle_factor / gamma
+    t_settle = _SETTLE_FACTOR / gamma
     window = _averaging_window(omega, Omega)
     u0, v0 = _dop853("transient", transient, [0.0, 0.0],
-                     0.0, t_settle, rtol, atol)
+                     0.0, t_settle)
     _, _, j_torque, j_power = _dop853("averaging", settled,
                                       [u0, v0, 0.0, 0.0], t_settle,
-                                      t_settle + window, rtol, atol)
+                                      t_settle + window)
 
     K = model.coupling
     return TimeDomainAverages(torque=K * j_torque / window,

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, medium, scan, timedomain
-from .materials import (AnisotropicPolarizability, DrudeEllipsoid,
-                        DrudeSphere, dipole_torque_low_rotation,
-                        from_drude_ellipsoid, from_drude_sphere,
-                        optical_theorem_residual)
+from .materials import (DrudeEllipsoid, DrudeSphere,
+                        dipole_torque_low_rotation, from_drude_ellipsoid,
+                        from_drude_sphere, optical_theorem_residual)
 from .response import (DriveField, OscillatorModel, cross_section_set,
                        radial_ode_residual, resonance_locus,
                        static_polarizability, torque)
@@ -120,11 +119,9 @@ def check_sign_structure(rng) -> CheckResult:
     ok = (np.all(cs.extinction[below] < 0.0)
           and np.all(cs.extinction[above & (omegas != 2.0)] > 0.0))
 
-    m0 = OscillatorModel.normalized(0.1)
-    grid_w = np.linspace(0.0, 2.0, 64)
-    for Om in np.linspace(0.0, 2.0, 64):
-        mval = torque(m0, DriveField.lcp(grid_w), Om)
-        ok = ok and bool(np.all(np.sign(mval) == np.sign(grid_w - Om)))
+    w, Om = np.meshgrid(np.linspace(0.0, 2.0, 64), np.linspace(0.0, 2.0, 64))
+    mval = torque(OscillatorModel.normalized(0.1), DriveField.lcp(w), Om)
+    ok = ok and bool(np.all(np.sign(mval) == np.sign(w - Om)))
     return CheckResult("sign-structure", ok,
                        "extinction flips at omega = Omega; torque sign "
                        "follows sign(omega - Omega) at tau = 0")
@@ -171,9 +168,8 @@ def check_static_torque_consistency(rng, n=100) -> CheckResult:
         amp = rng.uniform(0.1, 2.0)
         d = DriveField.lcp(w, amp)
         full = torque(m, d, 0.0)
-        pol = AnisotropicPolarizability(static_polarizability(m, w), 0.0)
-        dip = dipole_torque_low_rotation(pol, w, d.field_norm_sq,
-                                         m.light_speed)
+        dip = dipole_torque_low_rotation(static_polarizability(m, w), 0.0,
+                                         w, d.field_norm_sq, m.light_speed)
         worst = max(worst, abs(full - dip) / max(abs(full), 1e-300))
     return CheckResult("static-limit-torque", worst <= CONSISTENCY_TOL,
                        f"max relative deviation {worst:.3e}")
@@ -264,9 +260,10 @@ def check_amplifier(rng) -> CheckResult:
                        "propagation multiplicative")
 
 
-def ridge_offset_along_ray(model, angle, omega0=1.0):
+def ridge_offset_along_ray(model, angle):
     """Distance between the absorption ridge and the resonance ellipse
     along the ray (omega, Omega) = r (cos a, sin a)."""
+    omega0 = model.natural_frequency
     cos_a, sin_a = np.cos(angle), np.sin(angle)
 
     def neg_abs(r):

@@ -11,7 +11,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rotospin import (
-    AnisotropicPolarizability,
     DriveField,
     DrudeSphere,
     MediumMember,
@@ -131,13 +130,15 @@ def test_criterion_03_sign_structure():
 
 def test_criterion_04_resonance_ridge():
     # the absorption ridge of a weakly damped particle traces the locus
-    # Omega^2 + (omega - Omega)^2 = omega0^2 to within 0.01 omega0
-    m = OscillatorModel.normalized(0.01)
+    # Omega^2 + (omega - Omega)^2 = omega0^2 to within 0.01 omega0; the
+    # omega0 = 2 model catches a search that assumes omega0 = 1
     worst = 0.0
-    for angle in np.linspace(0.02, np.pi / 2.0, 64):
-        worst = max(worst, ridge_offset_along_ray(m, angle))
+    for omega0 in (1.0, 2.0):
+        m = OscillatorModel.normalized(0.01, natural_frequency=omega0)
+        for angle in np.linspace(0.02, np.pi / 2.0, 64):
+            worst = max(worst, ridge_offset_along_ray(m, angle) / omega0)
     _report(4, "resonance ridge", worst <= 0.01,
-            f"max offset {worst:.3e} omega0 over 64 rays")
+            f"max offset {worst:.3e} omega0 over 64 rays at omega0 = 1, 2")
 
 
 def test_criterion_05_sideband_dominance():
@@ -171,8 +172,8 @@ def test_criterion_06_static_limit():
                                        rng.uniform(0.0, 0.2))
         w = rng.uniform(0.05, 2.5)
         d = DriveField.lcp(w, amplitude=rng.uniform(0.5, 2.0))
-        pol = AnisotropicPolarizability(static_polarizability(m, w), 0.0)
-        dip = dipole_torque_low_rotation(pol, w, d.field_norm_sq,
+        dip = dipole_torque_low_rotation(static_polarizability(m, w), 0.0, w,
+                                         d.field_norm_sq,
                                          light_speed=m.light_speed)
         ref = torque(m, d, 0.0)
         worst_dip = max(worst_dip, abs(dip - ref) / abs(ref))
@@ -189,8 +190,8 @@ def test_criterion_06_static_limit():
 
     ml = OscillatorModel.physical(0.8, 1.0, 0.0, light_speed=1.0)
     alpha = static_polarizability(ml, 0.6)
-    sphere_m = dipole_torque_low_rotation(
-        AnisotropicPolarizability(alpha, alpha), 0.6, 1.0, light_speed=1.0)
+    sphere_m = dipole_torque_low_rotation(alpha, alpha, 0.6, 1.0,
+                                          light_speed=1.0)
     ok_sphere = abs(sphere_m) <= 1e-14 * abs(alpha.imag)
     _report(6, "static limit",
             worst_dip <= 1e-12 and worst_opt <= 1e-12 and ok_sphere,

@@ -175,9 +175,8 @@ def test_build_model_physical_links_tau_when_absent():
     cfg = {"model": {"mode": "physical", "coupling": "2.5e24",
                      "omega0": "1e15", "gamma": "1e13"}}
     m = build_model(cfg)
-    assert m.is_physically_linked
-    assert_allclose(m.radiative_time,
-                    2.0 * 2.5e24 / (3.0 * m.light_speed**3), rtol=1e-15)
+    assert m.coupling == 2.5e24
+    assert m.radiative_time == 2.0 * 2.5e24 / (3.0 * m.light_speed**3)
 
 
 def test_build_model_drude_sphere():
@@ -185,7 +184,7 @@ def test_build_model_drude_sphere():
                      "damping": "4.05e13", "radius": "5e-6"}}
     m = build_model(cfg)
     assert_allclose(m.natural_frequency, 1.37e16 / np.sqrt(3.0), rtol=1e-12)
-    assert m.is_physically_linked
+    assert m.radiative_time == 2.0 * m.coupling / (3.0 * m.light_speed**3)
 
 
 def test_build_model_bad_number():
@@ -514,6 +513,39 @@ def test_spinup_from_config(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "Omega"]
     assert len(rows) == int(kv["samples"]) + 1
+
+
+def test_spinup_that_bursts_at_once_writes_all_samples(tmp_path, capsys):
+    # the burst frequency of this sphere lies below Omega_init
+    out = tmp_path / "traj.csv"
+    conf = _write(tmp_path, f"""\
+        [model]
+        gamma = 0.1
+
+        [drive]
+        omega = 0.5
+
+        [spinup]
+        Omega_init = 0.1
+        Omega_target = 0.2
+        samples = 50
+
+        [body]
+        shape = sphere
+        density = 1
+        radius = 1
+        surface_tension = 1e-6
+
+        [output]
+        path = {out}
+        """)
+    assert cli.main(["spinup", "--config", conf]) == 0
+    kv = _kv(capsys.readouterr().out)
+    assert kv["outcome"] == "burst"
+    assert kv["samples"] == "50"
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1:] == [["0", "0.10000000000000001"]] * 50
 
 
 def test_spinup_unreachable_exits_2(tmp_path, capsys):

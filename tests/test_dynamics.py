@@ -275,9 +275,10 @@ def test_melt_detected_before_integration():
     t0 = equilibrium_temperature(
         th, absorption_cross_section(m, d, 0.0) * d.intensity(m.light_speed))
     body = RigidBodyParams(1.0, melting_temperature=0.99 * t0)
-    traj = spin_up_trajectory(m, d, body, 0.0, 0.2, thermal=th)
+    traj = spin_up_trajectory(m, d, body, 0.0, 0.2, thermal=th, n_samples=50)
     assert traj.outcome == "melt"
-    assert traj.terminal_time == 0.0
+    # still n_samples samples, all at (0, Omega_init)
+    assert traj.times.tolist() == traj.rotation.tolist() == [0.0] * 50
 
 
 def test_burst_stops_at_burst_frequency():
@@ -304,9 +305,10 @@ def test_burst_before_a_stall_ends_the_run():
 def test_burst_detected_before_integration():
     sigma_surf = 0.05**2 / (8.0 * np.pi)
     body = RigidBodyParams(1.0, radius=1.0, surface_tension=sigma_surf)
-    traj = spin_up_trajectory(MODEL, DRIVE, body, 0.06, 0.4)
+    traj = spin_up_trajectory(MODEL, DRIVE, body, 0.06, 0.4, n_samples=50)
     assert traj.outcome == "burst"
-    assert traj.terminal_time == 0.0
+    assert traj.times.tolist() == [0.0] * 50
+    assert traj.rotation.tolist() == [0.06] * 50
 
 
 # two melt runs of the library benchmark (seed 107 cycle 380 scenario 0,

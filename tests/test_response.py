@@ -891,13 +891,7 @@ def test_drive_field_rejects_non_finite():
 def test_physical_link():
     m = OscillatorModel.physical(3.0, 2.0, 0.1, light_speed=2.0)
     assert m.radiative_time == pytest.approx(2.0 * 3.0 / (3.0 * 8.0))
-    assert m.is_physically_linked
-    assert not OscillatorModel.normalized(0.1, 0.05).is_physically_linked
-    # c^3 overflows a double, so the linked tau is 0
-    assert not OscillatorModel(1.0, 1.0, 0.1, 1e-3, 1e200).is_physically_linked
-    assert OscillatorModel(1.0, 1.0, 0.1, 0.0, 1e200).is_physically_linked
-    # c^3 underflows to 0, so the linked tau is beyond a double
-    assert not OscillatorModel.normalized(0.1, light_speed=1e-110).is_physically_linked
+    assert m.radiative_time == 2.0 * m.coupling / (3.0 * m.light_speed**3)
 
 
 def test_scattering_prefactor_definition():

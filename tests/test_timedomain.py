@@ -104,14 +104,3 @@ def test_rejects_incommensurate_frequencies():
     m = OscillatorModel.normalized(0.1)
     with pytest.raises(ValueError, match="commensurate"):
         force_law_averages(m, DriveField.lcp(np.sqrt(2.0)), 1e-2)
-
-
-@pytest.mark.parametrize("settle_factor", [-1.0, 0.0, np.nan, np.inf])
-def test_rejects_bad_settle_factor(settle_factor):
-    # a negative one integrated backwards and returned a wrong torque,
-    # 0 skipped the transient and failed in the averaging phase, and NaN
-    # or inf never finished
-    m = OscillatorModel.normalized(0.1)
-    with pytest.raises(ValueError, match="settle_factor"):
-        force_law_averages(m, DriveField.lcp(0.5), 0.2,
-                           settle_factor=settle_factor)
