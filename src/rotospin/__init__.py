@@ -15,9 +15,8 @@ from .medium import (EnsembleExtinction, MediumMember, MediumSpec,
 from .response import (SPEED_OF_LIGHT, CrossSectionSet, DipoleSpectrum,
                        DriveField, OscillatorModel, SingularResonanceError,
                        SpectralLine, absorption_cross_section,
-                       cross_section_set, elastic_cross_section,
-                       extinction_cross_section, induced_dipole_spectrum,
-                       inelastic_cross_sections, mechanical_cross_section,
+                       cross_section_set, extinction_cross_section,
+                       induced_dipole_spectrum, mechanical_cross_section,
                        radial_ode_residual, resonance_locus,
                        static_polarizability, torque)
 from .scan import (ScanGrid, ScanRequest, grid_scan, reparse_balance_check,
@@ -29,8 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "SPEED_OF_LIGHT", "OscillatorModel", "DriveField", "CrossSectionSet",
     "SpectralLine", "DipoleSpectrum", "SingularResonanceError", "torque",
-    "absorption_cross_section", "elastic_cross_section",
-    "inelastic_cross_sections", "mechanical_cross_section",
+    "absorption_cross_section", "mechanical_cross_section",
     "extinction_cross_section", "cross_section_set",
     "radial_ode_residual", "induced_dipole_spectrum",
     "static_polarizability", "resonance_locus",

@@ -223,16 +223,10 @@ def cmd_spinup(args) -> int:
     Omega_target = cfgmod._get_float(cfg, "spinup", "Omega_target")
     max_time = cfgmod._get_optional_float(cfg, "spinup", "max_time")
     n_samples = cfgmod._get_int(cfg, "spinup", "samples", 200, minimum=2)
-    try:
+    with cfgmod._section_errors("spinup"):
         traj = dynamics.spin_up_trajectory(
             model, drive, body, Omega_init, Omega_target, max_time, thermal,
             n_samples=n_samples)
-    except (dynamics.UnreachableTargetError, SingularResonanceError):
-        raise
-    except (ValueError, RuntimeError) as exc:
-        # arguments out of range, or a quadrature that did not converge
-        # or whose time overflows a double
-        raise ConfigError(f"[spinup]: {exc}") from exc
     out = cfgmod.build_output(cfg, default="spinup.csv")
     scan.write_columns(out, ("t", "Omega"), traj.times, traj.rotation)
     _print_kv([("outcome", traj.outcome),

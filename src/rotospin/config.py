@@ -29,11 +29,12 @@ import math
 
 import numpy as np
 
-from .dynamics import RigidBodyParams, ThermalParams
+from .dynamics import RigidBodyParams, ThermalParams, UnreachableTargetError
 from .materials import (DrudeEllipsoid, DrudeSphere, from_drude_ellipsoid,
                         from_drude_sphere)
 from .medium import MediumMember, MediumSpec
-from .response import SPEED_OF_LIGHT, DriveField, OscillatorModel
+from .response import (SPEED_OF_LIGHT, DriveField, OscillatorModel,
+                       SingularResonanceError)
 from .scan import ScanRequest
 
 
@@ -108,16 +109,18 @@ def layer_configs(*layers) -> Sections:
 
 @contextlib.contextmanager
 def _section_errors(section):
-    """Report a library ValueError as a ConfigError naming ``section``.
+    """Report a library ValueError or RuntimeError as a ConfigError
+    naming ``section``.
 
-    A ConfigError already names its section and key, so it passes
-    through unchanged.
+    A ConfigError already names its section and key, and the CLI reports
+    a singular resonance or an unreachable target in its own words, so
+    these pass through unchanged.
     """
     try:
         yield
-    except ConfigError:
+    except (ConfigError, SingularResonanceError, UnreachableTargetError):
         raise
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         raise ConfigError(f"[{section}]: {exc}") from exc
 
 
@@ -290,7 +293,6 @@ def build_body(cfg: Sections) -> RigidBodyParams:
         if shape == "direct":
             return RigidBodyParams(
                 moment_of_inertia=_get_float(cfg, "body", "moment_of_inertia"),
-                mass_density=_get_optional_float(cfg, "body", "density"),
                 radius=_get_optional_float(cfg, "body", "radius"),
                 melting_temperature=melt, surface_tension=surface)
         if shape == "sphere":

@@ -31,7 +31,7 @@ def _first_crossing(f, lo, hi):
     """First x on the way from lo to hi where f(x) >= 0, or None: one
     broadcast call samples f, and brentq refines the first sign change."""
     x = np.linspace(lo, hi, _SAMPLES)
-    y = np.broadcast_to(f(x), x.shape)
+    y = f(x)
     hits = np.flatnonzero(y >= 0)
     if not hits.size:
         return None
@@ -46,13 +46,12 @@ def _first_crossing(f, lo, hi):
 class RigidBodyParams:
     """Mechanical data of the spinning particle.
 
-    Only the moment of inertia is required; density/radius back the
-    sphere helper, and melting temperature and surface tension switch on
-    the melt and burst termination checks when present.
+    Only the moment of inertia is required; the radius and surface
+    tension switch on the burst termination check, and the melting
+    temperature the melt check, when present.
     """
 
     moment_of_inertia: float            # g cm^2
-    mass_density: float | None = None   # g/cm^3
     radius: float | None = None         # cm
     melting_temperature: float | None = None  # K
     surface_tension: float | None = None      # erg/cm^2
@@ -60,8 +59,7 @@ class RigidBodyParams:
     def __post_init__(self):
         if not self.moment_of_inertia > 0:
             raise ValueError("moment_of_inertia must be positive")
-        for name in ("mass_density", "radius", "melting_temperature",
-                     "surface_tension"):
+        for name in ("radius", "melting_temperature", "surface_tension"):
             v = getattr(self, name)
             if v is not None and not v > 0:
                 raise ValueError(f"{name} must be positive when given")
@@ -71,8 +69,7 @@ class RigidBodyParams:
                      surface_tension=None):
         """Homogeneous sphere, I = (2/5) m R^2 = (8/15) pi rho R^5."""
         i_mom = 8.0 * np.pi / 15.0 * mass_density * radius**5
-        return cls(i_mom, mass_density, radius, melting_temperature,
-                   surface_tension)
+        return cls(i_mom, radius, melting_temperature, surface_tension)
 
     @classmethod
     def thin_rod(cls, mass, length, melting_temperature=None,
@@ -91,7 +88,7 @@ class ThermalParams:
     radiative_coefficient: float    # erg/(s K^6)
 
     def __post_init__(self):
-        if self.ambient_temperature < 0:
+        if not self.ambient_temperature >= 0:
             raise ValueError("ambient_temperature must be non-negative")
         if not self.radiative_coefficient > 0:
             raise ValueError("radiative_coefficient must be positive")
@@ -156,8 +153,8 @@ def spin_up_trajectory(model: OscillatorModel, drive: DriveField,
     The run ends at the first of the target, the melting point (given
     ``thermal`` and a melting temperature) and the burst (given surface
     data), after ``time_to_target_by_quadrature``; or at ``max_time``
-    (default: 10x the constant-torque estimate) as "max-time"; one that
-    ends at once holds ``n_samples`` samples of (0, Omega_init).  Raises
+    (default: no cap) as "max-time"; one that ends at once holds
+    ``n_samples`` samples of (0, Omega_init).  Raises
     ``UnreachableTargetError`` when the torque stalls the rotation first.
     """
     if not Omega_target > Omega_init:
@@ -187,11 +184,7 @@ def spin_up_trajectory(model: OscillatorModel, drive: DriveField,
 
     t_end = time_to_target_by_quadrature(model, drive, body, Omega_end,
                                          Omega_init)
-    if max_time is None:
-        # the quadrature's stall search has seen M(Omega_init) > 0
-        max_time = (10.0 * body.moment_of_inertia * (Omega_target - Omega_init)
-                    / torque(model, drive, Omega_init))
-    t_stop = min(t_end, max_time)
+    t_stop = t_end if max_time is None else min(t_end, max_time)
     outcome = "max-time" if t_stop < t_end else outcome
 
     # Simpson's rule on 1/M, scaled to at most 1 against overflow, gives
@@ -216,9 +209,12 @@ def time_to_target_by_quadrature(model, drive, body, Omega_target,
     """Spin-up time t = integral of I_mom dOmega / M(Omega), the duration
     of every ``spin_up_trajectory``; zero when already at the target.
 
-    Raises ``UnreachableTargetError`` when the torque stalls the rotation
-    on the way, and ``RuntimeError`` when the adaptive quadrature fails.
+    Raises ``ValueError`` when a bound is not finite,
+    ``UnreachableTargetError`` when the torque stalls the rotation on the
+    way, and ``RuntimeError`` when the adaptive quadrature fails.
     """
+    if not np.isfinite([Omega_target, Omega_init]).all():
+        raise ValueError("Omega_target and Omega_init must be finite")
     if Omega_target == Omega_init:
         return 0.0
     direction = np.sign(Omega_target - Omega_init)

@@ -10,6 +10,7 @@ g does not deplete along the path.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -30,7 +31,9 @@ class MediumMember:
     weight: float
 
     def __post_init__(self):
-        if self.weight < 0:
+        if not math.isfinite(self.rotation):
+            raise ValueError("rotation must be finite")
+        if not self.weight >= 0:
             raise ValueError("weight must be non-negative")
 
 
@@ -43,9 +46,9 @@ class MediumSpec:
     members: tuple
 
     def __post_init__(self):
-        if self.number_density < 0:
+        if not self.number_density >= 0:
             raise ValueError("number_density must be non-negative")
-        if self.path_length < 0:
+        if not self.path_length >= 0:
             raise ValueError("path_length must be non-negative")
         members = tuple(self.members)
         object.__setattr__(self, "members", members)

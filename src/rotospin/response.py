@@ -24,6 +24,7 @@ Conventions worth pinning down, since they vary across texts:
 The torque and the cross sections evaluate a point or arrays.  A point,
 where ``Omega`` and the drive frequency are both scalars (Python or
 numpy, or 0-d arrays), is evaluated in plain Python floats.  It raises
+:class:`ValueError` for a non-finite ``Omega``,
 :class:`SingularResonanceError` when a response denominator vanishes
 exactly (see that class for when this happens), and
 :class:`OverflowError` when a result is too large for a double.  A call
@@ -290,6 +291,8 @@ def _weights(model, drive, Omega, e2=None):
     point = not (_is_array(omega) or _is_array(Omega))
     if point:
         omega, Omega = float(omega), float(Omega)
+        if not math.isfinite(Omega):
+            raise ValueError("Omega must be finite")
     else:
         # a scalar operand too: Python's ** raises where numpy gives inf
         omega, Omega = np.asarray(omega, float), np.asarray(Omega, float)
@@ -393,20 +396,6 @@ def absorption_cross_section(model, drive, Omega):
     return _evaluate(_absorption, model, drive, Omega)
 
 
-def elastic_cross_section(model, drive, Omega):
-    """sigma at the drive frequency (elastic re-emission); >= 0."""
-    return _evaluate(_elastic, model, drive, Omega)
-
-
-def inelastic_cross_sections(model, drive, Omega):
-    """(sigma at w+2*Omega, sigma at w-2*Omega); both >= 0.
-
-    Each helicity feeds exactly one sideband, so LCP light (E_plus = 0)
-    emits only the down-shifted line.
-    """
-    return _evaluate(_inelastic, model, drive, Omega)
-
-
 def mechanical_cross_section(model, drive, Omega):
     """sigma_mech = M*Omega/I; sign-indefinite."""
     return _evaluate(_mechanical, model, drive, Omega)
@@ -434,6 +423,8 @@ def _helicity_amplitudes(model, drive, Omega):
     E_pm/d_pm is not finite.  An array operand raises numpy's TypeError.
     """
     omega, Omega = float(drive.frequency), float(Omega)
+    if not math.isfinite(Omega):
+        raise ValueError("Omega must be finite")
     s = _shifted(omega, Omega)
     amplitudes = []
     for e, d in zip((drive.e_plus, drive.e_minus),

@@ -65,9 +65,6 @@ def _averaging_window(omega, Omega):
         return np.pi / abs(Omega)
     ratio = Fraction(abs(omega) / abs(Omega)).limit_denominator(
         _MAX_DENOMINATOR)
-    if ratio == 0:
-        raise ValueError("drive and rotation frequencies are incommensurate "
-                         "at the requested precision")
     approx = float(ratio) * abs(Omega)
     if abs(approx - abs(omega)) > 1e-9 * abs(omega):
         raise ValueError(

@@ -307,13 +307,20 @@ def test_config_error_names_its_section_once(build, cfg, message):
 
 
 def test_point_reports_balance(capsys):
-    rc = cli.main(["point", "--gamma", "0.1", "--omega", "0.5",
-                   "--Omega", "0.2"])
-    assert rc == 0
-    kv = _kv(capsys.readouterr().out)
-    assert_allclose(float(kv["torque"]), 0.039588281868566895, rtol=1e-12)
-    assert_allclose(float(kv["sigma_mech"]), 0.04974810219461272, rtol=1e-12)
-    assert abs(float(kv["balance_residual"])) <= 1e-12
+    # the physical model with an explicit tau = 0 and c = Q^2/m = omega0
+    # = 1 is the normalized one; a tau linked to the coupling would be 2/3
+    physical = ["--physical", "--coupling", "1", "--omega0", "1",
+                "--light-speed", "1", "--tau", "0"]
+    for model in ([], physical):
+        rc = cli.main(["point", *model, "--gamma", "0.1", "--omega", "0.5",
+                       "--Omega", "0.2"])
+        assert rc == 0
+        kv = _kv(capsys.readouterr().out)
+        assert_allclose(float(kv["torque"]), 0.039588281868566895,
+                        rtol=1e-12)
+        assert_allclose(float(kv["sigma_mech"]), 0.04974810219461272,
+                        rtol=1e-12)
+        assert abs(float(kv["balance_residual"])) <= 1e-12
 
 
 def test_point_singular_resonance_exits_3(capsys):
@@ -486,33 +493,39 @@ def test_unknown_preset_exits_2(capsys):
 
 
 def test_spinup_from_config(tmp_path, capsys):
+    # a body given by its inertia, and a rod with the same one, m L^2 / 12
     out = tmp_path / "traj.csv"
-    conf = _write(tmp_path, f"""\
-        [model]
-        gamma = 0.1
+    times = []
+    for body in ("moment_of_inertia = 2.0",
+                 "shape = rod\n            mass = 24\n            length = 1"):
+        conf = _write(tmp_path, f"""\
+            [model]
+            gamma = 0.1
 
-        [drive]
-        omega = 0.5
+            [drive]
+            omega = 0.5
 
-        [spinup]
-        Omega_target = 1e-3
-        samples = 40
+            [spinup]
+            Omega_target = 1e-3
+            samples = 40
 
-        [body]
-        moment_of_inertia = 2.0
+            [body]
+            {body}
 
-        [output]
-        path = {out}
-        """)
-    rc = cli.main(["spinup", "--config", conf])
-    assert rc == 0
-    kv = _kv(capsys.readouterr().out)
-    assert kv["outcome"] == "target"
-    assert_allclose(float(kv["terminal_Omega"]), 1e-3, rtol=1e-6)
-    with open(out, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["t", "Omega"]
-    assert len(rows) == int(kv["samples"]) + 1
+            [output]
+            path = {out}
+            """)
+        rc = cli.main(["spinup", "--config", conf])
+        assert rc == 0
+        kv = _kv(capsys.readouterr().out)
+        assert kv["outcome"] == "target"
+        assert_allclose(float(kv["terminal_Omega"]), 1e-3, rtol=1e-6)
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["t", "Omega"]
+        assert len(rows) == int(kv["samples"]) + 1
+        times.append(kv["terminal_time"])
+    assert times[0] == times[1]
 
 
 def test_spinup_that_bursts_at_once_writes_all_samples(tmp_path, capsys):
@@ -834,6 +847,8 @@ def test_underflowing_drive_amplitude_exits_2(tmp_path, capsys, argv, ini):
 
 
 _SAMPLES_ERR = "config error: [{}] samples: must be at least 2, got '{}'"
+_SPINUP_FLAGS = ["spinup", "--gamma=0.1", "--omega=0.5", "--Omega-target=1e-3"]
+_AMPLIFY_FLAGS = ["amplify", "--gamma=0.1", "--omega=1"]
 
 
 @pytest.mark.parametrize("argv, ini, err", [
@@ -867,16 +882,42 @@ _SAMPLES_ERR = "config error: [{}] samples: must be at least 2, got '{}'"
          "sqrt(2 pi I / c) overflows a double"),
     (["scan", "--preset=fig2", "--omega-min=-1e308", "--omega-max=1.7e308"],
      "", "config error: [scan]: omega range and its width must be finite"),
+    # keys and sections that are malformed or missing
+    (["scan", "--preset=fig2"], "[scan]\nomega_count = abc\n",
+     "config error: [scan] omega_count: not an integer: 'abc'"),
+    (["scan", "--gamma=0.1", "--omega=1"],
+     "[scan]\nomega_min = 0\nomega_max = 2\nOmega_min = 0\nOmega_max = 2\n"
+     "Omega_count = 4\n", "config error: missing [scan] omega_count"),
+    (["scan", "--preset=fig2"], "[model]\nmode = bogus\n",
+     "config error: [model] mode must be normalized or physical, "
+     "got 'bogus'"),
+    (_SPINUP_FLAGS, "", "config error: missing [body] section"),
+    (_SPINUP_FLAGS, "[body]\nshape = disk\n",
+     "config error: [body] shape must be direct, sphere or rod, got 'disk'"),
+    (["thermal", "--gamma=0.1", "--omega=0.5"], "",
+     "config error: missing [thermal] section"),
+    (_AMPLIFY_FLAGS, "", "config error: missing [medium] section"),
+    (_AMPLIFY_FLAGS, "[medium]\nnumber_density = 1\npath_length = 1\n",
+     "config error: missing [medium] members"),
+    (_AMPLIFY_FLAGS, "[medium]\nmembers = ,\n",
+     "config error: [medium] members is empty"),
+    (_AMPLIFY_FLAGS, "[medium]\nmembers = 1:0\n",
+     "config error: [medium] members: weights must sum to > 0"),
 ], ids=["spinup-samples-1", "spinup-samples-0", "spinup-samples-negative",
         "amplify-samples-1", "amplify-samples-0", "amplify-samples-negative",
         "Omega-init-at-target", "Omega-init-beyond-target",
         "Omega-init-negative", "max-time-negative", "max-time-zero",
         "fig2-divisor-underflow",
-        "intensity-overflow", "axis-width-overflow"])
+        "intensity-overflow", "axis-width-overflow",
+        "omega-count-not-integer", "omega-count-missing", "mode-unknown",
+        "body-missing", "shape-unknown", "thermal-missing", "medium-missing",
+        "members-missing", "members-empty", "members-zero-weight"])
 def test_bad_numeric_input_exits_2(tmp_path, capsys, argv, ini, err):
     out = tmp_path / "x.csv"
-    rc = cli.main(argv + ["--config", _write(tmp_path, ini),
-                          "--out", str(out)])
+    argv = argv + ["--config", _write(tmp_path, ini)]
+    if argv[0] != "thermal":
+        argv += ["--out", str(out)]
+    rc = cli.main(argv)
     assert rc == 2
     assert capsys.readouterr().err == err + "\n"
     assert not out.exists()
@@ -1012,12 +1053,15 @@ def test_validate_passes(capsys):
 
 
 def test_validate_negative_seed_rejected_at_parse(capsys):
-    # numpy's default_rng takes only non-negative seeds
-    with pytest.raises(SystemExit) as info:
-        cli.main(["validate", "--seed", "-1"])
-    assert info.value.code == 2
-    err = capsys.readouterr().err
-    assert "argument --seed: must be a non-negative integer, got '-1'" in err
+    # numpy's default_rng takes only non-negative seeds; a seed that is no
+    # integer fails the same way
+    for seed in ("-1", "abc"):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["validate", "--seed", seed])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert ("argument --seed: must be a non-negative integer, "
+                f"got '{seed}'") in err
 
 
 # ---------------------------------------------------------------------------

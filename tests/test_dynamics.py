@@ -52,6 +52,12 @@ def test_body_validation():
 # heating
 
 
+@pytest.mark.parametrize("ambient", [np.nan, -1.0])
+def test_thermal_params_reject_negative_or_nan_ambient(ambient):
+    with pytest.raises(ValueError, match="ambient_temperature"):
+        ThermalParams(ambient, 1.0)
+
+
 def test_equilibrium_temperature_zero_power_is_exact():
     th = ThermalParams(300.0, 2.5)
     assert equilibrium_temperature(th, 0.0) == 300.0
@@ -225,6 +231,34 @@ def test_max_time_outcome():
     assert time_to_target_by_quadrature(
         MODEL, DRIVE, body, traj.terminal_rotation) == pytest.approx(
             1e-4, rel=1e-8)
+
+
+def test_target_near_the_stall_is_reached():
+    # the torque vanishes only at Omega = 0.5, so 0.49999 is reachable and
+    # the run must last the quadrature's time, uncapped
+    body = RigidBodyParams(1.0)
+    traj = spin_up_trajectory(MODEL, DRIVE, body, 0.0, 0.49999)
+    assert traj.outcome == "target"
+    assert traj.terminal_rotation == 0.49999
+    assert traj.terminal_time == time_to_target_by_quadrature(
+        MODEL, DRIVE, body, 0.49999)
+
+
+@pytest.mark.xfail(strict=True, reason="the fixed 256-panel Simpson table "
+                   "of 1/M, rescaled onto the quadrature's end time, "
+                   "overshoots the target near a stall")
+def test_trajectory_near_the_stall_stays_below_the_target():
+    traj = spin_up_trajectory(MODEL, DRIVE, RigidBodyParams(1.0), 0.0, 0.4999)
+    assert np.all(np.diff(traj.rotation) >= 0.0)
+    assert np.all(traj.rotation <= 0.4999)
+
+
+@pytest.mark.parametrize("Omega_target, Omega_init", [
+    (np.nan, 0.0), (np.inf, 0.0), (0.3, np.nan), (0.3, -np.inf)])
+def test_quadrature_rejects_non_finite_bounds(Omega_target, Omega_init):
+    with pytest.raises(ValueError, match="must be finite"):
+        time_to_target_by_quadrature(MODEL, DRIVE, RigidBodyParams(1.0),
+                                     Omega_target, Omega_init)
 
 
 @pytest.mark.parametrize("n_samples", [1, 0, -3])

@@ -41,8 +41,22 @@ def test_weights_must_sum_to_one():
 
 
 def test_negative_weight_rejected():
-    with pytest.raises(ValueError):
-        MediumMember(MODEL, 0.1, -0.2)
+    for weight in (-0.2, np.nan):
+        with pytest.raises(ValueError, match="weight must be non-negative"):
+            MediumMember(MODEL, 0.1, weight)
+
+
+@pytest.mark.parametrize("rotation", [np.nan, np.inf, -np.inf])
+def test_non_finite_rotation_rejected(rotation):
+    with pytest.raises(ValueError, match="rotation must be finite"):
+        MediumMember(MODEL, rotation, 1.0)
+
+
+@pytest.mark.parametrize("n, L, message", [
+    (np.nan, 1.0, "number_density"), (1.0, np.nan, "path_length")])
+def test_nan_density_or_length_rejected(n, L, message):
+    with pytest.raises(ValueError, match=f"{message} must be non-negative"):
+        _medium([(2.0, 1.0)], n, L)
 
 
 def test_empty_ensemble_rejected():

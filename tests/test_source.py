@@ -43,3 +43,60 @@ def test_all_matches_the_package_imports():
     assert len(exported) == len(set(exported))
     assert set(exported) == set(_init_imports())
     assert all(hasattr(rotospin, name) for name in exported)
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _literal(tree, name):
+    """The literal value a module assigns to ``name`` at top level."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == name for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no top-level {name} = <literal>")
+
+
+def _rs_chains(tree):
+    """Dotted names like ``OscillatorModel.normalized`` read off ``rs``."""
+    chains = set()
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id == "rs":
+            chains.add(".".join(reversed(parts)))
+    return chains
+
+
+def test_benchmark_names_resolve():
+    # the benchmark harness calls the library by name; a deletion that
+    # breaks it fails here instead of in a full benchmark run
+    import importlib
+
+    import rotospin
+    from rotospin.validation import ALL_CHECKS
+
+    workloads = ast.parse((BENCH / "workloads.py").read_text())
+    chains = _rs_chains(workloads)
+    assert "spin_up_trajectory" in chains
+    for chain in sorted(chains):
+        obj = rotospin
+        for attr in chain.split("."):
+            assert hasattr(obj, attr), f"rs.{chain}"
+            obj = getattr(obj, attr)
+
+    tracer = ast.parse((BENCH / "tracer.py").read_text())
+    for layer in _literal(tracer, "LAYERS"):
+        importlib.import_module(f"rotospin.{layer}")
+    for layer, helpers in _literal(tracer, "_EXTRA").items():
+        module = importlib.import_module(f"rotospin.{layer}")
+        assert all(callable(getattr(module, h, None)) for h in helpers)
+    checks = tuple(c.__name__.removeprefix("check_") for c in ALL_CHECKS)
+    assert _literal(tracer, "CHECKS") == checks
+
+    passed = [c.value for c in ast.walk(workloads)
+              if isinstance(c, ast.Constant) and isinstance(c.value, str)
+              and "checks passed" in c.value]
+    assert passed == [f"{len(checks)}/{len(checks)} checks passed"]
