@@ -385,6 +385,8 @@ def torque(model: OscillatorModel, drive: DriveField, Omega):
         if _is_array(drive.frequency) or _is_array(Omega):
             return np.zeros(np.broadcast_shapes(np.shape(drive.frequency),
                                                 np.shape(Omega)))
+        if not math.isfinite(Omega):
+            raise ValueError("Omega must be finite")
         return 0.0
     return _evaluate(lambda m, w, Om, s, tp, tm:
                      0.5 * m.coupling * e2 * _brake(m, s, tp, tm),

@@ -617,8 +617,8 @@ def test_spinup_quadrature_failure_exits_2(tmp_path, capsys, monkeypatch):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: [spinup]: spin-up quadrature failed: "
-                          "The maximum number of subdivisions (200) has been "
-                          "achieved.")
+                          "200 panels do not reach a relative error of "
+                          "1e-10")
     assert err.count("\n") == 1
     assert not (tmp_path / "t.csv").exists()
 
@@ -1087,9 +1087,47 @@ assert not scipy, f"scipy loaded: {{scipy[:5]}}"
 """
 
 
+_BURST_INI = """\
+    [model]
+    gamma = 0.1
+
+    [drive]
+    omega = 0.5
+
+    [spinup]
+    Omega_target = 0.4
+
+    [body]
+    moment_of_inertia = 1.0
+    radius = 1.0
+    surface_tension = 1e-4
+    """
+
+_MELT_INI = """\
+    [model]
+    gamma = 0.1
+
+    [drive]
+    omega = 1.05
+
+    [spinup]
+    Omega_target = 0.2
+
+    [body]
+    moment_of_inertia = 1.0
+    melting_temperature = 1.4
+
+    [thermal]
+    ambient_temperature = 1.0
+    radiative_coefficient = 1.0
+    """
+
+
 def test_closed_form_commands_import_no_scipy(tmp_path):
-    # scipy is for spin-up and the self-checks; the bench tracer needs
-    # every layer bound once rotospin.cli is imported
+    # scipy is for the self-checks' independent references alone; the
+    # bench tracer needs every layer bound once rotospin.cli is imported
+    spinups = {"target": _SPINUP_INI, "burst": _BURST_INI,
+               "melt": _MELT_INI}
     runs = [
         ["point", "--gamma", "0.1", "--omega", "0.5", "--Omega", "0.2"],
         ["scan", "--preset", "fig2", "--omega-count", "4",
@@ -1099,7 +1137,9 @@ def test_closed_form_commands_import_no_scipy(tmp_path):
         ["thermal", "--config", _write(tmp_path, _THERMAL_INI, "t.ini")],
         ["amplify", "--config", _write(tmp_path, _AMPLIFY_INI, "a.ini"),
          "--out", str(tmp_path / "gain.csv")],
-    ]
+    ] + [["spinup", "--config", _write(tmp_path, ini, f"{end}.ini"),
+          "--out", str(tmp_path / f"{end}.csv")]
+         for end, ini in spinups.items()]
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     proc = subprocess.run([sys.executable, "-c",
@@ -1107,3 +1147,6 @@ def test_closed_form_commands_import_no_scipy(tmp_path):
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert [line for line in proc.stdout.splitlines()
+            if line.startswith("outcome = ")] == [
+                f"outcome = {end}" for end in spinups]

@@ -182,6 +182,27 @@ def test_sub_femtosecond_spin_up_is_not_zero():
     assert traj.terminal_time == pytest.approx(2.27e-18, rel=1e-2)
 
 
+def test_quadrature_matches_scipy_quad():
+    # spin-ups drawn from the ranges of the library benchmark's scenarios
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        model = OscillatorModel.normalized(np.exp(rng.uniform(np.log(0.05),
+                                                              np.log(0.3))),
+                                           rng.uniform(0.0, 1e-3))
+        drive = DriveField.lcp(rng.choice([rng.uniform(0.3, 0.8),
+                                           rng.uniform(1.5, 1.8)]))
+        target = rng.uniform(0.1, 0.5) * drive.frequency
+        Omega_init = rng.uniform(0.0, 0.2) * target
+        body = RigidBodyParams.solid_sphere(rng.uniform(1.0, 20.0),
+                                            rng.uniform(0.5, 1.5))
+        expected = quad(lambda Om: body.moment_of_inertia
+                        / torque(model, drive, Om), Omega_init, target,
+                        epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        assert time_to_target_by_quadrature(
+            model, drive, body, target, Omega_init) == pytest.approx(
+                expected, rel=1e-12)
+
+
 def test_zero_span_is_zero_time():
     body = RigidBodyParams(2.0)
     assert time_to_target_by_quadrature(MODEL, DRIVE, body, 0.3,
@@ -189,12 +210,17 @@ def test_zero_span_is_zero_time():
 
 
 def test_quadrature_failure_raises(monkeypatch):
-    # a torque that oscillates faster than 200 subintervals resolve
+    # a torque that oscillates faster than 200 subintervals resolve; the
+    # panel limit also bounds the work done before the error
+    calls = []
+
     def ragged(model, drive, Om):
+        calls.append(np.size(Om))
         return 1.0 + 0.9 * np.sin(1e7 * np.asarray(Om))
     monkeypatch.setattr(dynamics, "torque", ragged)
-    with pytest.raises(RuntimeError, match="quadrature failed: The maximum"):
+    with pytest.raises(RuntimeError, match="quadrature failed: 200 panels"):
         spin_up_trajectory(MODEL, DRIVE, RigidBodyParams(1.0), 0.0, 1.0)
+    assert len(calls) <= 200
 
 
 def test_unreachable_target_raises():
@@ -244,13 +270,16 @@ def test_target_near_the_stall_is_reached():
         MODEL, DRIVE, body, 0.49999)
 
 
-@pytest.mark.xfail(strict=True, reason="the fixed 256-panel Simpson table "
-                   "of 1/M, rescaled onto the quadrature's end time, "
-                   "overshoots the target near a stall")
 def test_trajectory_near_the_stall_stays_below_the_target():
-    traj = spin_up_trajectory(MODEL, DRIVE, RigidBodyParams(1.0), 0.0, 0.4999)
+    # t(Omega) grows like -log(0.5 - Omega) here: every row must still lie
+    # on the quadrature's t(Omega)
+    body = RigidBodyParams(1.0)
+    traj = spin_up_trajectory(MODEL, DRIVE, body, 0.0, 0.4999)
     assert np.all(np.diff(traj.rotation) >= 0.0)
     assert np.all(traj.rotation <= 0.4999)
+    for t, Om in zip(traj.times, traj.rotation):
+        assert time_to_target_by_quadrature(MODEL, DRIVE, body, Om) == \
+            pytest.approx(t, rel=1e-8)
 
 
 @pytest.mark.parametrize("Omega_target, Omega_init", [

@@ -299,9 +299,11 @@ def test_each_view_guards_only_its_own_channel():
 @pytest.mark.parametrize("Omega", [np.nan, np.inf, -np.inf,
                                    np.float64(np.nan)])
 def test_point_rejects_non_finite_rotation(Omega):
-    # a message about overflow or resonance would be false here
+    # a message about overflow or resonance would be false here, and a
+    # zero field's torque of 0 too
     for route in (torque, cross_section_set, induced_dipole_spectrum,
-                  lambda m, d, Om: radial_ode_residual(m, d, Om, 0.0)):
+                  lambda m, d, Om: radial_ode_residual(m, d, Om, 0.0),
+                  lambda m, d, Om: torque(m, DriveField(0.5, 0, 0), Om)):
         with pytest.raises(ValueError) as info:
             route(MODEL, DRIVE, Omega)
         assert type(info.value) is ValueError
