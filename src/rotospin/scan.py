@@ -183,27 +183,30 @@ def _atomic_open(path):
             os.unlink(tmp)
 
 
-#: rows formatted or parsed per numpy call.  Small blocks keep peak memory
-#: independent of the table, and let each block's arrays reuse freed heap
+#: rows formatted or parsed per block.  Small blocks keep peak memory
+#: independent of the table, and let each block's objects reuse freed heap
 #: space, so a long-lived process that re-parses many files does not grow.
 _BLOCK_ROWS = 256
 
 
-def _write_columns(fh, header, columns):
-    """Write equal-length columns to ``fh`` as CSV with 17 significant
-    digits, a block of rows at a time."""
+def _write_columns(fh, header, columns, fmt):
+    """Write equal-length array or list columns to ``fh`` as CSV, a block
+    of rows at a time.  Each row is one ``fmt % row`` on Python scalars
+    (an array's block through ``.tolist()``): for ``"%.17g"`` the same
+    bytes as ``np.savetxt``, with less work per value."""
     fh.write(",".join(header) + "\n")
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = np.column_stack([c[start:start + _BLOCK_ROWS]
-                                 for c in columns])
-        np.savetxt(fh, block, fmt="%.17g", delimiter=",")
+        block = (c[start:start + _BLOCK_ROWS] for c in columns)
+        rows = zip(*(b if isinstance(b, list) else b.tolist() for b in block))
+        fh.write("".join([fmt % row for row in rows]))
 
 
 def write_columns(path, header, *columns):
     """Write equal-length columns as CSV with 17 significant digits,
     replacing ``path`` atomically."""
     with _atomic_open(path) as fh:
-        _write_columns(fh, header, columns)
+        _write_columns(fh, header, columns,
+                       ",".join(["%.17g"] * len(columns)) + "\n")
 
 
 def write_grid_csv(grid: ScanGrid, path) -> str:
@@ -212,16 +215,19 @@ def write_grid_csv(grid: ScanGrid, path) -> str:
 
     Rows are emitted row-major, the Omega axis outermost.  Values use 17
     significant digits so a re-parse reproduces the doubles bit-exactly;
-    the singular flag is written as 1 or 0.  Each file is replaced
-    atomically.
+    each axis value is formatted once and its string repeated for every
+    cell that shares it, and the singular flag is written as 1 or 0.
+    Each file is replaced atomically.
     """
     sidecar_path = f"{path}.meta"
-    columns = [np.tile(grid.omega, len(grid.Omega)),
-               np.repeat(grid.Omega, len(grid.omega))]
+    omega, Omega = (["%.17g" % x for x in axis.tolist()]
+                    for axis in (grid.omega, grid.Omega))
+    columns = [omega * len(Omega), [x for x in Omega for _ in omega]]
     columns += [grid.values[name].ravel() for name in CSV_HEADER[2:-1]]
     columns.append(grid.singular.ravel())
+    fmt = "%s,%s," + "%.17g," * len(CSV_HEADER[2:-1]) + "%d\n"
     with _atomic_open(path) as fh:
-        _write_columns(fh, CSV_HEADER, columns)
+        _write_columns(fh, CSV_HEADER, columns, fmt)
     with _atomic_open(sidecar_path) as fh:
         for key in sorted(grid.metadata):
             fh.write(f"{key} = {grid.metadata[key]}\n")

@@ -1,10 +1,13 @@
 """Grid evaluation, unit conversion, CSV export, and the re-parse check."""
 
 import dataclasses
+import io
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from rotospin import (
@@ -17,7 +20,8 @@ from rotospin import (
     reparse_balance_check,
     write_grid_csv,
 )
-from rotospin.scan import CSV_HEADER, read_sidecar
+from rotospin import scan
+from rotospin.scan import CSV_HEADER, ScanGrid, read_sidecar, write_columns
 
 MODEL = OscillatorModel.normalized(0.1, 1e-4)
 
@@ -215,20 +219,128 @@ def test_csv_bytes_match_per_cell_rendering(tmp_path):
     assert path.read_text() == expect
 
 
+#: row counts on both sides of the writer's 256-row block edges
+_BLOCK_EDGE_ROWS = (0, 1, 255, 256, 257, 513)
+
+#: doubles whose rendering is easiest to get wrong
+_EDGE_VALUES = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                         2.225073858507201e-308, 1e300, -1e300, 1e-300,
+                         -1e-300, 0.1, 1.0, np.nextafter(1.0, 2.0)])
+
+
+def _savetxt_rendering(header, columns):
+    """The CSV as ``np.savetxt`` rendered it, 256 rows per call: the
+    reference for the writer's bytes."""
+    out = io.StringIO()
+    out.write(",".join(header) + "\n")
+    for start in range(0, len(columns[0]), 256):
+        np.savetxt(out, np.column_stack([c[start:start + 256]
+                                         for c in columns]),
+                   fmt="%.17g", delimiter=",")
+    return out.getvalue()
+
+
+def _edge_doubles(rng, n):
+    """``n`` doubles from random bit patterns, a third of them replaced by
+    nan, +-inf, -0, subnormals and +-1e+-300."""
+    values = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+    edge = rng.random(n) < 1 / 3
+    values[edge] = rng.choice(_EDGE_VALUES, int(edge.sum()))
+    return values
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.sampled_from(_BLOCK_EDGE_ROWS), width=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_write_columns_bytes_match_savetxt(tmp_path, rows, width, seed):
+    rng = np.random.default_rng(seed)
+    columns = [_edge_doubles(rng, rows) for _ in range(width)]
+    header = tuple(f"c{k}" for k in range(width))
+    path = tmp_path / "columns.csv"
+    write_columns(path, header, *columns)
+    assert path.read_text() == _savetxt_rendering(header, columns)
+
+
+def _grid_rendering(grid):
+    """The grid rendered by ``np.savetxt``: tiled and repeated axes,
+    raveled values and the flag as a float."""
+    columns = [np.tile(grid.omega, len(grid.Omega)),
+               np.repeat(grid.Omega, len(grid.omega))]
+    columns += [grid.values[name].ravel() for name in CSV_HEADER[2:-1]]
+    columns.append(grid.singular.ravel())
+    return _savetxt_rendering(CSV_HEADER, columns)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(shape=st.sampled_from([(1, 1), (1, 255), (1, 256), (1, 257),
+                              (257, 1), (16, 16), (3, 171), (19, 27)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_grid_csv_bytes_match_savetxt(tmp_path, shape, seed):
+    # (1, n) is a spectrum: one Omega, n values of omega
+    rng = np.random.default_rng(seed)
+    singular = rng.random(shape) < 0.2
+    values = {name: _edge_doubles(rng, singular.size).reshape(shape)
+              for name in CSV_HEADER[2:-1]}
+    for arr in values.values():
+        arr[singular] = np.nan
+    grid = ScanGrid(omega=_edge_doubles(rng, shape[1]),
+                    Omega=_edge_doubles(rng, shape[0]), values=values,
+                    singular=singular, metadata={})
+    path = tmp_path / "scan.csv"
+    write_grid_csv(grid, path)
+    assert path.read_text() == _grid_rendering(grid)
+
+
+@pytest.mark.parametrize("units", ["physical", "fig2"])
+@pytest.mark.parametrize("lattice", [
+    dict(omega_min=-2.0, omega_max=2.0, omega_count=5,
+         Omega_min=-1.0, Omega_max=2.0, Omega_count=4),
+    dict(omega_count=257, Omega_min=1.0, Omega_max=1.0, Omega_count=1),
+    _LONG,
+], ids=["co-rotation-corners", "spectrum", "long"])
+def test_scan_csv_bytes_match_savetxt(tmp_path, units, lattice):
+    grid = grid_scan(_request(units, **lattice))
+    path = tmp_path / "scan.csv"
+    write_grid_csv(grid, path)
+    assert path.read_text() == _grid_rendering(grid)
+
+
+def test_grid_csv_write_memory_is_flat(tmp_path):
+    # the writer converts one block of rows at a time; converting the
+    # whole 65 536-row table to Python objects would take about 12 MB
+    grid = grid_scan(_request("fig2", omega_min=0.0, omega_max=3.0,
+                              omega_count=256, Omega_min=0.0, Omega_max=3.0,
+                              Omega_count=256))
+    tracemalloc.start()
+    try:
+        write_grid_csv(grid, tmp_path / "scan.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
+
+
 def test_failed_write_leaves_existing_csv_intact(tmp_path, monkeypatch):
     path = tmp_path / "scan.csv"
     path.write_text("previous\n")
-    # the write fails after its first block of rows
     grid = grid_scan(_request(**_LONG))
-    savetxt = np.savetxt
-    blocks = []
 
-    def savetxt_one_block(*args, **kwargs):
-        if blocks:
-            raise RuntimeError("write failed")
-        blocks.append(savetxt(*args, **kwargs))
+    def open_failing(*args, **kwargs):
+        # the write fails after the header and the first block of rows
+        fh = open(*args, **kwargs)
+        write, writes = fh.write, []
 
-    monkeypatch.setattr(np, "savetxt", savetxt_one_block)
+        def write_twice(text):
+            if len(writes) == 2:
+                raise RuntimeError("write failed")
+            writes.append(write(text))
+
+        fh.write = write_twice
+        return fh
+
+    monkeypatch.setattr(scan, "open", open_failing, raising=False)
     with pytest.raises(RuntimeError):
         write_grid_csv(grid, path)
     assert path.read_text() == "previous\n"
