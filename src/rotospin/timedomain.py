@@ -5,9 +5,11 @@ directly, from rest, with the radiation-reaction term switched off
 (``tau`` must be zero: the third-derivative term turns the initial value
 problem ill-posed).  After the transient has died the torque and the
 dissipated power are averaged over a window commensurate with both beat
-periods and compared against the closed forms by the callers.  Both
-phases run on Hairer's compiled DOP853 through ``scipy.integrate.ode``,
-with a right-hand side in plain Python floats.
+periods and compared against the closed forms by the callers.  The
+equation is linear, ``y' = A y + f(t)`` in the state ``y = (u, u')``, so
+both phases run on a 4-stage Gauss-Legendre collocation whose step is the
+affine map ``y -> M y + g(f at the stages)``; the averages are the Gauss
+sums over the stage states.
 
 Everything here is deliberately independent of :mod:`rotospin.response`:
 the forcing is written in the lab frame and projected onto the rotating
@@ -21,17 +23,18 @@ them independent of that choice.
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-# DOP853 steps allowed per phase: the transient of the gamma = 0.1
-# reference case takes about 2300, and one at gamma = 1e-3 about 2e5
-_MAX_STEPS = 10**7
-_RTOL, _ATOL = 1e-11, 1e-13
+#: stages of the collocation, and steps whose forcing is built at once
+_STAGES = 4
+_BLOCK = 1024
+#: the longest step, times the highest frequency in play
+_STEP = 0.25
 # the transient is skipped for this many 1/gamma: leftover amplitude exp(-25)
 _SETTLE_FACTOR = 50.0
 # largest denominator accepted for the ratio omega/Omega
@@ -74,22 +77,17 @@ def _averaging_window(omega, Omega):
     return np.pi / g
 
 
-def _dop853(phase, rhs, y0, t0, t1):
-    """Integrate ``rhs`` from ``(t0, y0)`` to ``t1``; return the end state.
-
-    Each call builds its own ``ode`` and finishes it before returning:
-    SciPy's wrapped Fortran solvers are not promised to be re-entrant.
-    """
-    from scipy.integrate import ode
-
-    r = ode(rhs).set_integrator("dop853", rtol=_RTOL, atol=_ATOL,
-                                nsteps=_MAX_STEPS)
-    r.set_initial_value(y0, t0)
-    y = r.integrate(t1)
-    if not r.successful():
-        raise RuntimeError(f"{phase} integration failed: dop853 return "
-                           f"code {r.get_return_code()}")
-    return y.tolist()
+@functools.cache
+def _tableau():
+    """Nodes c, matrix a and weights b of the Gauss-Legendre collocation
+    on the unit step.  Built on first use: importing the package does
+    not load numpy.polynomial."""
+    from numpy.polynomial import legendre
+    x, w = legendre.leggauss(_STAGES)
+    a = legendre.legval(x, legendre.legint(np.eye(_STAGES), lbnd=-1)).T
+    return ((1.0 + x) / 2.0,
+            a @ np.linalg.inv(legendre.legvander(x, _STAGES - 1)) / 2.0,
+            w / 2.0)
 
 
 def force_law_averages(model, drive, Omega) -> TimeDomainAverages:
@@ -113,36 +111,55 @@ def force_law_averages(model, drive, Omega) -> TimeDomainAverages:
     Omega = float(Omega)
     ex = complex(drive.amplitude_x)
     ey = complex(drive.amplitude_y)
-    spring = Omega**2 - w0**2
+    system = np.array([[0.0, 1.0], [Omega**2 - w0**2, -gamma]])
+    h_max = _STEP / max(w0, abs(omega) + abs(Omega))
+    nodes, a, b = _tableau()
 
-    def rod_field(t):
-        # lab field projected on (rho_hat, phi_hat) of the rotating rod
-        c, s = math.cos(Omega * t), math.sin(Omega * t)
-        ph = cmath.exp(-1j * omega * t)
-        e_rho = 2.0 * ((ex * c + ey * s) * ph).real
-        e_phi = 2.0 * ((-ex * s + ey * c) * ph).real
-        return e_rho, e_phi
-
-    def transient(t, y):
-        u, v = y.tolist()
-        e_rho, _ = rod_field(t)
-        return [v, spring * u - gamma * v + e_rho]
-
-    def settled(t, y):
-        u, v, _, _ = y.tolist()
-        e_rho, e_phi = rod_field(t)
-        return [v,
-                spring * u - gamma * v + e_rho,
-                u * e_phi - 2.0 * Omega * u * v,
-                gamma * v * v]
+    def advance(phase, y, t0, t1):
+        # an integer count of steps, so that the phase ends exactly at t1.
+        # With e the forcing at a step's stages, its stage states are
+        # k_y y + k_e e, and its end state is M y + e forced, M = (m_ij)
+        n = math.ceil((t1 - t0) / h_max)
+        h = (t1 - t0) / n
+        solve = np.linalg.inv(np.eye(2 * _STAGES) - h * np.kron(a, system))
+        k_y = solve @ np.tile(np.eye(2), (_STAGES, 1))
+        k_e = h * solve[:, 1::2] @ a
+        rate = h * np.kron(b, system)
+        (m00, m01), (m10, m11) = (np.eye(2) + rate @ k_y).tolist()
+        forced = (rate @ k_e + h * np.outer([0.0, 1.0], b)).T
+        u, v = y
+        j_torque = j_power = 0.0
+        for first in range(0, n, _BLOCK):
+            t = t0 + h * (np.arange(first, min(first + _BLOCK, n))[:, None]
+                          + nodes)
+            # lab field projected on (rho_hat, phi_hat) of the rotating rod
+            c, s = np.cos(Omega * t), np.sin(Omega * t)
+            ph = np.exp(-1j * omega * t)
+            e_rho = 2.0 * ((ex * c + ey * s) * ph).real
+            starts = []
+            for g0, g1 in (e_rho @ forced).tolist():
+                starts.append((u, v))
+                u, v = m00 * u + m01 * v + g0, m10 * u + m11 * v + g1
+            if phase == "averaging":
+                # Gauss sums of the torque budget and the dissipated power
+                e_phi = 2.0 * ((-ex * s + ey * c) * ph).real
+                stages = np.array(starts) @ k_y.T + e_rho @ k_e.T
+                su, sv = stages[:, 0::2], stages[:, 1::2]
+                j_torque += h * float(np.sum(
+                    (su * e_phi - 2.0 * Omega * su * sv) @ b))
+                j_power += h * gamma * float(np.sum((sv * sv) @ b))
+            # the averages are quadratic in the state: its square must fit
+            if not math.isfinite(u * u + v * v + j_torque + j_power):
+                raise RuntimeError(
+                    f"{phase} integration failed: state or averages not "
+                    f"finite near t = {float(t[-1, -1]):.6g}")
+        return (u, v), j_torque, j_power
 
     t_settle = _SETTLE_FACTOR / gamma
     window = _averaging_window(omega, Omega)
-    u0, v0 = _dop853("transient", transient, [0.0, 0.0],
-                     0.0, t_settle)
-    _, _, j_torque, j_power = _dop853("averaging", settled,
-                                      [u0, v0, 0.0, 0.0], t_settle,
-                                      t_settle + window)
+    y, _, _ = advance("transient", (0.0, 0.0), 0.0, t_settle)
+    _, j_torque, j_power = advance("averaging", y, t_settle,
+                                   t_settle + window)
 
     K = model.coupling
     return TimeDomainAverages(torque=K * j_torque / window,

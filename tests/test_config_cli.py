@@ -1123,9 +1123,10 @@ _MELT_INI = """\
     """
 
 
-def test_closed_form_commands_import_no_scipy(tmp_path):
-    # scipy is for the self-checks' independent references alone; the
-    # bench tracer needs every layer bound once rotospin.cli is imported
+def test_every_command_imports_no_scipy(tmp_path):
+    # scipy is for the test suite alone, validate's independent references
+    # included; the bench tracer needs every layer bound once rotospin.cli
+    # is imported
     spinups = {"target": _SPINUP_INI, "burst": _BURST_INI,
                "melt": _MELT_INI}
     runs = [
@@ -1139,7 +1140,7 @@ def test_closed_form_commands_import_no_scipy(tmp_path):
          "--out", str(tmp_path / "gain.csv")],
     ] + [["spinup", "--config", _write(tmp_path, ini, f"{end}.ini"),
           "--out", str(tmp_path / f"{end}.csv")]
-         for end, ini in spinups.items()]
+         for end, ini in spinups.items()] + [["validate"]]
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     proc = subprocess.run([sys.executable, "-c",
@@ -1150,3 +1151,4 @@ def test_closed_form_commands_import_no_scipy(tmp_path):
     assert [line for line in proc.stdout.splitlines()
             if line.startswith("outcome = ")] == [
                 f"outcome = {end}" for end in spinups]
+    assert "\n16/16 checks passed\n" in proc.stdout

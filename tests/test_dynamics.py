@@ -151,6 +151,27 @@ def test_ode_and_quadrature_agree():
     assert_allclose(t_ode, t_quad, rtol=1e-8)
 
 
+def test_ode_reference_far_from_rest_and_past_the_stall():
+    # RK4 at 64 steps per estimated time stays within 1e-9 of the
+    # quadrature up to near the stall at Omega = 0.5; a target past the
+    # stall is never reached
+    body = RigidBodyParams(2.0)
+    t_quad = time_to_target_by_quadrature(MODEL, DRIVE, body, 0.45)
+    assert_allclose(ode_spin_up_time(MODEL, DRIVE, body, 0.45), t_quad,
+                    rtol=1e-9)
+    assert ode_spin_up_time(MODEL, DRIVE, body, 0.6) == np.inf
+
+
+@pytest.mark.parametrize("drive", [DriveField.rcp(0.5),
+                                   DriveField.linear(0.5)],
+                         ids=["braking", "no-torque"])
+def test_ode_reference_never_reaches_without_spin_up_torque(drive):
+    # a torque at rest that brakes (rcp) or vanishes (linear) never spins
+    # the body up to a positive target: no stepping backwards in time to a
+    # negative time, and no division by zero
+    assert ode_spin_up_time(MODEL, drive, RigidBodyParams(2.0), 0.1) == np.inf
+
+
 def test_constant_torque_limit():
     # for a tiny target the torque is effectively constant and
     # t -> I * Omega_target / M(0)
