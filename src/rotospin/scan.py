@@ -80,11 +80,16 @@ class ScanRequest:
 
     @property
     def omega_axis(self) -> np.ndarray:
-        return np.linspace(self.omega_min, self.omega_max, self.omega_count)
+        # the steps of a finite width may overflow, not the points
+        with np.errstate(over="ignore"):
+            return np.linspace(self.omega_min, self.omega_max,
+                               self.omega_count)
 
     @property
     def Omega_axis(self) -> np.ndarray:
-        return np.linspace(self.Omega_min, self.Omega_max, self.Omega_count)
+        with np.errstate(over="ignore"):
+            return np.linspace(self.Omega_min, self.Omega_max,
+                               self.Omega_count)
 
     def unit_divisors(self) -> dict:
         """Per-column divisor applied to physical values on export; 0, inf

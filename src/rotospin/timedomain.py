@@ -1,15 +1,16 @@
 """Brute-force time-domain check of the closed-form response.
 
 Integrates the radial equation of motion of the bead on its rotating rod
-directly, from rest, with the radiation-reaction term switched off
-(``tau`` must be zero: the third-derivative term turns the initial value
-problem ill-posed).  After the transient has died the torque and the
-dissipated power are averaged over a window commensurate with both beat
-periods and compared against the closed forms by the callers.  The
-equation is linear, ``y' = A y + f(t)`` in the state ``y = (u, u')``, so
-both phases run on a 4-stage Gauss-Legendre collocation whose step is the
-affine map ``y -> M y + g(f at the stages)``; the averages are the Gauss
-sums over the stage states.
+directly, with the radiation-reaction term switched off (``tau`` must be
+zero: the third-derivative term turns the initial value problem
+ill-posed), and averages the torque and the dissipated power over one
+window W commensurate with both beat periods, on the periodic steady
+state: there is no transient.  The equation is linear, ``y' = A y + f``
+in the state ``y = (u, u')``; a 4-stage Gauss-Legendre collocation step
+is the affine map ``y -> M y + g(f at the stages)``.  One pass from rest
+gives y_W, the steady start solves ``M^n y0 + y_W = sigma y0`` with sigma
+the forcing's sign over W, and a second pass from y0 takes the Gauss sums
+over the stage states.
 
 Everything here is deliberately independent of :mod:`rotospin.response`:
 the forcing is written in the lab frame and projected onto the rotating
@@ -35,8 +36,6 @@ _STAGES = 4
 _BLOCK = 1024
 #: the longest step, times the highest frequency in play
 _STEP = 0.25
-# the transient is skipped for this many 1/gamma: leftover amplitude exp(-25)
-_SETTLE_FACTOR = 50.0
 # largest denominator accepted for the ratio omega/Omega
 _MAX_DENOMINATOR = 1000
 
@@ -47,25 +46,23 @@ class TimeDomainAverages:
 
     torque: float            # erg
     absorbed_power: float    # erg/s
-    settle_time: float       # s, transient skipped before averaging
     window: float            # s, averaging window (integer beat periods)
 
 
 def _averaging_window(omega, Omega):
-    """Half the common period of all product harmonics.
+    """Half the common period of all product harmonics, and its sign.
 
     The steady displacement oscillates at ``omega +/- Omega``; every
     quadratic observable therefore contains the harmonics 0, 2*Omega,
     2*omega and 2*(omega +/- Omega).  If omega/Omega = p/q (reduced),
     all of them are even multiples of g = Omega/q, and a window of
-    pi/g integrates each oscillatory term to exactly zero.
+    pi/g integrates each oscillatory term to exactly zero.  Over it the
+    forcing exp(-i(omega +/- Omega)t) changes by (-1)**(p + q).
     """
     if omega == 0 and Omega == 0:
         raise ValueError("static drive: nothing to average over")
     if Omega == 0:
-        return np.pi / abs(omega)
-    if omega == 0:
-        return np.pi / abs(Omega)
+        return np.pi / abs(omega), -1.0
     ratio = Fraction(abs(omega) / abs(Omega)).limit_denominator(
         _MAX_DENOMINATOR)
     approx = float(ratio) * abs(Omega)
@@ -74,7 +71,7 @@ def _averaging_window(omega, Omega):
             "omega/Omega is not a small rational; pick commensurate "
             "frequencies for the time-domain check")
     g = abs(Omega) / ratio.denominator
-    return np.pi / g
+    return np.pi / g, (-1.0) ** (ratio.numerator + ratio.denominator)
 
 
 @functools.cache
@@ -91,47 +88,47 @@ def _tableau():
 
 
 def force_law_averages(model, drive, Omega) -> TimeDomainAverages:
-    """Integrate the force law from rest and average torque and power.
+    """Average torque and power over one window of the periodic steady
+    state of the force law, solved for directly: no transient.
 
-    Requires ``tau == 0`` and ``gamma > 0`` (the transient must decay),
-    and ``Omega**2 < omega0**2`` so the co-rotating effective spring
-    stays stable.  The transient is skipped for 50/gamma seconds.
+    Requires ``tau == 0`` and ``gamma > 0`` (free motion must decay), and
+    ``Omega**2 < omega0**2`` so the co-rotating effective spring stays
+    stable; the steady state is then unique and attracting.
     """
     if model.radiative_time != 0:
         raise ValueError("time-domain route handles tau = 0 only")
     gamma = model.damping_rate
     if gamma <= 0:
-        raise ValueError("gamma must be positive for the transient to decay")
+        raise ValueError("gamma must be positive for free motion to decay")
     w0 = model.natural_frequency
     if Omega**2 >= w0**2:
         raise ValueError("|Omega| >= omega0: the co-rotating spring is "
-                         "inverted and the motion from rest diverges")
+                         "inverted and has no steady state")
 
     omega = float(drive.frequency)
     Omega = float(Omega)
     ex = complex(drive.amplitude_x)
     ey = complex(drive.amplitude_y)
-    system = np.array([[0.0, 1.0], [Omega**2 - w0**2, -gamma]])
-    h_max = _STEP / max(w0, abs(omega) + abs(Omega))
+    window, sign = _averaging_window(omega, Omega)
+    # an integer count of steps, so that the window ends exactly.  With e
+    # the forcing at a step's stages, its stage states are k_y y + k_e e,
+    # and its end state is M y + e forced, M = (m_ij)
+    n = math.ceil(window * max(w0, abs(omega) + abs(Omega)) / _STEP)
+    h = window / n
     nodes, a, b = _tableau()
+    system = np.array([[0.0, 1.0], [Omega**2 - w0**2, -gamma]])
+    solve = np.linalg.inv(np.eye(2 * _STAGES) - h * np.kron(a, system))
+    k_y = solve @ np.tile(np.eye(2), (_STAGES, 1))
+    k_e = h * solve[:, 1::2] @ a
+    rate = h * np.kron(b, system)
+    M = np.eye(2) + rate @ k_y
+    (m00, m01), (m10, m11) = M.tolist()
+    forced = (rate @ k_e + h * np.outer([0.0, 1.0], b)).T
 
-    def advance(phase, y, t0, t1):
-        # an integer count of steps, so that the phase ends exactly at t1.
-        # With e the forcing at a step's stages, its stage states are
-        # k_y y + k_e e, and its end state is M y + e forced, M = (m_ij)
-        n = math.ceil((t1 - t0) / h_max)
-        h = (t1 - t0) / n
-        solve = np.linalg.inv(np.eye(2 * _STAGES) - h * np.kron(a, system))
-        k_y = solve @ np.tile(np.eye(2), (_STAGES, 1))
-        k_e = h * solve[:, 1::2] @ a
-        rate = h * np.kron(b, system)
-        (m00, m01), (m10, m11) = (np.eye(2) + rate @ k_y).tolist()
-        forced = (rate @ k_e + h * np.outer([0.0, 1.0], b)).T
-        u, v = y
+    def sweep(phase, u, v):
         j_torque = j_power = 0.0
         for first in range(0, n, _BLOCK):
-            t = t0 + h * (np.arange(first, min(first + _BLOCK, n))[:, None]
-                          + nodes)
+            t = h * (np.arange(first, min(first + _BLOCK, n))[:, None] + nodes)
             # lab field projected on (rho_hat, phi_hat) of the rotating rod
             c, s = np.cos(Omega * t), np.sin(Omega * t)
             ph = np.exp(-1j * omega * t)
@@ -140,7 +137,7 @@ def force_law_averages(model, drive, Omega) -> TimeDomainAverages:
             for g0, g1 in (e_rho @ forced).tolist():
                 starts.append((u, v))
                 u, v = m00 * u + m01 * v + g0, m10 * u + m11 * v + g1
-            if phase == "averaging":
+            if phase == "steady-state":
                 # Gauss sums of the torque budget and the dissipated power
                 e_phi = 2.0 * ((-ex * s + ey * c) * ph).real
                 stages = np.array(starts) @ k_y.T + e_rho @ k_e.T
@@ -153,16 +150,14 @@ def force_law_averages(model, drive, Omega) -> TimeDomainAverages:
                 raise RuntimeError(
                     f"{phase} integration failed: state or averages not "
                     f"finite near t = {float(t[-1, -1]):.6g}")
-        return (u, v), j_torque, j_power
+        return u, v, j_torque, j_power
 
-    t_settle = _SETTLE_FACTOR / gamma
-    window = _averaging_window(omega, Omega)
-    y, _, _ = advance("transient", (0.0, 0.0), 0.0, t_settle)
-    _, j_torque, j_power = advance("averaging", y, t_settle,
-                                   t_settle + window)
+    # the steady state ends where it started, up to the forcing's sign
+    y0 = np.linalg.solve(sign * np.eye(2) - np.linalg.matrix_power(M, n),
+                         sweep("from-rest", 0.0, 0.0)[:2])
+    _, _, j_torque, j_power = sweep("steady-state", *y0.tolist())
 
     K = model.coupling
     return TimeDomainAverages(torque=K * j_torque / window,
                               absorbed_power=K * j_power / window,
-                              settle_time=t_settle,
                               window=window)

@@ -24,8 +24,8 @@ from .response import (DriveField, OscillatorModel, cross_section_set,
                        static_polarizability, torque)
 
 BALANCE_TOL = 1e-10
-ODE_TOL = 1e-8
-TIME_DOMAIN_TOL = 1e-9
+ODE_TOL = 1e-14
+TIME_DOMAIN_TOL = 1e-12
 QUADRATURE_TOL = 1e-10
 RIDGE_TOL = 1e-6
 CONSISTENCY_TOL = 1e-12

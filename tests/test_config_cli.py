@@ -882,6 +882,14 @@ _AMPLIFY_FLAGS = ["amplify", "--gamma=0.1", "--omega=1"]
          "sqrt(2 pi I / c) overflows a double"),
     (["scan", "--preset=fig2", "--omega-min=-1e308", "--omega-max=1.7e308"],
      "", "config error: [scan]: omega range and its width must be finite"),
+    # a finite width whose linspace steps overflow on the way; the axis
+    # itself is finite, and the response at -1.8e308 overflows
+    (["scan", "--preset=fig2", "--omega-min=-1.7976931348623157e308",
+      "--omega-max=2", "--omega-count=4"], "",
+     "error: an input is too large: a response value overflows a double"),
+    (["scan", "--preset=fig2", "--Omega-min=-1.7976931348623157e308",
+      "--Omega-max=2", "--Omega-count=4"], "",
+     "error: an input is too large: a response value overflows a double"),
     # keys and sections that are malformed or missing
     (["scan", "--preset=fig2"], "[scan]\nomega_count = abc\n",
      "config error: [scan] omega_count: not an integer: 'abc'"),
@@ -909,6 +917,7 @@ _AMPLIFY_FLAGS = ["amplify", "--gamma=0.1", "--omega=1"]
         "Omega-init-negative", "max-time-negative", "max-time-zero",
         "fig2-divisor-underflow",
         "intensity-overflow", "axis-width-overflow",
+        "omega-axis-step-overflow", "Omega-axis-step-overflow",
         "omega-count-not-integer", "omega-count-missing", "mode-unknown",
         "body-missing", "shape-unknown", "thermal-missing", "medium-missing",
         "members-missing", "members-empty", "members-zero-weight"])

@@ -22,6 +22,7 @@ from rotospin import (
     static_polarizability,
     torque,
 )
+from rotospin import response, validation
 from rotospin.response import (_denominators, _helicity_amplitudes,
                                _shifted, _weights)
 
@@ -657,6 +658,20 @@ def test_ode_residual_overflowing_amplitude_is_singular():
     d = DriveField(1.0, 0.6 + 0.2j, -0.4 + 0.3j)
     with pytest.raises(SingularResonanceError):
         radial_ode_residual(m, d, 0.0, 0.0)
+
+
+def test_ode_check_catches_amplitude_error(monkeypatch):
+    # the closed form solves the radial equation to about 1e-16, so both
+    # helicity amplitudes off by a uniform 1e-12 fail the check
+    rng = np.random.default_rng(0)
+    assert validation.check_ode_residual(rng).passed
+
+    def scaled(*args):
+        omega, Omega, s, a_plus, a_minus = _helicity_amplitudes(*args)
+        return omega, Omega, s, a_plus * (1 + 1e-12), a_minus * (1 + 1e-12)
+
+    monkeypatch.setattr(response, "_helicity_amplitudes", scaled)
+    assert not validation.check_ode_residual(rng).passed
 
 
 def test_helicity_amplitudes_take_one_point():

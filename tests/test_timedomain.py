@@ -15,7 +15,7 @@ from rotospin import (
     force_law_averages,
     torque,
 )
-from rotospin import validation
+from rotospin import timedomain, validation
 
 
 def test_reference_point_matches_closed_forms():
@@ -52,37 +52,56 @@ def test_repeated_calls_are_silent_and_identical():
 
 def test_integrator_failure_names_phase():
     # a field of 1e300 drives a state whose square, and so the averaged
-    # torque and power, overflow: the transient stops with RuntimeError
-    # instead of returning a torque of nan
+    # torque and power, overflow: the pass from rest stops with
+    # RuntimeError instead of returning a torque of nan
     m = OscillatorModel.normalized(0.1)
     with pytest.raises(RuntimeError,
-                       match="transient integration failed: state or "
+                       match="from-rest integration failed: state or "
                              "averages not finite"):
         force_law_averages(m, DriveField.lcp(0.5, 1e300), 0.2)
 
 
-def test_long_transient_memory_is_flat():
-    # gamma = 1e-3 settles over 2e5 steps; the forcing is built in
-    # blocks of steps, where one set of arrays per phase would take tens
+def test_long_window_memory_is_flat():
+    # omega/Omega = 1000/997 closes every beat only after W = 997 pi /
+    # Omega, about 6283, or 25k steps per pass; the forcing is built in
+    # blocks of steps, where one set of arrays per pass would take tens
     # of MB
-    m = OscillatorModel.normalized(1e-3)
+    m = OscillatorModel.normalized(0.1)
     d = DriveField.lcp(0.5)
     tracemalloc.start()
     try:
-        avg = force_law_averages(m, d, 0.2)
+        avg = force_law_averages(m, d, 0.4985)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert avg.window == pytest.approx(997.0 * np.pi / 0.4985, rel=1e-12)
     assert peak < 3e6
-    assert_allclose(avg.torque, torque(m, d, 0.2), rtol=1e-8)
+    assert_allclose(avg.torque, torque(m, d, 0.4985), rtol=1e-11)
 
 
-def test_time_domain_check_catches_uniform_torque_error(monkeypatch):
-    # the oracle reaches about 2e-11, so a closed-form torque off by a
-    # uniform 1e-6 fails the time-domain check
+@pytest.mark.parametrize("d, Om", [
+    (DriveField.lcp(0.5), 0.2),
+    (DriveField(1.2, 0.8 - 0.1j, 0.3 + 0.45j), 0.4),
+], ids=["lcp", "elliptic"])
+def test_small_damping_needs_no_transient(d, Om):
+    # gamma = 1e-3 at both `rotospin validate` drives: free motion would
+    # take thousands of time units to decay, and the steady state is
+    # solved for instead, at the same precision as gamma = 0.1
+    m = OscillatorModel.normalized(1e-3)
+    avg = force_law_averages(m, d, Om)
+    assert_allclose(avg.torque, torque(m, d, Om), rtol=1e-11)
+    closed_power = (cross_section_set(m, d, Om).absorption
+                    * d.intensity(m.light_speed))
+    assert_allclose(avg.absorbed_power, closed_power, rtol=1e-11)
+
+
+@pytest.mark.parametrize("error", [1e-6, 1e-10])
+def test_time_domain_check_catches_uniform_torque_error(monkeypatch, error):
+    # the oracle reaches about 3e-14, so a closed-form torque off by a
+    # uniform 1e-10 fails the time-domain check
     assert validation.check_time_domain(None).passed
     monkeypatch.setattr(validation, "torque",
-                        lambda *a: (1.0 + 1e-6) * torque(*a))
+                        lambda *a: (1.0 + error) * torque(*a))
     assert not validation.check_time_domain(None).passed
 
 
@@ -103,7 +122,20 @@ def test_averaging_window_closes_all_beats():
     avg = force_law_averages(OscillatorModel.normalized(0.1),
                              DriveField.lcp(0.5), 0.2)
     assert avg.window == pytest.approx(np.pi / 0.1, rel=1e-12)
-    assert avg.settle_time == pytest.approx(50.0 / 0.1, rel=1e-12)
+    # over it the forcing changes sign, as (-1)**(p + q) says: 5/2 and
+    # 0/1 (no drive frequency) flip it, 3/1 does not
+    assert timedomain._averaging_window(0.5, 0.2)[1] == -1.0
+    assert timedomain._averaging_window(0.0, 0.3) == (np.pi / 0.3, -1.0)
+    assert timedomain._averaging_window(1.2, 0.4)[1] == 1.0
+
+
+def test_static_rod_in_circular_light():
+    # Omega = 0 averages over pi/omega, where the forcing flips sign
+    m = OscillatorModel.normalized(0.1)
+    d = DriveField.lcp(0.5)
+    avg = force_law_averages(m, d, 0.0)
+    assert avg.window == pytest.approx(np.pi / 0.5, rel=1e-12)
+    assert_allclose(avg.torque, torque(m, d, 0.0), rtol=1e-12)
 
 
 def test_rejects_radiative_term():
