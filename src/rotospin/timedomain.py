@@ -93,7 +93,11 @@ def force_law_averages(model, drive, Omega) -> TimeDomainAverages:
 
     Requires ``tau == 0`` and ``gamma > 0`` (free motion must decay), and
     ``Omega**2 < omega0**2`` so the co-rotating effective spring stays
-    stable; the steady state is then unique and attracting.
+    stable; the steady state is then unique and attracting.  Where
+    ``omega * Omega == 0`` the drive must be circular: the two helicities
+    beat at 2*omega and 2*Omega, so there a beat is static, and the
+    average would keep the phase between rod and field that the closed
+    forms average out.
     """
     if model.radiative_time != 0:
         raise ValueError("time-domain route handles tau = 0 only")
@@ -109,6 +113,10 @@ def force_law_averages(model, drive, Omega) -> TimeDomainAverages:
     Omega = float(Omega)
     ex = complex(drive.amplitude_x)
     ey = complex(drive.amplitude_y)
+    if omega * Omega == 0 and ex + 1j * ey != 0 and ex - 1j * ey != 0:
+        raise ValueError("omega * Omega = 0 with both helicities driven: "
+                         "their beat is static, so the average depends on "
+                         "a phase the closed forms average out")
     window, sign = _averaging_window(omega, Omega)
     # an integer count of steps, so that the window ends exactly.  With e
     # the forcing at a step's stages, its stage states are k_y y + k_e e,

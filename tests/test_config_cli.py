@@ -1079,18 +1079,37 @@ def test_validate_negative_seed_rejected_at_parse(capsys):
 
 _COLD_START = """\
 import sys
+import numpy as np
 import rotospin.cli as cli
+from rotospin import scan
 
 layers = ("cli", "config", "response", "scan", "dynamics", "medium",
           "timedomain", "materials", "validation")
 missing = [m for m in layers if "rotospin." + m not in sys.modules]
 assert not missing, f"not loaded by import rotospin.cli: {{missing}}"
-for argv in {runs!r}:
-    assert cli.main(argv) == 0, argv
 try:
     cli.main(["--help"])
 except SystemExit as exc:
     assert exc.code == 0
+built = (scan._digit_tables.cache_info().currsize,
+         scan._scale_table.cache_info().currsize)
+assert built == (0, 0), f"import and --help built formatter tables: {{built}}"
+
+# the spin-up and amplifier CSVs build the scales of their own exponents
+# alone: each within one of a written value's estimate, or 0, where
+# zeros take the numpy path
+for argv in {writers!r}:
+    assert cli.main(argv) == 0, argv
+written = np.concatenate([np.loadtxt(argv[-1], delimiter=",", skiprows=1)
+                          .ravel() for argv in {writers!r}])
+estimate = np.floor(np.log10(np.abs(written[written != 0]))).astype(int)
+allowed = {{0}} | {{int(x) + d for x in estimate for d in (-1, 0, 1)}}
+scales = scan._scale_table()[0]
+built = set((np.flatnonzero(~np.isnan(scales)) - scan._X_LIMIT).tolist())
+assert built and built <= allowed, sorted(built - allowed)
+
+for argv in {runs!r}:
+    assert cli.main(argv) == 0, argv
 scipy = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 assert not scipy, f"scipy loaded: {{scipy[:5]}}"
 """
@@ -1135,9 +1154,15 @@ _MELT_INI = """\
 def test_every_command_imports_no_scipy(tmp_path):
     # scipy is for the test suite alone, validate's independent references
     # included; the bench tracer needs every layer bound once rotospin.cli
-    # is imported
+    # is imported.  The CSV formatter's tables are built on first use
     spinups = {"target": _SPINUP_INI, "burst": _BURST_INI,
                "melt": _MELT_INI}
+    writers = [
+        ["amplify", "--config", _write(tmp_path, _AMPLIFY_INI, "a.ini"),
+         "--out", str(tmp_path / "gain.csv")],
+    ] + [["spinup", "--config", _write(tmp_path, ini, f"{end}.ini"),
+          "--out", str(tmp_path / f"{end}.csv")]
+         for end, ini in spinups.items()]
     runs = [
         ["point", "--gamma", "0.1", "--omega", "0.5", "--Omega", "0.2"],
         ["scan", "--preset", "fig2", "--omega-count", "4",
@@ -1145,15 +1170,11 @@ def test_every_command_imports_no_scipy(tmp_path):
         ["spectrum", "--preset", "fig3a", "--omega-count", "5",
          "--out", str(tmp_path / "spectrum.csv")],
         ["thermal", "--config", _write(tmp_path, _THERMAL_INI, "t.ini")],
-        ["amplify", "--config", _write(tmp_path, _AMPLIFY_INI, "a.ini"),
-         "--out", str(tmp_path / "gain.csv")],
-    ] + [["spinup", "--config", _write(tmp_path, ini, f"{end}.ini"),
-          "--out", str(tmp_path / f"{end}.csv")]
-         for end, ini in spinups.items()] + [["validate"]]
+        ["validate"]]
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     proc = subprocess.run([sys.executable, "-c",
-                           _COLD_START.format(runs=runs)],
+                           _COLD_START.format(writers=writers, runs=runs)],
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -674,6 +674,38 @@ def test_ode_check_catches_amplitude_error(monkeypatch):
     assert not validation.check_ode_residual(rng).passed
 
 
+def _rotation_even(formula, eps=1e-8):
+    """``formula`` of the kernel times 1 + eps*Omega**2: exact at rest."""
+    if formula is response._brake:
+        # the brake takes no Omega: s.plus - s.minus = 2*Omega
+        return lambda model, s, tp, tm: formula(model, s, tp, tm) * (
+            1 + eps * ((s.plus - s.minus) / 2)**2)
+
+    def perturbed(model, omega, Omega, s, tp, tm):
+        out = formula(model, omega, Omega, s, tp, tm)
+        if isinstance(out, tuple):          # the inelastic pair: plus only
+            return out[0] * (1 + eps * Omega**2), out[1]
+        return out * (1 + eps * Omega**2)
+    return perturbed
+
+
+@pytest.mark.parametrize("name, caught_by", [
+    ("_brake", {"balance-identity", "time-domain-oracle", "scan-roundtrip"}),
+    ("_elastic", {"balance-identity", "scan-roundtrip"}),
+    ("_inelastic", {"balance-identity", "mirror-symmetry"}),
+    ("_absorption", {"balance-identity", "time-domain-oracle",
+                     "scan-roundtrip"}),
+], ids=["brake", "elastic", "inelastic", "absorption"])
+def test_validate_catches_rotation_dependent_formula_error(monkeypatch, name,
+                                                           caught_by):
+    # one channel formula off by a relative 1e-8 * Omega**2, which vanishes
+    # at rest: the checks named must fail, whatever the others read
+    monkeypatch.setattr(response, name,
+                        _rotation_even(getattr(response, name)))
+    failed = {r.name for r in validation.run_all() if not r.passed}
+    assert caught_by <= failed
+
+
 def test_helicity_amplitudes_take_one_point():
     m = OscillatorModel.normalized(0.1, 1e-3)
     with pytest.raises(TypeError):

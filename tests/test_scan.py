@@ -2,6 +2,8 @@
 
 import dataclasses
 import io
+import math
+import struct
 import tracemalloc
 import warnings
 
@@ -219,7 +221,7 @@ def test_csv_bytes_match_per_cell_rendering(tmp_path):
     assert path.read_text() == expect
 
 
-#: row counts on both sides of the writer's 256-row block edges
+#: row counts on both sides of multiples of 256 rows
 _BLOCK_EDGE_ROWS = (0, 1, 255, 256, 257, 513)
 
 #: doubles whose rendering is easiest to get wrong
@@ -260,6 +262,83 @@ def test_write_columns_bytes_match_savetxt(tmp_path, rows, width, seed):
     path = tmp_path / "columns.csv"
     write_columns(path, header, *columns)
     assert path.read_text() == _savetxt_rendering(header, columns)
+
+
+def _bits(pattern):
+    return struct.unpack("<d", struct.pack("<Q", pattern))[0]
+
+
+def _ties(X):
+    """Odd multiples of 2**(X - 17) of decimal exponent X: 18 significant
+    digits ending in 5, an exact tie at the 17th."""
+    lo, hi = 10**X * 2**(17 - X), 10**(X + 1) * 2**(17 - X)
+    return st.integers(math.ceil(lo) // 2, int(hi) // 2 - 1).map(
+        lambda m: (2 * m + 1) * 2.0**(X - 17))
+
+
+def _neighbours(x):
+    return st.sampled_from([np.nextafter(x, -np.inf), x,
+                            np.nextafter(x, np.inf)]).map(float)
+
+
+#: the inputs where the numpy formatting is easiest to get wrong
+_HARD_DOUBLES = st.one_of(
+    # NaN payloads, +-inf, +-0, subnormals and raw bit patterns
+    st.integers(1, 2**52 - 1).flatmap(lambda m: st.sampled_from(
+        [_bits(0x7FF << 52 | m), _bits(0xFFF << 52 | m), _bits(m),
+         _bits(1 << 63 | m)])),
+    st.sampled_from([math.inf, -math.inf, 0.0, -0.0]),
+    st.integers(0, 2**64 - 1).map(_bits),
+    # the ends of the numpy path and powers of ten inside it
+    st.sampled_from([1e280, -1e280, 1e-280, -1e-280]).flatmap(_neighbours),
+    st.integers(-279, 279).flatmap(lambda k: _neighbours(float(f"1e{k}"))),
+    # 17 nines: a carry into an 18th digit
+    st.integers(-300, 291).flatmap(
+        lambda k: _neighbours(float(f"99999999999999999e{k}"))),
+    st.integers(-3, 10).flatmap(_ties),
+    st.tuples(st.floats(-1e6, 1e6), st.integers(0, 17)).map(
+        lambda t: round(*t)),
+    st.integers(-10**18, 10**18).map(float),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.lists(_HARD_DOUBLES, min_size=1, max_size=40))
+def test_write_columns_formats_each_value_as_percent_17g(tmp_path, values):
+    path = tmp_path / "values.csv"
+    write_columns(path, ("x",), np.array(values))
+    assert path.read_text().splitlines() == ["x"] + [
+        "%.17g" % x for x in values]
+
+
+def test_write_columns_formats_every_power_of_ten(tmp_path):
+    # the doubles nearest 1e-14 and 1e98, among others, lie within half a
+    # unit of the 17th digit below the power: their digits carry into 1e+k
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    values = np.concatenate([np.nextafter(powers, 0), powers,
+                             np.nextafter(powers, np.inf)])
+    path = tmp_path / "powers.csv"
+    write_columns(path, ("x", "minus_x"), values, -values)
+    assert path.read_text().splitlines() == ["x,minus_x"] + [
+        "%.17g,%.17g" % (x, -x) for x in values.tolist()]
+
+
+def test_exact_tie_rounds_to_even(tmp_path):
+    # 131073/131072 = 1.00000762939453125: the 17th digit stays even
+    path = tmp_path / "tie.csv"
+    write_columns(path, ("x",), np.array([131073 / 131072]))
+    assert path.read_text() == "x\n1.0000076293945312\n"
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, scan._BLOCK_ROWS + 1])
+def test_write_columns_across_block_edges(tmp_path, extra):
+    rows = scan._BLOCK_ROWS + extra
+    rng = np.random.default_rng(rows)
+    columns = [_edge_doubles(rng, rows), rng.standard_normal(rows)]
+    path = tmp_path / "columns.csv"
+    write_columns(path, ("a", "b"), *columns)
+    assert path.read_text() == _savetxt_rendering(("a", "b"), columns)
 
 
 def _grid_rendering(grid):

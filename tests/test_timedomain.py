@@ -138,6 +138,33 @@ def test_static_rod_in_circular_light():
     assert_allclose(avg.torque, torque(m, d, 0.0), rtol=1e-12)
 
 
+@pytest.mark.parametrize("drive, Omega", [
+    (DriveField(0.5, 0.3 + 0.1j, 0.2 - 0.4j), 0.0),
+    (DriveField(0.0, 0.3 + 0.1j, 0.2 - 0.4j), 0.3),
+    (DriveField.linear(0.5), 0.0),
+], ids=["elliptic-static-rod", "elliptic-static-field", "linear-static-rod"])
+def test_rejects_both_helicities_where_a_beat_is_static(drive, Omega):
+    # the helicities beat at 2*omega and 2*Omega; a static beat keeps the
+    # phase between rod and field, so the averages (torque 0.0283 against
+    # -0.0248, power 0.00348 against 0.00401, power 0.0885 against 0.0442)
+    # differ from the closed forms, which average that phase out
+    with pytest.raises(ValueError, match="both helicities"):
+        force_law_averages(OscillatorModel.normalized(0.1), drive, Omega)
+
+
+@pytest.mark.parametrize("drive, Omega", [
+    (DriveField.rcp(0.5), 0.0), (DriveField.lcp(0.0), 0.3),
+    (DriveField.rcp(0.0), -0.3),
+], ids=["rcp-static-rod", "lcp-static-field", "rcp-static-field"])
+def test_one_helicity_where_a_beat_would_be_static(drive, Omega):
+    m = OscillatorModel.normalized(0.1)
+    avg = force_law_averages(m, drive, Omega)
+    assert_allclose(avg.torque, torque(m, drive, Omega), rtol=1e-12)
+    closed_power = (cross_section_set(m, drive, Omega).absorption
+                    * drive.intensity(m.light_speed))
+    assert_allclose(avg.absorbed_power, closed_power, rtol=1e-12)
+
+
 def test_rejects_radiative_term():
     m = OscillatorModel.normalized(0.1, 1e-3)
     with pytest.raises(ValueError, match="tau"):
