@@ -119,7 +119,9 @@ def _add_flags(p, rows):
 
 
 def _seed(text):
-    """--seed: numpy's default_rng takes non-negative integers only."""
+    """--seed: a non-negative integer.  ``random.Random(-n)`` seeds the
+    same stream as ``random.Random(n)``, so a negative seed would silently
+    repeat a positive one."""
     try:
         seed = int(text)
     except ValueError:

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -340,6 +341,12 @@ def _brake(model, s, tp, tm):
             + (gamma * s.minus + tau * s.minus2**3) * tm)
 
 
+def _torque(model, omega, Omega, s, tp, tm, e2):
+    """Torque from the brake; ``e2`` = |E|^2 restores the field strength
+    that the weights divide out."""
+    return 0.5 * model.coupling * e2 * _brake(model, s, tp, tm)
+
+
 def _mechanical(model, omega, Omega, s, tp, tm):
     return (np.pi * model.coupling * Omega / model.light_speed
             * _brake(model, s, tp, tm))
@@ -388,9 +395,8 @@ def torque(model: OscillatorModel, drive: DriveField, Omega):
         if not math.isfinite(Omega):
             raise ValueError("Omega must be finite")
         return 0.0
-    return _evaluate(lambda m, w, Om, s, tp, tm:
-                     0.5 * m.coupling * e2 * _brake(m, s, tp, tm),
-                     model, drive, Omega, e2)
+    return _evaluate(functools.partial(_torque, e2=e2), model, drive, Omega,
+                     e2)
 
 
 def absorption_cross_section(model, drive, Omega):

@@ -1062,8 +1062,9 @@ def test_validate_passes(capsys):
 
 
 def test_validate_negative_seed_rejected_at_parse(capsys):
-    # numpy's default_rng takes only non-negative seeds; a seed that is no
-    # integer fails the same way
+    # random.Random(-n) seeds the stream of random.Random(n), so a negative
+    # seed would silently repeat a positive one; a seed that is no integer
+    # fails the same way
     for seed in ("-1", "abc"):
         with pytest.raises(SystemExit) as info:
             cli.main(["validate", "--seed", seed])
@@ -1112,6 +1113,8 @@ for argv in {runs!r}:
     assert cli.main(argv) == 0, argv
 scipy = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 assert not scipy, f"scipy loaded: {{scipy[:5]}}"
+# validate draws its points from Python's random module
+assert "numpy.random" not in sys.modules, "numpy.random loaded"
 """
 
 
@@ -1153,8 +1156,9 @@ _MELT_INI = """\
 
 def test_every_command_imports_no_scipy(tmp_path):
     # scipy is for the test suite alone, validate's independent references
-    # included; the bench tracer needs every layer bound once rotospin.cli
-    # is imported.  The CSV formatter's tables are built on first use
+    # included, and no command needs numpy.random; the bench tracer needs
+    # every layer bound once rotospin.cli is imported.  The CSV formatter's
+    # tables are built on first use
     spinups = {"target": _SPINUP_INI, "burst": _BURST_INI,
                "melt": _MELT_INI}
     writers = [

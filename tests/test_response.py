@@ -2,6 +2,8 @@
 cross sections, the energy balance, the helicity amplitudes and the
 dipole spectrum, and the singular-resonance handling."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -663,7 +665,7 @@ def test_ode_residual_overflowing_amplitude_is_singular():
 def test_ode_check_catches_amplitude_error(monkeypatch):
     # the closed form solves the radial equation to about 1e-16, so both
     # helicity amplitudes off by a uniform 1e-12 fail the check
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     assert validation.check_ode_residual(rng).passed
 
     def scaled(*args):
@@ -681,8 +683,8 @@ def _rotation_even(formula, eps=1e-8):
         return lambda model, s, tp, tm: formula(model, s, tp, tm) * (
             1 + eps * ((s.plus - s.minus) / 2)**2)
 
-    def perturbed(model, omega, Omega, s, tp, tm):
-        out = formula(model, omega, Omega, s, tp, tm)
+    def perturbed(model, omega, Omega, s, tp, tm, **e2):   # torque: |E|^2
+        out = formula(model, omega, Omega, s, tp, tm, **e2)
         if isinstance(out, tuple):          # the inelastic pair: plus only
             return out[0] * (1 + eps * Omega**2), out[1]
         return out * (1 + eps * Omega**2)
@@ -695,7 +697,8 @@ def _rotation_even(formula, eps=1e-8):
     ("_inelastic", {"balance-identity", "mirror-symmetry"}),
     ("_absorption", {"balance-identity", "time-domain-oracle",
                      "scan-roundtrip"}),
-], ids=["brake", "elastic", "inelastic", "absorption"])
+    ("_torque", {"time-domain-oracle"}),
+], ids=["brake", "elastic", "inelastic", "absorption", "torque"])
 def test_validate_catches_rotation_dependent_formula_error(monkeypatch, name,
                                                            caught_by):
     # one channel formula off by a relative 1e-8 * Omega**2, which vanishes
