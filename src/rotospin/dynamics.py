@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .response import DriveField, OscillatorModel, absorption_cross_section, torque
+from .response import (DriveField, OscillatorModel, _is_array,
+                       absorption_cross_section, torque)
 
 
 class UnreachableTargetError(ValueError):
@@ -165,12 +166,30 @@ class SpinUpTrajectory:
 
 
 def equilibrium_temperature(thermal: ThermalParams, absorbed_power):
-    """T_eq = (T0^6 + P/C_rad)^(1/6); exactly T0 at zero power."""
-    p = np.asarray(absorbed_power, dtype=float)
-    if np.any(p < 0):
-        raise ValueError("absorbed_power must be non-negative")
+    """T_eq = (T0^6 + P/C_rad)^(1/6); exactly T0 at zero power.
+
+    Takes a point (a Python or numpy scalar, or a 0-d array), which
+    returns a float, or an array, which returns an array.  Raises
+    ValueError where a power is negative or NaN; an infinite power gives
+    an infinite temperature.
+    """
     t0 = thermal.ambient_temperature
     c_rad = thermal.radiative_coefficient
+    if not _is_array(absorbed_power):
+        p = float(absorbed_power)
+        if p == 0.0:
+            return float(t0)
+        ratio = p / c_rad
+        if p > 0.0 and ratio < math.inf:
+            # libm's pow: numpy's pow of an array may round the last bit
+            # apart from it
+            return float((t0**6 + ratio) ** (1.0 / 6.0))
+        # a negative or NaN power raises, and an overflowing ratio takes
+        # the array route's branch
+        return float(equilibrium_temperature(thermal, np.array([p]))[0])
+    p = np.asarray(absorbed_power, dtype=float)
+    if not np.all(p >= 0):
+        raise ValueError("absorbed_power must be non-negative, not NaN")
     with np.errstate(over="ignore"):
         ratio = p / c_rad
     # zero-power shortcut: (T0^6)^(1/6) would lose the last bit
@@ -181,7 +200,7 @@ def equilibrium_temperature(thermal: ThermalParams, absorbed_power):
         # r = (P/C_rad)^(1/6) taken root by root
         r = p[huge] ** (1.0 / 6.0) / c_rad ** (1.0 / 6.0)
         out[huge] = r * (1.0 + (t0 / r) ** 6) ** (1.0 / 6.0)
-    return float(out) if out.ndim == 0 else out
+    return out
 
 
 def centrifugal_burst_frequency(body: RigidBodyParams):
@@ -193,7 +212,7 @@ def centrifugal_burst_frequency(body: RigidBodyParams):
     if body.surface_tension is None or body.radius is None:
         raise ValueError("burst estimate needs radius and surface_tension")
     surface_energy = 4.0 * np.pi * body.radius**2 * body.surface_tension
-    return float(np.sqrt(2.0 * surface_energy / body.moment_of_inertia))
+    return math.sqrt(2.0 * surface_energy / body.moment_of_inertia)
 
 
 def spin_up_trajectory(model: OscillatorModel, drive: DriveField,
@@ -297,7 +316,7 @@ def _time_table(model, drive, body, Omega_target, Omega_init):
     within _EPSREL relative; otherwise they are the next round's open
     panels.
     """
-    if not np.isfinite([Omega_target, Omega_init]).all():
+    if not (math.isfinite(Omega_target) and math.isfinite(Omega_init)):
         raise ValueError("Omega_target and Omega_init must be finite")
     weights, parts, _, _ = _rule()
     lo = np.array([Omega_init], dtype=float)

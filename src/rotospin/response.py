@@ -203,19 +203,17 @@ class DriveField:
         return dataclasses.replace(self, amplitude_y=-self.amplitude_y)
 
 
-@dataclass(frozen=True)
 class _Shifted:
     """Rotation-shifted drive frequencies."""
 
-    plus: float      # w + Omega
-    minus: float     # w - Omega
-    plus2: float     # w + 2*Omega
-    minus2: float    # w - 2*Omega
+    __slots__ = ("plus", "minus", "plus2", "minus2")
 
-
-def _shifted(omega, Omega) -> _Shifted:
-    twice = 2.0 * Omega
-    return _Shifted(omega + Omega, omega - Omega, omega + twice, omega - twice)
+    def __init__(self, omega, Omega):
+        twice = 2.0 * Omega
+        self.plus = omega + Omega
+        self.minus = omega - Omega
+        self.plus2 = omega + twice
+        self.minus2 = omega - twice
 
 
 def _denominators(model, s, Omega):
@@ -227,12 +225,9 @@ def _denominators(model, s, Omega):
     osq3 = 3.0 * osq
     gamma = model.damping_rate
     tau = model.radiative_time
-
-    def one(ws):
-        return (spring - ws * (ws + 1j * gamma)
-                - 1j * tau * ws * (ws**2 + osq3))
-
-    return one(s.plus), one(s.minus)
+    wp, wm = s.plus, s.minus
+    return (spring - wp * (wp + 1j * gamma) - 1j * tau * wp * (wp**2 + osq3),
+            spring - wm * (wm + 1j * gamma) - 1j * tau * wm * (wm**2 + osq3))
 
 
 @dataclass(frozen=True)
@@ -271,13 +266,14 @@ class CrossSectionSet:
         }
 
 
-def _weights(model, drive, Omega, e2=None):
+def _weights(model, drive, Omega, e2=None, point=False):
     """(omega, Omega, s, t_plus, t_minus): the drive and rotation
     frequencies, the shifted frequencies ``s`` and the weighted inverse
     denominators t_pm = |E_pm/E|^2 / |d_pm|^2 (``e2`` = |E|^2, when the
-    caller has it).  At a point, omega and Omega are Python floats and so
-    is every result; otherwise both are numpy arrays, and numpy's warnings
-    must be off.
+    caller has it).  At a ``point``, where the drive frequency and Omega
+    are both scalars, omega and Omega are Python floats and so is every
+    result; otherwise both are numpy arrays, and numpy's warnings must be
+    off.
 
     A channel the drive does not excite weighs 0 even on its resonance.
     A point is singular where an excited channel's weight is inf: its
@@ -289,7 +285,6 @@ def _weights(model, drive, Omega, e2=None):
     if e2 == 0:
         raise ValueError("drive field has zero amplitude")
     omega = drive.frequency
-    point = not (_is_array(omega) or _is_array(Omega))
     if point:
         omega, Omega = float(omega), float(Omega)
         if not math.isfinite(Omega):
@@ -297,7 +292,7 @@ def _weights(model, drive, Omega, e2=None):
     else:
         # a scalar operand too: Python's ** raises where numpy gives inf
         omega, Omega = np.asarray(omega, float), np.asarray(Omega, float)
-    s = _shifted(omega, Omega)
+    s = _Shifted(omega, Omega)
     weights = []
     for e, d in zip((drive.e_plus, drive.e_minus),
                     _denominators(model, s, Omega)):
@@ -323,7 +318,7 @@ def _evaluate(formula, model, drive, Omega, e2=None):
             omega, Omega, s, tp, tm = _weights(model, drive, Omega, e2)
             tp, tm = (np.where(np.isinf(t), np.nan, t) for t in (tp, tm))
             return formula(model, omega, Omega, s, tp, tm)
-    omega, Omega, s, tp, tm = _weights(model, drive, Omega, e2)
+    omega, Omega, s, tp, tm = _weights(model, drive, Omega, e2, point=True)
     if tp == math.inf or tm == math.inf:
         raise SingularResonanceError(_SINGULAR_MSG)
     out = formula(model, omega, Omega, s, tp, tm)
@@ -433,7 +428,7 @@ def _helicity_amplitudes(model, drive, Omega):
     omega, Omega = float(drive.frequency), float(Omega)
     if not math.isfinite(Omega):
         raise ValueError("Omega must be finite")
-    s = _shifted(omega, Omega)
+    s = _Shifted(omega, Omega)
     amplitudes = []
     for e, d in zip((drive.e_plus, drive.e_minus),
                     _denominators(model, s, Omega)):
@@ -459,19 +454,23 @@ def radial_ode_residual(model, drive, Omega, t):
     normalized by the sum of the magnitudes of all contributions, making
     10^-16-level output the signature of a correct steady state; Q/m
     multiplies every term and cancels from it.  ``t`` may be an array,
-    but the drive frequency and ``Omega`` are one point (an array raises
-    numpy's TypeError).
+    which returns an array, or a scalar, which runs in Python floats and
+    complexes and returns a float; the drive frequency and ``Omega`` are
+    one point (an array raises numpy's TypeError).
     """
     _, Omega, s, a_plus, a_minus = _helicity_amplitudes(model, drive, Omega)
     w0sq = model.natural_frequency**2
     gamma = model.damping_rate
     tau = model.radiative_time
 
-    t = np.asarray(t, dtype=float)
+    if _is_array(t):
+        t, exp = np.asarray(t, dtype=float), np.exp
+    else:
+        t, exp = float(t), cmath.exp
     lhs = 0.0
     scale = 0.0
     for a, w in ((a_plus, s.plus), (a_minus, s.minus)):
-        ph = np.exp(-1j * w * t)
+        ph = exp(-1j * w * t)
         rho = (a * ph).real
         rho1 = (-1j * w * a * ph).real
         rho2 = ((-1j * w) ** 2 * a * ph).real
@@ -481,13 +480,12 @@ def radial_ode_residual(model, drive, Omega, t):
         scale = scale + abs(a) * (w0sq + Omega**2 + w**2 + gamma * abs(w)
                                   + tau * (abs(w) ** 3
                                            + 3.0 * Omega**2 * abs(w)))
-    forcing = ((drive.e_plus * np.exp(-1j * s.plus * t)).real
-               + (drive.e_minus * np.exp(-1j * s.minus * t)).real)
+    forcing = ((drive.e_plus * exp(-1j * s.plus * t)).real
+               + (drive.e_minus * exp(-1j * s.minus * t)).real)
     scale = scale + (abs(drive.e_plus) + abs(drive.e_minus))
     if scale == 0:
-        return 0.0 if np.ndim(t) == 0 else np.zeros_like(t)
-    out = np.abs(lhs - forcing) / scale
-    return float(out) if np.ndim(out) == 0 else out
+        return 0.0 if type(t) is float else np.zeros_like(t)
+    return abs(lhs - forcing) / scale
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 """Spin-up by quadrature in Omega, its cross-check against a time-stepped
 ODE, radiative heating, and the centrifugal break-up estimate."""
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -99,6 +102,71 @@ def test_equilibrium_temperature_power_ratio_beyond_doubles():
 def test_equilibrium_temperature_rejects_negative_power():
     with pytest.raises(ValueError):
         equilibrium_temperature(ThermalParams(300.0, 1.0), -1.0)
+
+
+@pytest.mark.parametrize("power", [np.nan, np.array([1.0, np.nan])],
+                         ids=["point", "array"])
+def test_equilibrium_temperature_rejects_nan_power(power):
+    with pytest.raises(ValueError, match="absorbed_power"):
+        equilibrium_temperature(ThermalParams(300.0, 1.0), power)
+
+
+def test_equilibrium_temperature_infinite_power_is_infinite():
+    th = ThermalParams(300.0, 1.0)
+    assert equilibrium_temperature(th, np.inf) == np.inf
+    assert equilibrium_temperature(th, np.array([np.inf]))[0] == np.inf
+
+
+_POINT_KINDS = (float, np.float64, np.asarray)
+
+
+def _check_point(th, power):
+    """equilibrium_temperature at a point, given as each kind of scalar,
+    is a float.  At zero power and where P/C_rad overflows it has the bits
+    of the array route's element.  Elsewhere it is libm's sixth root, as
+    the point always was, within an ulp of the array route, whose numpy
+    pow may be vectorized and round the last bit otherwise."""
+    element = equilibrium_temperature(th, np.array([power]))[0]
+    t0, c_rad = th.ambient_temperature, th.radiative_coefficient
+    ratio = power / c_rad
+    if power == 0.0 or ratio == np.inf:
+        expected = element
+    else:
+        expected = (t0**6 + ratio) ** (1.0 / 6.0)
+        assert abs(expected - element) <= np.spacing(element)
+    for kind in _POINT_KINDS:
+        got = equilibrium_temperature(th, kind(power))
+        assert type(got) is float
+        assert got == expected, (kind, power, got, expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ambient=st.floats(0.0, 1e4),
+       coefficient_exp=st.floats(-320.0, 10.0),
+       power=st.one_of(st.just(0.0), st.floats(0.0, 1e300),
+                       st.floats(0.0, 1.0)))
+def test_equilibrium_temperature_point_route(ambient, coefficient_exp,
+                                             power):
+    _check_point(ThermalParams(ambient, 10.0 ** coefficient_exp), power)
+
+
+def test_equilibrium_temperature_point_keeps_its_bits():
+    # the overflowing-ratio branch and zero power at a point
+    th = ThermalParams(3.0, 1e-320)
+    for power in (0.0, 1e-300, 0.25, 1e300):
+        _check_point(th, power)
+    # powers where Python's ** and numpy's pow ufunc round the sixth root
+    # differently, on hosts whose numpy pow is vectorized: the point keeps
+    # libm's bits
+    th = ThermalParams(300.0, 1e-16)
+    rng = random.Random(20)
+    powers = [rng.uniform(0.0, 50.0) for _ in range(20000)]
+    x = [th.ambient_temperature**6 + p / th.radiative_coefficient
+         for p in powers]
+    differ = [p for p, xi, u in zip(powers, x, np.power(x, 1.0 / 6.0))
+              if xi ** (1.0 / 6.0) != u]
+    for power in differ + powers[:100]:
+        _check_point(th, power)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +475,38 @@ _BENCH_MELT_RUNS = [
      1.6864130670965651, 328.312065421087, 270.72279539350785,
      5.653429895766003e-16, 0.11997281814733483, 0.6922469859017218),
 ]
+
+
+# terminal rotation and time of one run of each outcome, as they were
+# before points of the melt search ran in plain floats; the melt search
+# mixes the scalar overheat(Omega) with the sampled array
+_PINNED_RUNS = {
+    "melt": ("0x1.efc4d02c83fa9p-2", "0x1.2c630fee89023p+5"),
+    "burst": ("0x1.9c32fc336ee45p-4", "0x1.1d0a73b3aef18p+4"),
+    "target": ("0x1.3333333333333p-3", "0x1.1ffba1b478f5fp+2"),
+}
+
+
+@pytest.mark.parametrize("outcome", sorted(_PINNED_RUNS))
+def test_pinned_spin_up_ends(outcome):
+    gamma, tau, omega, i_mom, t_melt, t0, c_rad, om_init, om_target = (
+        _BENCH_MELT_RUNS[0])
+    m = OscillatorModel.normalized(0.1, 1e-3)
+    d = DriveField.lcp(0.5)
+    if outcome == "melt":
+        traj = spin_up_trajectory(
+            OscillatorModel.normalized(gamma, tau), DriveField.lcp(omega),
+            RigidBodyParams(i_mom, melting_temperature=t_melt), om_init,
+            om_target, thermal=ThermalParams(t0, c_rad))
+    elif outcome == "burst":
+        body = RigidBodyParams.solid_sphere(3.0, 1.2, surface_tension=0.0035)
+        traj = spin_up_trajectory(m, d, body, 0.0, 0.2)
+    else:
+        traj = spin_up_trajectory(m, d, RigidBodyParams(2.0), 0.01, 0.15)
+    assert traj.outcome == outcome
+    rotation, time = _PINNED_RUNS[outcome]
+    assert traj.terminal_rotation == float.fromhex(rotation)
+    assert traj.terminal_time == float.fromhex(time)
 
 
 @pytest.mark.parametrize("run", _BENCH_MELT_RUNS, ids=["s107-380", "s203-150"])

@@ -25,8 +25,8 @@ from rotospin import (
     torque,
 )
 from rotospin import response, validation
-from rotospin.response import (_denominators, _helicity_amplitudes,
-                               _shifted, _weights)
+from rotospin.response import (_Shifted, _denominators, _helicity_amplitudes,
+                               _weights)
 
 # reference point used throughout: omega = 0.5, Omega = 0.2, gamma = 0.1,
 # tau = 0, LCP drive with |E| = 1 (normalized units)
@@ -40,13 +40,13 @@ OMEGA_ROT = 0.2
 
 
 def test_shifted_frequencies():
-    s = _shifted(0.5, 0.2)
+    s = _Shifted(0.5, 0.2)
     assert_allclose([s.plus, s.minus, s.plus2, s.minus2],
                     [0.7, 0.3, 0.9, 0.1], rtol=1e-15)
 
 
 def test_shifted_frequencies_signed():
-    s = _shifted(1.0, -0.3)
+    s = _Shifted(1.0, -0.3)
     assert_allclose([s.plus, s.minus, s.plus2, s.minus2],
                     [0.7, 1.3, 0.4, 1.6], rtol=1e-15)
 
@@ -99,7 +99,7 @@ def test_mirrored_swaps_helicities():
 
 def _d_pm(model, omega, Omega):
     """(d_plus, d_minus) at one (omega, Omega) point."""
-    return _denominators(model, _shifted(omega, Omega), Omega)
+    return _denominators(model, _Shifted(omega, Omega), Omega)
 
 
 def test_denominator_reference_values():
@@ -651,6 +651,26 @@ def test_ode_residual_property(gamma, tau, w, Om, t):
     except SingularResonanceError:
         return
     assert res < 1e-10
+
+
+@settings(max_examples=300, deadline=None)
+@given(point=_points(), exr=amps, exi=amps, eyr=amps, eyi=amps,
+       t=st.floats(min_value=0.0, max_value=30.0), t_kind=_KINDS)
+def test_ode_residual_at_one_time_matches_an_array_of_times(
+        point, exr, exi, eyr, eyi, t, t_kind):
+    model, omega, Omega = point
+    drive = _drive(omega, exr, exi, eyr, eyi)
+    try:
+        element = radial_ode_residual(model, drive, Omega, np.array([t]))[0]
+    except (SingularResonanceError, OverflowError) as exc:
+        with pytest.raises(type(exc)):
+            radial_ode_residual(model, drive, Omega, t_kind(t))
+        return
+    got = radial_ode_residual(model, drive, Omega, t_kind(t))
+    assert type(got) is float
+    # numpy's complex product of arrays may round apart from the scalar
+    # formula; the residual is in units of the sum of all the terms
+    assert abs(got - element) <= 1e-15
 
 
 def test_ode_residual_overflowing_amplitude_is_singular():

@@ -62,15 +62,28 @@ def test_sign_structure_counts_the_cells_off_sign(monkeypatch):
     assert result.detail.startswith(f"{64 * 64 - 64} of ")
 
 
-def test_mapping_consistency_reports_its_largest_difference(monkeypatch):
+def _mapping_check_with_coupling_off_by(monkeypatch, error):
+    """check_mapping_consistency with the ellipsoid mapping's coupling
+    scaled by 1 + error."""
     ellipsoid = validation.from_drude_ellipsoid
 
     def off(*args, **kwargs):
         m = ellipsoid(*args, **kwargs)
-        return dataclasses.replace(m, coupling=m.coupling * (1 + 1e-6))
+        return dataclasses.replace(m, coupling=m.coupling * (1 + error))
 
     assert validation.check_mapping_consistency(None).passed
     monkeypatch.setattr(validation, "from_drude_ellipsoid", off)
-    result = validation.check_mapping_consistency(None)
+    return validation.check_mapping_consistency(None)
+
+
+def test_mapping_consistency_reports_its_largest_difference(monkeypatch):
+    result = _mapping_check_with_coupling_off_by(monkeypatch, 1e-6)
     assert not result.passed
     assert result.detail.startswith("max relative difference 1.000e-06")
+
+
+def test_mapping_consistency_gates_the_relative_difference(monkeypatch):
+    # 5e-9 is well inside an absolute 1e-8, but far above the 1e-14 gate
+    result = _mapping_check_with_coupling_off_by(monkeypatch, 5e-9)
+    assert result.detail.startswith("max relative difference 5.000e-09")
+    assert not result.passed
