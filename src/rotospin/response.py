@@ -61,7 +61,9 @@ class SingularResonanceError(ValueError):
     co-rotating drive component is static in the rotating frame, every
     damping term carries a factor omega -/+ Omega, and the effective
     spring omega0^2 - Omega^2 is gone, so the displacement grows without
-    bound.
+    bound.  A point and an array agree there: both square omega0 and
+    Omega by multiplication, so the spring is exactly 0 in each, the
+    point raises and the array's cell is NaN.
     """
 
 
@@ -216,18 +218,26 @@ class _Shifted:
         self.minus2 = omega - twice
 
 
-def _denominators(model, s, Omega):
-    """(d_plus, d_minus) from the shifted frequencies ``s``:
-    d_pm = omega0^2 - Omega^2 - w_pm(w_pm + i*gamma)
-    - i*tau*w_pm*(w_pm^2 + 3*Omega^2) (rad^2/s^2)."""
-    osq = Omega**2
-    spring = model.natural_frequency**2 - osq
+def _denominators(model, s, Omega, plus, minus):
+    """Parts (A, B) of d_pm = A - i*B = omega0^2 - Omega^2
+    - w_pm(w_pm + i*gamma) - i*tau*w_pm*(w_pm^2 + 3*Omega^2) (rad^2/s^2)
+    from the shifted frequencies ``s``, for each helicity whose flag is
+    true, else None.  The operations are the complex product's, whose
+    other terms are exact zeros: complex(A, 0.0 - B) is that product bit
+    for bit wherever it is finite."""
+    # x*x, not x**2: libm's pow may round apart from numpy's square, and
+    # the spring must vanish alike at a point and in an array
+    osq = Omega * Omega
+    w0 = model.natural_frequency
+    spring = w0 * w0 - osq
     osq3 = 3.0 * osq
     gamma = model.damping_rate
     tau = model.radiative_time
-    wp, wm = s.plus, s.minus
-    return (spring - wp * (wp + 1j * gamma) - 1j * tau * wp * (wp**2 + osq3),
-            spring - wm * (wm + 1j * gamma) - 1j * tau * wm * (wm**2 + osq3))
+    parts = []
+    for w, on in ((s.plus, plus), (s.minus, minus)):
+        parts.append((spring - w * w, w * gamma + tau * w * (w**2 + osq3))
+                     if on else None)
+    return parts
 
 
 @dataclass(frozen=True)
@@ -275,10 +285,12 @@ def _weights(model, drive, Omega, e2=None, point=False):
     result; otherwise both are numpy arrays, and numpy's warnings must be
     off.
 
-    A channel the drive does not excite weighs 0 even on its resonance.
-    A point is singular where an excited channel's weight is inf: its
-    |d|^2 is zero, or so small that the quotient overflows.  A NaN weight
-    is an overflow of the denominator itself, not a resonance.
+    Each excited channel's |d|^2 is A*A + B*B from ``_denominators``; a
+    channel the drive does not excite is not evaluated and weighs 0 even
+    on its resonance.  A point is singular where an excited channel's
+    weight is inf: its |d|^2 is zero, or so small that the quotient
+    overflows.  A NaN weight is an overflow inside A or B (inf - inf or
+    0*inf), not a resonance.
     """
     if e2 is None:
         e2 = drive.field_norm_sq
@@ -293,17 +305,14 @@ def _weights(model, drive, Omega, e2=None, point=False):
         # a scalar operand too: Python's ** raises where numpy gives inf
         omega, Omega = np.asarray(omega, float), np.asarray(Omega, float)
     s = _Shifted(omega, Omega)
-    weights = []
-    for e, d in zip((drive.e_plus, drive.e_minus),
-                    _denominators(model, s, Omega)):
-        w = abs(e) ** 2 / e2
-        if w == 0.0:
-            weights.append(0.0)
-            continue
-        # re*re, not re**2, which raises at a point: an overflowing |d|^2
-        # is inf, and its weight 0
-        d2 = d.real * d.real + d.imag * d.imag
-        weights.append(math.inf if point and d2 == 0.0 else w / d2)
+    weights = [abs(drive.e_plus) ** 2 / e2, abs(drive.e_minus) ** 2 / e2]
+    for k, parts in enumerate(_denominators(model, s, Omega, *weights)):
+        if parts is not None:
+            # a*a, not a**2, which raises at a point: an overflowing |d|^2
+            # is inf, and its weight 0
+            a, b = parts
+            d2 = a * a + b * b
+            weights[k] = math.inf if point and d2 == 0.0 else weights[k] / d2
     return omega, Omega, s, *weights
 
 
@@ -423,21 +432,28 @@ def _helicity_amplitudes(model, drive, Omega):
 
     An unexcited channel is 0j even on its resonance.  An excited one
     raises SingularResonanceError where d_pm is zero, or so small that
-    E_pm/d_pm is not finite.  An array operand raises numpy's TypeError.
+    E_pm/d_pm is not finite, and OverflowError where that quotient is not
+    finite because d_pm is not.  An array operand raises numpy's
+    TypeError.
     """
     omega, Omega = float(drive.frequency), float(Omega)
     if not math.isfinite(Omega):
         raise ValueError("Omega must be finite")
     s = _Shifted(omega, Omega)
+    fields = drive.e_plus, drive.e_minus
     amplitudes = []
-    for e, d in zip((drive.e_plus, drive.e_minus),
-                    _denominators(model, s, Omega)):
-        if e == 0:
+    for e, parts in zip(fields, _denominators(model, s, Omega, *fields)):
+        if parts is None:
             amplitudes.append(0j)
-        elif d == 0 or not cmath.isfinite(e / d):
+            continue
+        # 0.0 - B keeps the complex product's +0.0 where B is -0.0
+        d = complex(parts[0], 0.0 - parts[1])
+        if d == 0 or not cmath.isfinite(e / d):
+            if not cmath.isfinite(d):
+                raise OverflowError("a response denominator overflows a "
+                                    "double")
             raise SingularResonanceError(_SINGULAR_MSG)
-        else:
-            amplitudes.append(e / d)
+        amplitudes.append(e / d)
     return omega, Omega, s, *amplitudes
 
 

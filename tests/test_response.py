@@ -2,11 +2,14 @@
 cross sections, the energy balance, the helicity amplitudes and the
 dipole spectrum, and the singular-resonance handling."""
 
+import cmath
+import dataclasses
+import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from rotospin import (
@@ -98,8 +101,10 @@ def test_mirrored_swaps_helicities():
 
 
 def _d_pm(model, omega, Omega):
-    """(d_plus, d_minus) at one (omega, Omega) point."""
-    return _denominators(model, _Shifted(omega, Omega), Omega)
+    """(d_plus, d_minus) at one (omega, Omega) point, each A - i*B."""
+    return tuple(complex(a, 0.0 - b) for a, b in
+                 _denominators(model, _Shifted(omega, Omega), Omega,
+                               True, True))
 
 
 def test_denominator_reference_values():
@@ -521,6 +526,74 @@ def test_point_matches_one_element_array(point, pol, exr, exi, eyr, eyi,
             assert abs(g - e) <= 1e-14 * max(abs(g), abs(e), s)
 
 
+def _d_ref(model, omega, Omega):
+    """(d_plus, d_minus) as one complex formula, each square taken by
+    multiplication; points in Python complexes, arrays in numpy."""
+    osq = Omega * Omega
+    w0 = model.natural_frequency
+    spring = w0 * w0 - osq
+    osq3 = 3.0 * osq
+    gamma = model.damping_rate
+    tau = model.radiative_time
+    return tuple(spring - w * (w + 1j * gamma) - 1j * tau * w * (w**2 + osq3)
+                 for w in (omega + Omega, omega - Omega))
+
+
+def _hex(z):
+    return z.real.hex(), z.imag.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(point=_points(), pol=st.sampled_from(["lcp", "rcp", "linear", "any"]),
+       lossless=st.booleans(), exr=amps, exi=amps, eyr=amps, eyi=amps)
+# E_minus = -0.0 + 0.5j and B = +0.0: the sign of d's zero imaginary part
+# reaches the real part of the amplitude
+@example(point=(MODEL, 0.5, 0.2), pol="any", lossless=True, exr=-0.0,
+         exi=0.5, eyr=0.0, eyi=0.0)
+def test_real_parts_keep_the_complex_formula_bits(point, pol, lossless, exr,
+                                                  exi, eyr, eyi):
+    # the weights and amplitudes built from (A, B) are those of the
+    # complex formula bit for bit, signed zeros included
+    model, omega, Omega = point
+    if lossless:
+        model = dataclasses.replace(model, damping_rate=0.0,
+                                    radiative_time=0.0)
+    drive = {"lcp": DriveField.lcp(omega), "rcp": DriveField.rcp(omega),
+             "linear": DriveField.linear(omega, 1.0, exr),
+             "any": _drive(omega, exr, exi, eyr, eyi)}[pol]
+    assume(drive.field_norm_sq > 1e-12)
+    e2 = drive.field_norm_sq
+    fields = drive.e_plus, drive.e_minus
+    cell = DriveField(np.array([omega]), drive.amplitude_x, drive.amplitude_y)
+    with np.errstate(all="ignore"):
+        refs = _d_ref(model, omega, Omega)
+        cell_refs = _d_ref(model, cell.frequency, np.asarray(Omega, float))
+        cell_weights = _weights(model, cell, Omega)[3:]
+    weights = _weights(model, drive, Omega, point=True)[3:]
+    for e, d, cell_d, t, cell_t, parts in zip(
+            fields, refs, cell_refs, weights, cell_weights,
+            _d_pm(model, omega, Omega)):
+        assert _hex(parts) == _hex(d)
+        share = abs(e) ** 2 / e2
+        if share == 0.0:
+            assert t == cell_t == 0.0
+            continue
+        d2 = d.real * d.real + d.imag * d.imag
+        assert t.hex() == (math.inf if d2 == 0.0 else share / d2).hex()
+        with np.errstate(all="ignore"):
+            expected = share / (cell_d.real * cell_d.real
+                                + cell_d.imag * cell_d.imag)
+        assert cell_t.tobytes() == expected.tobytes()
+    try:
+        amplitudes = _helicity_amplitudes(model, drive, Omega)[3:]
+    except (SingularResonanceError, OverflowError) as exc:
+        assert any(e != 0 and (d == 0 or not cmath.isfinite(e / d))
+                   for e, d in zip(fields, refs)), exc
+        return
+    for e, d, a in zip(fields, refs, amplitudes):
+        assert _hex(a) == _hex(e / d if e != 0 else 0j)
+
+
 # repr of the values and messages of the errors, as the kernel gave them
 # before points were evaluated in plain floats
 _PINNED = {
@@ -698,6 +771,16 @@ def test_ode_check_catches_amplitude_error(monkeypatch):
 
 def _rotation_even(formula, eps=1e-8):
     """``formula`` of the kernel times 1 + eps*Omega**2: exact at rest."""
+    if formula is response._denominators:   # B, which both routes share
+        return lambda model, s, Omega, *flags: [
+            p and (p[0], p[1] * (1 + eps * Omega**2))
+            for p in formula(model, s, Omega, *flags)]
+    if formula is response._weights:       # |d|^2 = A*A + B*B
+        def weights(*args, **kwargs):
+            omega, Omega, s, tp, tm = formula(*args, **kwargs)
+            scale = 1 + eps * Omega**2
+            return omega, Omega, s, tp / scale, tm / scale
+        return weights
     if formula is response._brake:
         # the brake takes no Omega: s.plus - s.minus = 2*Omega
         return lambda model, s, tp, tm: formula(model, s, tp, tm) * (
@@ -718,7 +801,10 @@ def _rotation_even(formula, eps=1e-8):
     ("_absorption", {"balance-identity", "time-domain-oracle",
                      "scan-roundtrip"}),
     ("_torque", {"time-domain-oracle"}),
-], ids=["brake", "elastic", "inelastic", "absorption", "torque"])
+    ("_denominators", {"closed-form-solves-ode", "time-domain-oracle"}),
+    ("_weights", {"time-domain-oracle"}),
+], ids=["brake", "elastic", "inelastic", "absorption", "torque",
+        "denominator-B", "weights-norm"])
 def test_validate_catches_rotation_dependent_formula_error(monkeypatch, name,
                                                            caught_by):
     # one channel formula off by a relative 1e-8 * Omega**2, which vanishes
@@ -741,6 +827,9 @@ def test_helicity_amplitudes_take_one_point():
         for route in (induced_dipole_spectrum, _helicity_amplitudes):
             with pytest.raises(OverflowError):
                 route(m, DriveField.lcp(0.5), Omega)
+            # co-rotating: w_minus = 0, but Omega*Omega is inf
+            with pytest.raises(OverflowError):
+                route(m, DriveField.lcp(Omega), Omega)
     # a numpy point comes back as Python floats
     omega, Omega, s, a_plus, a_minus = _helicity_amplitudes(
         m, DriveField.lcp(np.float64(0.5)), np.array(0.2))
@@ -877,6 +966,28 @@ def test_corotation_corner_raises_for_damped_model():
         absorption_cross_section(m, DriveField.lcp(1.0), 1.0)
     # nearby points are fine
     assert np.isfinite(torque(m, DriveField.lcp(1.0), 0.99))
+
+
+@pytest.mark.parametrize("damping", [(0.0, 0.0), (0.3, 0.2)])
+@pytest.mark.parametrize("pol, sign_w, sign_Om", [
+    ("lcp", 1.0, 1.0), ("lcp", -1.0, -1.0),
+    ("rcp", 1.0, -1.0), ("rcp", -1.0, 1.0)])
+def test_corotation_corner_is_singular_in_both_routes(damping, pol, sign_w,
+                                                      sign_Om):
+    # libm's w0**2 is an ulp above w0*w0 here: both routes square by
+    # multiplication, so the effective spring is exactly 0 in both, and
+    # the point raises where the one-element arrays carry NaN (an
+    # unexcited channel stays 0)
+    w0 = 0.4020512460753265
+    m = OscillatorModel.normalized(*damping, natural_frequency=w0)
+    field = getattr(DriveField, pol)
+    omega, Omega = sign_w * w0, sign_Om * w0
+    for view in _VIEWS:
+        with pytest.raises(SingularResonanceError):
+            view(m, field(omega), Omega)
+        for drive, rotation in ((field(np.array([omega])), Omega),
+                                (field(omega), np.array([Omega]))):
+            assert np.isnan(_values(view(m, drive, rotation))).any()
 
 
 def test_equal_frequencies_below_resonance_are_regular():
