@@ -38,8 +38,12 @@ _MAX_PANELS = 200
 #: half widths of a panel, its first half and its second half, over the
 #: panel's width
 _PART_HALF_WIDTHS = np.array([0.5, 0.25, 0.25])
-#: table points of a panel of a sampled trajectory, on [-1, 1]
+#: starts of a panel's halves, over the panel's width
+_HALVES = np.array([0.0, 0.5])
+#: table points of a panel of a sampled trajectory, on [-1, 1], and
+#: their distances from the panel's start in half widths
 _GRID = np.linspace(-1.0, 1.0, _SAMPLES)
+_GRID_FROM_START = 1.0 + _GRID
 
 
 @functools.cache
@@ -227,7 +231,8 @@ def spin_up_trajectory(model: OscillatorModel, drive: DriveField,
     data), after ``time_to_target_by_quadrature``; or at ``max_time``
     (default: no cap) as "max-time"; one that ends at once holds
     ``n_samples`` samples of (0, Omega_init).  Raises
-    ``UnreachableTargetError`` when the torque stalls the rotation first.
+    ``UnreachableTargetError`` when the torque stalls the rotation first,
+    or turns it away from the target at Omega_init.
     """
     if not Omega_target > Omega_init:
         raise ValueError("Omega_target must exceed Omega_init")
@@ -266,23 +271,35 @@ def spin_up_trajectory(model: OscillatorModel, drive: DriveField,
 
     # each panel's polynomial through I/M at its nodes gives t(Omega) and
     # the slope dOmega/dt at _SAMPLES points, inverted by the cubic
-    # Hermite interpolant on that table
+    # Hermite interpolant on that table; a panel's last point is the next
+    # one's first
     _, _, interpolate, integrate = _rule()
     half = 0.5 * width[:, None]
-    knots = np.append((t[:-1, None] + half * (dt_dOmega @ integrate.T))
-                      [:, :-1], t_end)
-    Om = np.append((start[:, None] + half * (1.0 + _GRID))[:, :-1],
-                   Omega_end)
-    slope = 1.0 / np.append((dt_dOmega @ interpolate.T)[:, :-1],
-                            dt_dOmega[-1] @ interpolate[-1])
+    n = width.size * (_SAMPLES - 1) + 1
+    knots, Om, slope = np.empty(n), np.empty(n), np.empty(n)
+    rows = (width.size, _SAMPLES - 1)
+    np.add(t[:-1, None], (half * (dt_dOmega @ integrate.T))[:, :-1],
+           out=knots[:-1].reshape(rows))
+    knots[-1] = t_end
+    np.add(start[:, None], half * _GRID_FROM_START[:-1],
+           out=Om[:-1].reshape(rows))
+    Om[-1] = Omega_end
+    slope[:-1].reshape(rows)[...] = (dt_dOmega @ interpolate.T)[:, :-1]
+    slope[-1] = dt_dOmega[-1] @ interpolate[-1]
+    np.divide(1.0, slope, out=slope)
     times = np.linspace(0.0, t_stop, n_samples)
-    i = np.clip(np.searchsorted(knots, times, "right") - 1, 0, knots.size - 2)
-    h = knots[i + 1] - knots[i]
-    s = (times - knots[i]) / h
-    rotation = ((1.0 + 2.0 * s) * (1.0 - s) ** 2 * Om[i]
-                + s * (1.0 - s) ** 2 * h * slope[i]
-                + s * s * (3.0 - 2.0 * s) * Om[i + 1]
-                + s * s * (s - 1.0) * h * slope[i + 1])
+    # knots[0] is 0.0, integrate's first row being zeros, so only a time
+    # at t_end needs the cap
+    i = np.minimum(np.searchsorted(knots, times, "right") - 1, n - 2)
+    j = i + 1
+    k = knots[i]
+    h = knots[j] - k
+    s = (times - k) / h
+    ss, rr = s * s, (1.0 - s) ** 2
+    rotation = ((1.0 + 2.0 * s) * rr * Om[i]
+                + s * rr * h * slope[i]
+                + ss * (3.0 - 2.0 * s) * Om[j]
+                + ss * (s - 1.0) * h * slope[j])
     if outcome != "max-time":
         rotation[-1] = Omega_end
     return SpinUpTrajectory(times, rotation, outcome)
@@ -295,7 +312,8 @@ def time_to_target_by_quadrature(model, drive, body, Omega_target,
 
     Raises ``ValueError`` when a bound is not finite,
     ``UnreachableTargetError`` when the torque stalls the rotation on the
-    way, and ``RuntimeError`` when the adaptive quadrature fails.
+    way or turns it away from the target at Omega_init, and
+    ``RuntimeError`` when the adaptive quadrature fails.
     """
     # (inf, inf) is no zero span: _time_table rejects it
     if Omega_target == Omega_init and math.isfinite(Omega_init):
@@ -314,17 +332,22 @@ def _time_table(model, drive, body, Omega_target, Omega_init):
     broadcast torque call, the first one also the stall search's
     samples.  The halves are done when their sum agrees with the whole
     within _EPSREL relative; otherwise they are the next round's open
-    panels.
+    panels.  The done halves are put in order of their distance from
+    Omega_init, except in a table accepted in one round, whose two halves
+    are in order already.
     """
     if not (math.isfinite(Omega_target) and math.isfinite(Omega_init)):
         raise ValueError("Omega_target and Omega_init must be finite")
     weights, parts, _, _ = _rule()
-    lo = np.array([Omega_init], dtype=float)
-    width = np.array([Omega_target - Omega_init], dtype=float)
+    lo, width = float(Omega_init), float(Omega_target - Omega_init)
     samples = np.linspace(Omega_init, Omega_target, _SAMPLES)
-    M = torque(model, drive, np.concatenate((samples, (
-        lo[:, None, None] + width[:, None, None] * parts).ravel())))
-    direction = np.sign(width[0])
+    M = torque(model, drive, np.concatenate((samples,
+                                             (lo + width * parts).ravel())))
+    direction = 1.0 if width > 0 else -1.0
+    if -direction * M[0] > 0:
+        raise UnreachableTargetError(
+            f"the torque at Omega_init = {Omega_init:.6g} turns the rotation "
+            f"away from Omega_target = {Omega_target:.6g}")
     stall = _first_crossing(lambda Om: -direction * torque(model, drive, Om),
                             samples, -direction * M[:_SAMPLES])
     if stall is not None:
@@ -332,6 +355,7 @@ def _time_table(model, drive, body, Omega_target, Omega_init):
             f"the torque stalls the rotation at Omega = {stall:.6g}, short "
             f"of Omega_target = {Omega_target:.6g}")
     M = M[_SAMPLES:].reshape(1, *parts.shape)
+    lo, width = np.array([lo]), np.array([width])
     done_parts, n_done = [], 0
     while True:
         with np.errstate(all="ignore"):
@@ -341,15 +365,17 @@ def _time_table(model, drive, body, Omega_target, Omega_init):
             # check below rejects the sum
             split = (np.abs(q[:, 0] - q[:, 1] - q[:, 2])
                      > _EPSREL * np.abs(q[:, 1] + q[:, 2]))
-        done = ~split
+        more = split.any()
+        # a round with no panel to split is taken whole, without gathers
+        done = ~split if more else slice(None)
         done_parts.append((
-            (lo[done, None] + width[done, None] * [0.0, 0.5]).ravel(),
+            (lo[done, None] + width[done, None] * _HALVES).ravel(),
             np.repeat(0.5 * width[done], 2),
             f[done, 1:].reshape(-1, weights.size), q[done, 1:].ravel()))
+        if not more:
+            break
         n_done += 2 * np.count_nonzero(done)
         lo, width = lo[split], 0.5 * width[split]
-        if not lo.size:
-            break
         lo, width = np.concatenate((lo, lo + width)), np.tile(width, 2)
         if n_done + lo.size > _MAX_PANELS:
             raise RuntimeError(
@@ -357,10 +383,17 @@ def _time_table(model, drive, body, Omega_target, Omega_init):
                 f"reach a relative error of {_EPSREL:g}")
         M = torque(model, drive,
                    lo[:, None, None] + width[:, None, None] * parts)
-    start, width, f, q = (np.concatenate(p) for p in zip(*done_parts))
-    order = np.argsort(np.abs(start - Omega_init))
-    t = np.concatenate(([0.0], np.cumsum(q[order])))
+    if len(done_parts) == 1:
+        # the first round's two halves, in order already
+        start, width, f, q = done_parts[0]
+    else:
+        start, width, f, q = (np.concatenate(p) for p in zip(*done_parts))
+        order = np.argsort(np.abs(start - Omega_init))
+        start, width, f, q = start[order], width[order], f[order], q[order]
+    t = np.empty(q.size + 1)
+    t[0] = 0.0
+    np.cumsum(q, out=t[1:])
     if not 0 < t[-1] < np.inf:
         raise RuntimeError("spin-up quadrature failed: time out of double "
                            "range")
-    return start[order], width[order], f[order], t
+    return start, width, f, t

@@ -582,6 +582,33 @@ def test_spinup_unreachable_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_spinup_opposing_torque_exits_2(tmp_path, capsys):
+    # the LCP torque at Omega_init = 0.8 is -0.407: it brakes the rotation
+    # from the start, so the message names Omega_init, not a stall
+    conf = _write(tmp_path, """\
+        [model]
+        gamma = 0.1
+
+        [drive]
+        omega = 0.5
+
+        [spinup]
+        Omega_init = 0.8
+        Omega_target = 0.9
+
+        [body]
+        moment_of_inertia = 1.0
+        """)
+    rc = cli.main(["spinup", "--config", conf,
+                   "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert ("Omega_init = 0.8 turns the rotation away from Omega_target = "
+            "0.9") in err
+    assert "stalls" not in err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_spinup_stalled_target_exits_2(tmp_path, capsys):
     # with tau = 0 the LCP torque vanishes at Omega = omega = 0.5, so the
     # rotation can never reach 0.6

@@ -1,6 +1,7 @@
 """Spin-up by quadrature in Omega, its cross-check against a time-stepped
 ODE, radiative heating, and the centrifugal break-up estimate."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -330,6 +331,31 @@ def test_target_beyond_torque_zero_raises():
         time_to_target_by_quadrature(MODEL, DRIVE, body, 0.6)
 
 
+@pytest.mark.parametrize("Omega_init, Omega_target", [(0.8, 0.9), (0.3, 0.2)])
+def test_opposing_torque_at_the_start_names_omega_init(Omega_init,
+                                                      Omega_target):
+    # the torque is -0.407 at 0.8 and +0.026 at 0.3: it turns the rotation
+    # away from the target at once, which is no stall
+    body = RigidBodyParams(1.0)
+    away = (rf"Omega_init = {Omega_init:g} turns the rotation away from "
+            rf"Omega_target = {Omega_target:g}")
+    with pytest.raises(UnreachableTargetError, match=away):
+        time_to_target_by_quadrature(MODEL, DRIVE, body, Omega_target,
+                                     Omega_init)
+    if Omega_target > Omega_init:
+        with pytest.raises(UnreachableTargetError, match=away):
+            spin_up_trajectory(MODEL, DRIVE, body, Omega_init, Omega_target)
+
+
+def test_zero_torque_at_the_start_is_a_stall():
+    # with tau = 0 the LCP torque is exactly 0 at Omega = omega = 0.5
+    assert torque(MODEL, DRIVE, 0.5) == 0.0
+    with pytest.raises(UnreachableTargetError,
+                       match=r"stalls the rotation at Omega = 0\.5\b"):
+        time_to_target_by_quadrature(MODEL, DRIVE, RigidBodyParams(1.0), 0.6,
+                                     Omega_init=0.5)
+
+
 def test_target_order_validation():
     body = RigidBodyParams(1.0)
     with pytest.raises(ValueError):
@@ -484,6 +510,7 @@ _PINNED_RUNS = {
     "melt": ("0x1.efc4d02c83fa9p-2", "0x1.2c630fee89023p+5"),
     "burst": ("0x1.9c32fc336ee45p-4", "0x1.1d0a73b3aef18p+4"),
     "target": ("0x1.3333333333333p-3", "0x1.1ffba1b478f5fp+2"),
+    "max-time": ("0x1.28ef8f825b172p-17", "0x1.a36e2eb1c432dp-14"),
 }
 
 
@@ -501,12 +528,133 @@ def test_pinned_spin_up_ends(outcome):
     elif outcome == "burst":
         body = RigidBodyParams.solid_sphere(3.0, 1.2, surface_tension=0.0035)
         traj = spin_up_trajectory(m, d, body, 0.0, 0.2)
+    elif outcome == "max-time":
+        traj = spin_up_trajectory(MODEL, DRIVE, RigidBodyParams(1.0), 0.0,
+                                  1e-2, max_time=1e-4)
     else:
         traj = spin_up_trajectory(m, d, RigidBodyParams(2.0), 0.01, 0.15)
     assert traj.outcome == outcome
     rotation, time = _PINNED_RUNS[outcome]
     assert traj.terminal_rotation == float.fromhex(rotation)
     assert traj.terminal_time == float.fromhex(time)
+
+
+# SHA-256 of the sampled times and rotations of one run per outcome and
+# sample count, and float.hex of the quadrature time to where the run
+# ends (to Omega_target after "max-time"), as the table was built before
+# its one-round path: (model, drive, body, Omega_init, Omega_target,
+# keywords, times, rotation, quadrature time)
+_M3 = OscillatorModel.normalized(0.1, 1e-3)
+_PINNED_BITS = {
+    "target": (
+        _M3, DriveField.lcp(0.5), RigidBodyParams(2.0), 0.01, 0.15, {},
+        "e204c44f018fcb3c1ce4b98f042d3ac57a7dceffc666408d38a505e57dc7fec5",
+        "1e42c3f7298a3a92511534dc9226f4301899ffaca4af1ad14e85c812b7fa4840",
+        "0x1.1ffba1b478f5fp+2"),
+    "burst": (
+        _M3, DriveField.lcp(0.5),
+        RigidBodyParams.solid_sphere(3.0, 1.2, surface_tension=0.0035),
+        0.0, 0.2, {},
+        "45faf7557cb66a2a664f356227c96f66c08134ff4cf1ae4dc92afb4f7a9d025f",
+        "5a930d0a26eb930d297ca03864384e682b2e10bb57d831feb2edfe57bbc96ec7",
+        "0x1.1d0a73b3aef18p+4"),
+    "melt": (
+        OscillatorModel.normalized(*_BENCH_MELT_RUNS[0][:2]),
+        DriveField.lcp(_BENCH_MELT_RUNS[0][2]),
+        RigidBodyParams(_BENCH_MELT_RUNS[0][3],
+                        melting_temperature=_BENCH_MELT_RUNS[0][4]),
+        *_BENCH_MELT_RUNS[0][7:],
+        {"thermal": ThermalParams(*_BENCH_MELT_RUNS[0][5:7])},
+        "d029e58e8d51867d1f7ec962f72dd5adca63ea6f33946c61906e097c387f223d",
+        "fd3e7527170f8535c64932e32af48abbe59b9ae6ae12b2e531eb3dbcedfd2b6c",
+        "0x1.2c630fee89023p+5"),
+    "max-time": (
+        MODEL, DRIVE, RigidBodyParams(1.0), 0.0, 1e-2, {"max_time": 1e-4},
+        "aa084cf1fbfb7258ee6eb098ded54bf128917f5e11503645299a8bb114fc0b6c",
+        "af491ff9bb034480b17b7a772a98645d8d87b0e2dc93f522fd9fc1bcdf5d633a",
+        "0x1.d9ab360fbb6a0p-4"),
+    "two-samples": (
+        _M3, DriveField.lcp(0.5), RigidBodyParams(2.0), 0.01, 0.15,
+        {"n_samples": 2},
+        "617008f834a4260c7165a8c1772c9011ea8fd43619684d089f774ca0404a8918",
+        "1f235a0f02ab05e56f4dca6f7b40ce2977ed40a84cdb09a6ec3d99b689f8e9b9",
+        "0x1.1ffba1b478f5fp+2"),
+    # 14 rounds of panel splits
+    "near-stall": (
+        MODEL, DRIVE, RigidBodyParams(1.0), 0.0, 0.49999, {},
+        "015494ec78febbd6e8219e4b6d43347e3b045c130c5d91cc9e2df3929eef757b",
+        "436bb3a15372c7313590130f885660ec59afea87cbf3736742153f38fe7860a7",
+        "0x1.0353e7143d1f4p+6"),
+}
+
+
+def _sha256(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", list(_PINNED_BITS))
+def test_pinned_spin_up_bits(case):
+    (model, drive, body, om_init, om_target, keywords, times, rotation,
+     duration) = _PINNED_BITS[case]
+    traj = spin_up_trajectory(model, drive, body, om_init, om_target,
+                              **keywords)
+    assert traj.outcome == (case if case in _PINNED_RUNS else "target")
+    assert _sha256(traj.times) == times
+    assert _sha256(traj.rotation) == rotation
+    om_end = om_target if traj.outcome == "max-time" else \
+        traj.terminal_rotation
+    assert time_to_target_by_quadrature(
+        model, drive, body, om_end, om_init).hex() == duration
+
+
+def test_pinned_downward_quadrature():
+    # the span runs from 0.8 down to 0.6, where the torque is negative
+    assert time_to_target_by_quadrature(
+        MODEL, DRIVE, RigidBodyParams(1.0), 0.6,
+        Omega_init=0.8).hex() == (2.8103607904247836).hex()
+
+
+def _count_torque_calls(monkeypatch, run):
+    """(torque calls, np.argsort calls) made by run()."""
+    calls, sorts = [], []
+    real_torque, real_argsort = dynamics.torque, np.argsort
+
+    def counted_torque(model, drive, Om):
+        calls.append(np.size(Om))
+        return real_torque(model, drive, Om)
+
+    def counted_argsort(*args, **kwargs):
+        sorts.append(1)
+        return real_argsort(*args, **kwargs)
+    monkeypatch.setattr(dynamics, "torque", counted_torque)
+    monkeypatch.setattr(np, "argsort", counted_argsort)
+    run()
+    monkeypatch.undo()
+    return calls, sorts
+
+
+def test_one_round_table_makes_one_torque_call(monkeypatch):
+    body = RigidBodyParams(2.0)
+    m, d = _M3, DriveField.lcp(0.5)
+    calls, sorts = _count_torque_calls(
+        monkeypatch, lambda: spin_up_trajectory(m, d, body, 0.01, 0.15))
+    # the stall search's samples and the panel's nodes and halves' nodes
+    assert calls == [dynamics._SAMPLES + 60]
+    assert not sorts
+    calls, sorts = _count_torque_calls(
+        monkeypatch, lambda: time_to_target_by_quadrature(m, d, body, 0.15,
+                                                          0.01))
+    assert calls == [dynamics._SAMPLES + 60]
+    assert not sorts
+
+
+def test_near_stall_table_splits_and_sorts(monkeypatch):
+    calls, sorts = _count_torque_calls(
+        monkeypatch, lambda: time_to_target_by_quadrature(
+            MODEL, DRIVE, RigidBodyParams(1.0), 0.49999))
+    assert len(calls) == 14
+    assert all(n > 1 for n in calls)
+    assert sorts
 
 
 @pytest.mark.parametrize("run", _BENCH_MELT_RUNS, ids=["s107-380", "s203-150"])
