@@ -17,7 +17,8 @@ import numpy as np
 from . import config as cfgmod
 from . import dynamics, medium, scan, validation
 from .config import ConfigError
-from .response import SingularResonanceError, cross_section_set, torque
+from .response import (SingularResonanceError, absorption_cross_section,
+                       cross_section_set, torque)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -190,26 +191,25 @@ def cmd_point(args) -> int:
     return EXIT_OK
 
 
-def cmd_scan(args) -> int:
+def _export_grid(args, section):
+    """Layer the config, scan the grid of ``section`` and write it to CSV:
+    the request, the grid, the CSV's path and its sidecar's."""
     cfg = _layered(args)
-    model = cfgmod.build_model(cfg)
-    req = cfgmod.build_scan_request(cfg, model, section="scan")
+    req = cfgmod.build_scan_request(cfg, cfgmod.build_model(cfg), section)
     grid = scan.grid_scan(req)
-    out = cfgmod.build_output(cfg, default="scan.csv")
-    sidecar = scan.write_grid_csv(grid, out)
-    n_cells = grid.singular.size
-    print(f"wrote {out} ({n_cells} cells, "
+    out = cfgmod.build_output(cfg, f"{section}.csv")
+    return req, grid, out, scan.write_grid_csv(grid, out)
+
+
+def cmd_scan(args) -> int:
+    _, grid, out, sidecar = _export_grid(args, "scan")
+    print(f"wrote {out} ({grid.singular.size} cells, "
           f"{int(grid.singular.sum())} singular) and {sidecar}")
     return EXIT_OK
 
 
 def cmd_spectrum(args) -> int:
-    cfg = _layered(args)
-    model = cfgmod.build_model(cfg)
-    req = cfgmod.build_scan_request(cfg, model, section="spectrum")
-    grid = scan.grid_scan(req)
-    out = cfgmod.build_output(cfg, default="spectrum.csv")
-    sidecar = scan.write_grid_csv(grid, out)
+    req, _, out, sidecar = _export_grid(args, "spectrum")
     print(f"wrote {out} ({req.omega_count} frequencies at Omega = "
           f"{req.Omega_min:g}) and {sidecar}")
     return EXIT_OK
@@ -244,7 +244,7 @@ def cmd_thermal(args) -> int:
     drive = cfgmod.build_drive(cfg, model)
     thermal = cfgmod.build_thermal(cfg)
     Omega = cfgmod._get_float(cfg, "thermal", "Omega", 0.0)
-    sigma = cross_section_set(model, drive, Omega).absorption
+    sigma = absorption_cross_section(model, drive, Omega)
     power = sigma * drive.intensity(model.light_speed)
     t_eq = dynamics.equilibrium_temperature(thermal, power)
     _print_kv([("sigma_abs", sigma), ("absorbed_power", power),

@@ -360,6 +360,6 @@ def build_medium(cfg: Sections, model: OscillatorModel) -> MediumSpec:
                           for om, w in members))
 
 
-def build_output(cfg: Sections, default="rotospin-out.csv") -> str:
+def build_output(cfg: Sections, default) -> str:
     """The [output] path; a scan's sidecar goes beside it as PATH.meta."""
     return _section(cfg, "output").get("path", default)

@@ -264,7 +264,7 @@ def spin_up_trajectory(model: OscillatorModel, drive: DriveField,
                                 np.full(n_samples, float(Omega_init)), outcome)
 
     start, width, dt_dOmega, t = _time_table(model, drive, body, Omega_end,
-                                              Omega_init)
+                                              Omega_init, Omega_target)
     t_end = t[-1]
     t_stop = t_end if max_time is None else min(t_end, max_time)
     outcome = "max-time" if t_stop < t_end else outcome
@@ -319,12 +319,13 @@ def time_to_target_by_quadrature(model, drive, body, Omega_target,
     if Omega_target == Omega_init and math.isfinite(Omega_init):
         return 0.0
     return float(_time_table(model, drive, body, Omega_target,
-                             Omega_init)[-1][-1])
+                             Omega_init, Omega_target)[-1][-1])
 
 
-def _time_table(model, drive, body, Omega_target, Omega_init):
+def _time_table(model, drive, body, Omega_end, Omega_init, Omega_target):
     """Adaptive Gauss-Legendre quadrature of I_mom / M from Omega_init to a
-    different Omega_target: its panels' starts and widths in order,
+    different Omega_end, where the run toward Omega_target ends (its
+    errors name Omega_target): its panels' starts and widths in order,
     I_mom / M at their nodes, and the time at every panel edge, the last
     being the spin-up time.
 
@@ -336,11 +337,11 @@ def _time_table(model, drive, body, Omega_target, Omega_init):
     Omega_init, except in a table accepted in one round, whose two halves
     are in order already.
     """
-    if not (math.isfinite(Omega_target) and math.isfinite(Omega_init)):
+    if not (math.isfinite(Omega_end) and math.isfinite(Omega_init)):
         raise ValueError("Omega_target and Omega_init must be finite")
     weights, parts, _, _ = _rule()
-    lo, width = float(Omega_init), float(Omega_target - Omega_init)
-    samples = np.linspace(Omega_init, Omega_target, _SAMPLES)
+    lo, width = float(Omega_init), float(Omega_end - Omega_init)
+    samples = np.linspace(Omega_init, Omega_end, _SAMPLES)
     M = torque(model, drive, np.concatenate((samples,
                                              (lo + width * parts).ravel())))
     direction = 1.0 if width > 0 else -1.0

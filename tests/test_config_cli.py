@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from rotospin import OscillatorModel, cli, extinction_cross_section
+from rotospin import OscillatorModel, cli, extinction_cross_section, response
 from rotospin.config import (
     PRESETS,
     ConfigError,
@@ -208,6 +208,14 @@ def test_intensity_overrides_amplitude():
     assert ey == 0.0
 
 
+def test_negative_intensity_exits_2(capsys):
+    rc = cli.main(["point", "--gamma", "0.1", "--omega", "0.5",
+                   "--Omega", "0.2", "--intensity=-1"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "config error: [drive] intensity must be non-negative\n")
+
+
 def test_drive_amplitudes_polarizations():
     m = OscillatorModel.normalized(0.1)
     r = 1.0 / np.sqrt(2.0)
@@ -321,6 +329,21 @@ def test_point_reports_balance(capsys):
         assert_allclose(float(kv["sigma_mech"]), 0.04974810219461272,
                         rtol=1e-12)
         assert abs(float(kv["balance_residual"])) <= 1e-12
+
+
+def test_point_failed_balance_self_check_exits_4(monkeypatch, capsys):
+    # an absorption off by a relative 1e-6 breaks the power balance that
+    # point checks before it exits
+    absorption = response._absorption
+    monkeypatch.setattr(response, "_absorption",
+                        lambda *terms: (1.0 + 1e-6) * absorption(*terms))
+    rc = cli.main(["point", "--gamma", "0.1", "--omega", "0.5",
+                   "--Omega", "0.2"])
+    assert rc == cli.EXIT_VALIDATION == 4
+    captured = capsys.readouterr()
+    assert "balance_residual = " in captured.out
+    assert captured.err.startswith("self-check failed: balance residual ")
+    assert captured.err.endswith(" exceeds 1e-10\n")
 
 
 def test_point_singular_resonance_exits_3(capsys):
@@ -633,6 +656,59 @@ def test_spinup_stalled_target_exits_2(tmp_path, capsys):
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_spinup_stall_before_a_burst_names_the_requested_target(tmp_path,
+                                                                capsys):
+    # the body bursts at 0.55, past the stall at 0.5 and short of the
+    # requested 0.6: the message calls 0.6 the target, not the burst
+    conf = _write(tmp_path, f"""\
+        [model]
+        gamma = 0.1
+
+        [drive]
+        omega = 0.5
+
+        [spinup]
+        Omega_target = 0.6
+
+        [body]
+        moment_of_inertia = 0.25
+        radius = 1.0
+        surface_tension = {0.25 * 0.55**2 / (8.0 * np.pi)!r}
+        """)
+    rc = cli.main(["spinup", "--config", conf,
+                   "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "stalls the rotation at Omega = 0.5, short of Omega_target = 0.6" \
+        in err
+    assert "0.55" not in err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_spinup_time_beyond_doubles_exits_2(tmp_path, capsys):
+    # a moment of inertia of 1e308 makes the spin-up time overflow
+    conf = _write(tmp_path, """\
+        [model]
+        gamma = 0.1
+
+        [drive]
+        omega = 0.5
+
+        [spinup]
+        Omega_target = 0.1
+
+        [body]
+        moment_of_inertia = 1e308
+        """)
+    rc = cli.main(["spinup", "--config", conf,
+                   "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "config error: [spinup]: spin-up quadrature failed: time out of "
+        "double range\n")
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_spinup_quadrature_failure_exits_2(tmp_path, capsys, monkeypatch):
     # a torque too ragged for the adaptive quadrature: one error line,
     # never a silent estimate
@@ -671,6 +747,22 @@ def test_thermal_from_config(tmp_path, capsys):
     kv = _kv(capsys.readouterr().out)
     assert float(kv["sigma_abs"]) > 0.0
     assert float(kv["T_eq"]) > 1.0
+
+
+def test_thermal_evaluates_only_the_absorption(tmp_path, capsys):
+    # at omega = 1e80 the elastic channel's omega**4 overflows a double,
+    # but sigma_abs is 0 and T_eq is the ambient temperature
+    conf = _write(tmp_path, """\
+        [thermal]
+        ambient_temperature = 300
+        radiative_coefficient = 1e-22
+        """)
+    rc = cli.main(["thermal", "--config", conf, "--gamma", "0.1", "--tau",
+                   "1e-3", "--omega", "1e80", "--Omega", "0.5"])
+    assert rc == 0
+    kv = _kv(capsys.readouterr().out)
+    assert float(kv["sigma_abs"]) == 0.0
+    assert float(kv["T_eq"]) == 300.0
 
 
 def test_thermal_power_ratio_beyond_doubles(tmp_path, capsys):

@@ -62,6 +62,14 @@ def test_thermal_params_reject_negative_or_nan_ambient(ambient):
         ThermalParams(ambient, 1.0)
 
 
+@pytest.mark.parametrize("coefficient", [0.0, -1.0, np.nan])
+def test_thermal_params_reject_non_positive_radiative_coefficient(
+        coefficient):
+    with pytest.raises(ValueError, match="radiative_coefficient must be "
+                                         "positive"):
+        ThermalParams(300.0, coefficient)
+
+
 def test_equilibrium_temperature_zero_power_is_exact():
     th = ThermalParams(300.0, 2.5)
     assert equilibrium_temperature(th, 0.0) == 300.0
@@ -320,6 +328,13 @@ def test_unreachable_target_raises():
         spin_up_trajectory(MODEL, DRIVE, body, 0.8, 0.9)
 
 
+def test_spin_up_time_beyond_doubles_raises():
+    # I / M is finite at every node, but the time sums past 1.8e308
+    with pytest.raises(RuntimeError, match="time out of double range"):
+        time_to_target_by_quadrature(MODEL, DRIVE, RigidBodyParams(1e308),
+                                     0.1)
+
+
 def test_target_beyond_torque_zero_raises():
     # with tau = 0 the LCP torque vanishes at Omega = omega = 0.5: the
     # spin-up stalls there and never reaches 0.6
@@ -478,6 +493,24 @@ def test_burst_before_a_stall_ends_the_run():
     traj = spin_up_trajectory(MODEL, DRIVE, body, 0.0, 0.6)
     assert traj.outcome == "burst"
     assert traj.terminal_rotation == pytest.approx(0.05, rel=1e-12)
+
+
+@pytest.mark.parametrize("Omega_init, Omega_target, burst_at, message", [
+    (0.0, 0.6, 0.55, r"stalls the rotation at Omega = 0\.5\b"),
+    (0.8, 0.9, 0.85, r"Omega_init = 0\.8 turns the rotation away"),
+], ids=["stall", "away"])
+def test_unreachable_target_under_burst_names_the_requested_target(
+        Omega_init, Omega_target, burst_at, message):
+    # the run would end by burst short of the requested target, but the
+    # torque stalls it (or turns it away) first: the message names the
+    # requested target, never the burst frequency, as Omega_target
+    sigma_surf = 0.25 * burst_at**2 / (8.0 * np.pi)
+    body = RigidBodyParams(0.25, radius=1.0, surface_tension=sigma_surf)
+    assert centrifugal_burst_frequency(body) == pytest.approx(burst_at)
+    with pytest.raises(UnreachableTargetError, match=message) as exc:
+        spin_up_trajectory(MODEL, DRIVE, body, Omega_init, Omega_target)
+    assert f"Omega_target = {Omega_target:g}" in str(exc.value)
+    assert f"{burst_at:g}" not in str(exc.value)
 
 
 def test_burst_detected_before_integration():

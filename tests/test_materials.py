@@ -37,6 +37,18 @@ def test_sphere_mapping_gold_scale():
     assert m.light_speed == SPEED_OF_LIGHT
 
 
+@pytest.mark.parametrize("plasma_frequency, damping, message", [
+    (0.0, 0.1, "plasma_frequency must be positive"),
+    (-1.0, 0.1, "plasma_frequency must be positive"),
+    (np.nan, 0.1, "plasma_frequency must be positive"),
+    (1.0, -0.1, "damping must be non-negative"),
+], ids=["zero-plasma", "negative-plasma", "nan-plasma", "negative-damping"])
+def test_ellipsoid_rejects_bad_drude_data(plasma_frequency, damping,
+                                          message):
+    with pytest.raises(ValueError, match=message):
+        DrudeEllipsoid(plasma_frequency, damping, 1.0, 1.0 / 3.0)
+
+
 def test_ellipsoid_mapping():
     e = DrudeEllipsoid(plasma_frequency=2.0, damping=0.05, volume=3.0,
                        depolarization_factor=0.25)

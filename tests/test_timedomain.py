@@ -138,6 +138,14 @@ def test_static_rod_in_circular_light():
     assert_allclose(avg.torque, torque(m, d, 0.0), rtol=1e-12)
 
 
+def test_rejects_a_static_drive_on_a_body_at_rest():
+    # omega = Omega = 0: no harmonic sets a period to average over
+    with pytest.raises(ValueError,
+                       match="static drive: nothing to average over"):
+        force_law_averages(OscillatorModel.normalized(0.1),
+                           DriveField.lcp(0.0), 0.0)
+
+
 @pytest.mark.parametrize("drive, Omega", [
     (DriveField(0.5, 0.3 + 0.1j, 0.2 - 0.4j), 0.0),
     (DriveField(0.0, 0.3 + 0.1j, 0.2 - 0.4j), 0.3),
