@@ -245,7 +245,7 @@ def cmd_thermal(args) -> int:
     thermal = cfgmod.build_thermal(cfg)
     Omega = cfgmod._get_float(cfg, "thermal", "Omega", 0.0)
     sigma = absorption_cross_section(model, drive, Omega)
-    power = sigma * drive.intensity(model.light_speed)
+    power = dynamics._absorbed_power(sigma, drive.intensity(model.light_speed))
     t_eq = dynamics.equilibrium_temperature(thermal, power)
     _print_kv([("sigma_abs", sigma), ("absorbed_power", power),
                ("T_eq", t_eq)])

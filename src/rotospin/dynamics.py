@@ -207,6 +207,17 @@ def equilibrium_temperature(thermal: ThermalParams, absorbed_power):
     return out
 
 
+def _absorbed_power(sigma_abs, intensity):
+    """P = sigma_abs * I at a point or an array of points; raises
+    OverflowError where P is too large for a double."""
+    with np.errstate(over="ignore"):
+        power = sigma_abs * intensity
+    if np.isinf(power).any():
+        raise OverflowError("the absorbed power sigma_abs * I overflows a "
+                            "double")
+    return power
+
+
 def centrifugal_burst_frequency(body: RigidBodyParams):
     """Omega at which rotational energy reaches the surface energy.
 
@@ -252,9 +263,9 @@ def spin_up_trajectory(model: OscillatorModel, drive: DriveField,
         intensity = drive.intensity(model.light_speed)
 
         def overheat(Om):
-            return equilibrium_temperature(
-                thermal, absorption_cross_section(model, drive, Om)
-                * intensity) - body.melting_temperature
+            return equilibrium_temperature(thermal, _absorbed_power(
+                absorption_cross_section(model, drive, Om), intensity)
+            ) - body.melting_temperature
         samples = np.linspace(Omega_init, Omega_end, _SAMPLES)
         melt_at = _first_crossing(overheat, samples, overheat(samples))
         if melt_at is not None and melt_at < Omega_end:

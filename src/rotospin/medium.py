@@ -104,10 +104,15 @@ def gain_coefficient(medium: MediumSpec, drive: DriveField) -> float:
 
 
 def propagate_intensity(intensity_in, gain, z):
-    """Beer-Lambert closure I(z) = I0 * exp(g z)."""
+    """Beer-Lambert closure I(z) = I0 * exp(g z); raises OverflowError
+    where I(z) is not finite (an infinite gain gives NaN at z = 0)."""
     if np.any(np.asarray(intensity_in) < 0):
         raise ValueError("intensity must be non-negative")
-    out = intensity_in * np.exp(gain * np.asarray(z, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = intensity_in * np.exp(gain * np.asarray(z, dtype=float))
+    if not np.isfinite(out).all():
+        raise OverflowError("the propagated intensity I0 exp(g z) "
+                            "overflows a double")
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -196,9 +196,14 @@ class DriveField:
         """|E|^2 = |Ex|^2 + |Ey|^2."""
         return abs(self.amplitude_x) ** 2 + abs(self.amplitude_y) ** 2
 
-    def intensity(self, light_speed=SPEED_OF_LIGHT) -> float:
-        """I = (c/2pi)|E|^2, erg/(s cm^2)."""
-        return light_speed / (2.0 * np.pi) * self.field_norm_sq
+    def intensity(self, light_speed) -> float:
+        """I = (c/2pi)|E|^2, erg/(s cm^2), for the model's light speed c;
+        raises OverflowError where I is too large for a double."""
+        out = light_speed / (2.0 * np.pi) * self.field_norm_sq
+        if not math.isfinite(out):
+            raise OverflowError("the beam intensity c |E|^2 / 2 pi "
+                                "overflows a double")
+        return out
 
     def mirrored(self) -> "DriveField":
         """Swap the two circular components (Ey -> -Ey)."""

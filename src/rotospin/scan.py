@@ -22,12 +22,12 @@ import contextlib
 import functools
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .response import (CrossSectionSet, DriveField, OscillatorModel,
-                       _weights, cross_section_set)
+                       SingularResonanceError, cross_section_set)
 
 CSV_HEADER = ("omega", "Omega", "sigma_mech", "sigma_abs", "sigma_elastic",
               "sigma_in_plus", "sigma_in_minus", "sigma_ext", "singular")
@@ -134,34 +134,32 @@ def grid_scan(req: ScanRequest) -> ScanGrid:
     singular = np.zeros(omega.shape, dtype=bool)
     for arr in values.values():
         singular |= ~np.isfinite(arr)
-    # the scalar route's verdict: a non-finite cell off a resonance is an
-    # overflow, not a singular cell
+    # a non-finite cell is singular where its point raises
+    # SingularResonanceError, and an overflow anywhere else
     if singular.any():
-        with np.errstate(all="ignore"):
-            *_, tp, tm = _weights(
-                req.model, DriveField(omega[singular], req.amplitude_x,
-                                      req.amplitude_y), Omega[singular])
-        if not (np.isinf(tp) | np.isinf(tm)).all():
+        for w, Om in zip(omega[singular].tolist(), Omega[singular].tolist()):
+            try:
+                cross_section_set(req.model, DriveField(
+                    w, req.amplitude_x, req.amplitude_y), Om)
+            except SingularResonanceError:
+                continue
+            except OverflowError:
+                pass
             raise OverflowError("a response value overflows a double")
-    for arr in values.values():
-        arr[singular] = np.nan
 
     divisors = req.unit_divisors()
     for name, arr in values.items():
-        d = divisors[name]
-        if d != 1.0:
-            arr /= d
+        arr[singular] = np.nan
+        if divisors[name] != 1.0:
+            arr /= divisors[name]
 
     metadata = {
         "units": req.units,
         "polarization": req.polarization_label,
         "amplitude_x": str(req.amplitude_x),
         "amplitude_y": str(req.amplitude_y),
-        "coupling": repr(req.model.coupling),
-        "natural_frequency": repr(req.model.natural_frequency),
-        "damping_rate": repr(req.model.damping_rate),
-        "radiative_time": repr(req.model.radiative_time),
-        "light_speed": repr(req.model.light_speed),
+        **{f.name: repr(getattr(req.model, f.name))
+           for f in fields(req.model)},
         "omega_count": str(req.omega_count),
         "Omega_count": str(req.Omega_count),
         "n_singular": str(int(singular.sum())),
@@ -422,9 +420,6 @@ def read_sidecar(path) -> dict:
     out = {}
     with open(path) as fh:
         for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
             key, _, value = line.partition("=")
             out[key.strip()] = value.strip()
     return out

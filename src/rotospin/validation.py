@@ -22,8 +22,8 @@ from .materials import (DrudeEllipsoid, DrudeSphere,
                         dipole_torque_low_rotation, from_drude_ellipsoid,
                         from_drude_sphere, optical_theorem_residual)
 from .response import (DriveField, OscillatorModel, cross_section_set,
-                       radial_ode_residual, resonance_locus,
-                       static_polarizability, torque)
+                       induced_dipole_spectrum, radial_ode_residual,
+                       resonance_locus, static_polarizability, torque)
 
 BALANCE_TOL = 1e-10
 ODE_TOL = 1e-14
@@ -61,14 +61,29 @@ def _random_case(rng, linked):
 
 
 def check_balance_identity(rng, n=1000) -> CheckResult:
-    worst = 0.0
+    """The power balance, and each scattering cross section times I
+    against the Larmor power 4 nu^4 |p|^2 / 3c^3 of its spectral line,
+    which comes from the helicity amplitudes, not the weights."""
+    worst = larmor = 0.0
     for _ in range(n):
-        cs = cross_section_set(*_random_case(rng, linked=True))
+        m, d, Om = _random_case(rng, linked=True)
+        cs = cross_section_set(m, d, Om)
         scale = cs.balance_scale
         if scale > 0:
             worst = max(worst, abs(cs.balance_residual) / scale)
-    return CheckResult("balance-identity", worst <= BALANCE_TOL,
-                       f"max relative residual {worst:.3e} over {n} tuples")
+        intensity = d.intensity(m.light_speed)
+        for sigma, line in zip(
+                (cs.elastic, cs.inelastic_plus, cs.inelastic_minus),
+                induced_dipole_spectrum(m, d, Om).lines()):
+            x = sigma * intensity
+            y = 4.0 * line.frequency**4 * line.norm_sq / (
+                3.0 * m.light_speed**3)
+            if x or y:
+                larmor = max(larmor, abs(x - y) / max(x, y))
+    return CheckResult("balance-identity", worst <= BALANCE_TOL
+                       and larmor <= CONSISTENCY_TOL,
+                       f"max relative residual {worst:.3e}, max relative "
+                       f"Larmor deviation {larmor:.3e}, over {n} tuples")
 
 
 def check_polynomial_identity(rng, n=500) -> CheckResult:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -958,6 +959,55 @@ def test_underflowing_drive_amplitude_exits_2(tmp_path, capsys, argv, ini):
     assert capsys.readouterr().err == (
         "config error: [drive] the field amplitude is too small: "
         "|Ex|^2 + |Ey|^2 underflows to 0\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
+_HOT_INI = """\
+    [thermal]
+    ambient_temperature = 300
+    radiative_coefficient = 1e-22
+
+    [body]
+    moment_of_inertia = 1
+    melting_temperature = 1000
+
+    [spinup]
+    Omega_target = 0.3
+    """
+_CGS = ["--physical", "--coupling=1", "--omega0=1", "--gamma=0.1",
+        "--omega=0.5"]
+_BEAM_ERR = "the beam intensity c |E|^2 / 2 pi overflows a double"
+_POWER_ERR = "the absorbed power sigma_abs * I overflows a double"
+
+
+@pytest.mark.parametrize("argv, ini, err", [
+    # c |E|^2 / 2 pi = 4.8e309
+    (["thermal", *_CGS, "--Omega=0.2", "--amplitude=1e150"], _HOT_INI,
+     _BEAM_ERR),
+    (["spinup", *_CGS, "--amplitude=1e150"], _HOT_INI, _BEAM_ERR),
+    # I = 1.6e305 is finite, sigma_abs * I = 1e309 is not
+    (["thermal", "--gamma=0.001", "--omega=1", "--Omega=0",
+      "--amplitude=1e153"], _HOT_INI, _POWER_ERR),
+    (["spinup", "--gamma=0.001", "--omega=1", "--amplitude=1e153"],
+     _HOT_INI, _POWER_ERR),
+    # gain 12.4 per unit length over a path of 1e6
+    (["amplify", "--gamma=0.1", "--tau=1e-4", "--omega=0.5"],
+     "[medium]\nnumber_density = 1e3\npath_length = 1e6\n"
+     "members = 2.0:0.5, 2.5:0.5\n",
+     "the propagated intensity I0 exp(g z) overflows a double"),
+], ids=["thermal-intensity", "spinup-intensity", "thermal-power",
+        "spinup-power", "amplify-propagation"])
+def test_overflowing_power_exits_2(tmp_path, capsys, argv, ini, err):
+    # an intensity or power beyond a double is an error, not an inf that
+    # reads as a melt or a result
+    argv = argv + ["--config", _write(tmp_path, ini)]
+    if argv[0] != "thermal":
+        argv += ["--out", str(tmp_path / "x.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(argv)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: an input is too large: {err}\n"
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -3,6 +3,7 @@ ODE, radiative heating, and the centrifugal break-up estimate."""
 
 import hashlib
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -438,6 +439,21 @@ def test_non_positive_max_time_rejected(max_time):
         spin_up_trajectory(MODEL, DRIVE, body, 0.0, 1e-3, max_time=max_time)
 
 
+def test_first_crossing_bisects_a_nan_step():
+    # the false-position step from an infinite sample is inf/inf: the
+    # search bisects instead, and still finds the crossing
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 0.3
+
+    root = dynamics._first_crossing(f, np.array([0.0, 1.0]),
+                                    np.array([-1.0, np.inf]))
+    assert calls[0] == 0.5
+    assert abs(root - 0.3) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # melt and burst termination
 
@@ -472,6 +488,23 @@ def test_melt_detected_before_integration():
     assert traj.outcome == "melt"
     # still n_samples samples, all at (0, Omega_init)
     assert traj.times.tolist() == traj.rotation.tolist() == [0.0] * 50
+
+
+@pytest.mark.parametrize("light_speed, message", [
+    (1e4, "the beam intensity c |E|^2 / 2 pi overflows a double"),
+    (1.0, "the absorbed power sigma_abs * I overflows a double"),
+], ids=["intensity", "power"])
+def test_melt_search_rejects_overflowing_power(light_speed, message):
+    # an infinite power would read as a melt at Omega_init
+    m = OscillatorModel.normalized(0.001, light_speed=light_speed)
+    d = DriveField.lcp(1.0, 1e153)
+    body = RigidBodyParams(1.0, melting_temperature=1000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError) as info:
+            spin_up_trajectory(m, d, body, 0.0, 0.3,
+                               thermal=ThermalParams(300.0, 1e-22))
+    assert str(info.value) == message
 
 
 def test_burst_stops_at_burst_frequency():

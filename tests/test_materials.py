@@ -84,6 +84,8 @@ def test_mapping_validation():
         DrudeSphere(0.0, 0.1, 1.0)
     with pytest.raises(ValueError):
         DrudeSphere(1.0, -0.1, 1.0)
+    with pytest.raises(ValueError, match="radius must be positive"):
+        DrudeSphere(1.0, 0.1, 0.0)
     with pytest.raises(ValueError):
         DrudeEllipsoid(1.0, 0.1, 1.0, 1.0)
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Ensemble averaging, Beer-Lambert propagation, and the pump budget."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -123,6 +125,18 @@ def test_propagation_is_multiplicative(i0, g, z1, z2):
 def test_negative_intensity_rejected():
     with pytest.raises(ValueError):
         propagate_intensity(-1.0, 0.1, 1.0)
+
+
+@pytest.mark.parametrize("gain, z", [
+    (1e3, 1e3),                         # exp(g z) overflows
+    (12.4, np.linspace(0.0, 1e6, 5)),
+    (np.inf, np.array([0.0, 1.0])),     # inf * 0 is NaN at z = 0
+], ids=["point", "profile", "infinite-gain"])
+def test_propagation_beyond_doubles_raises(gain, z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="I0 exp"):
+            propagate_intensity(1.0, gain, z)
 
 
 def test_intensity_profile_endpoints():

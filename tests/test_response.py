@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from rotospin import (
+    SPEED_OF_LIGHT,
     CrossSectionSet,
     DriveField,
     OscillatorModel,
@@ -87,6 +88,17 @@ def test_intensity_convention():
     # I = (c/2pi)|E|^2
     d = DriveField.lcp(0.5, amplitude=3.0)
     assert d.intensity(light_speed=1.0) == pytest.approx(9.0 / (2.0 * np.pi))
+
+
+def test_intensity_takes_the_light_speed():
+    # no default: a CGS light speed would be 3e10 times too large in a
+    # normalized model
+    d = DriveField.lcp(0.5, amplitude=1e150)
+    with pytest.raises(TypeError):
+        d.intensity()
+    assert d.intensity(1.0) == pytest.approx(1e300 / (2.0 * np.pi))
+    with pytest.raises(OverflowError, match="beam intensity"):
+        d.intensity(SPEED_OF_LIGHT)
 
 
 def test_mirrored_swaps_helicities():
@@ -802,7 +814,8 @@ def _rotation_even(formula, eps=1e-8):
                      "scan-roundtrip"}),
     ("_torque", {"time-domain-oracle"}),
     ("_denominators", {"closed-form-solves-ode", "time-domain-oracle"}),
-    ("_weights", {"time-domain-oracle"}),
+    # the Larmor powers of the lines come from the amplitudes route
+    ("_weights", {"balance-identity", "time-domain-oracle"}),
 ], ids=["brake", "elastic", "inelastic", "absorption", "torque",
         "denominator-B", "weights-norm"])
 def test_validate_catches_rotation_dependent_formula_error(monkeypatch, name,
@@ -1063,6 +1076,8 @@ def test_model_validation():
         OscillatorModel(1.0, 1.0, -0.1, 0.0, 1.0)
     with pytest.raises(ValueError):
         OscillatorModel(1.0, 1.0, 0.1, -1e-3, 1.0)
+    with pytest.raises(ValueError, match="light_speed must be positive"):
+        OscillatorModel(1, 1, 0, 0, light_speed=0)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
             OscillatorModel(1.0, 1.0, bad, 0.0, 1.0)

@@ -45,6 +45,18 @@ def test_all_matches_the_package_imports():
     assert all(hasattr(rotospin, name) for name in exported)
 
 
+def test_modules_import_no_private_names_of_each_other():
+    # a module that borrows another's private helper keeps a second copy
+    # of its rule; dynamics may test for arrays as the kernel does
+    borrowed = sorted(
+        (path.stem, node.module, alias.name)
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names if alias.name.startswith("_"))
+    assert borrowed == [("dynamics", "response", "_is_array")]
+
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
