@@ -229,20 +229,20 @@ def drive_amplitudes(cfg: Sections, model: OscillatorModel):
                               "amplitude sqrt(2 pi I / c) overflows a double")
     angle = _get_float(cfg, "drive", "angle", 0.0)
     if kind == "explicit":
-        ex, ey = _parse_complex(cfg, "ex"), _parse_complex(cfg, "ey")
+        d = DriveField(0.0, _parse_complex(cfg, "ex"),
+                       _parse_complex(cfg, "ey"))
+    elif kind == "lcp":
+        d = DriveField.lcp(0.0, amplitude)
+    elif kind == "rcp":
+        d = DriveField.rcp(0.0, amplitude)
+    elif kind == "linear":
+        d = DriveField.linear(0.0, amplitude, angle)
     else:
-        if kind == "lcp":
-            d = DriveField.lcp(0.0, amplitude)
-        elif kind == "rcp":
-            d = DriveField.rcp(0.0, amplitude)
-        elif kind == "linear":
-            d = DriveField.linear(0.0, amplitude, angle)
-        else:
-            raise ConfigError(f"[drive]: unknown polarization '{kind}'")
-        ex, ey = d.amplitude_x, d.amplitude_y
+        raise ConfigError(f"[drive]: unknown polarization '{kind}'")
+    ex, ey = d.amplitude_x, d.amplitude_y
     if ex == 0 and ey == 0:
         raise ConfigError("[drive] the field has zero amplitude (Ex = Ey = 0)")
-    if abs(ex) ** 2 + abs(ey) ** 2 == 0:
+    if d.field_norm_sq == 0:
         # every cross section is normalized by |E|^2
         raise ConfigError("[drive] the field amplitude is too small: "
                           "|Ex|^2 + |Ey|^2 underflows to 0")

@@ -210,9 +210,14 @@ def equilibrium_temperature(thermal: ThermalParams, absorbed_power):
 def _absorbed_power(sigma_abs, intensity):
     """P = sigma_abs * I at a point or an array of points; raises
     OverflowError where P is too large for a double."""
-    with np.errstate(over="ignore"):
+    if type(sigma_abs) is float and type(intensity) is float:
         power = sigma_abs * intensity
-    if np.isinf(power).any():
+        overflow = math.isinf(power)
+    else:
+        with np.errstate(over="ignore"):
+            power = sigma_abs * intensity
+        overflow = np.isinf(power).any()
+    if overflow:
         raise OverflowError("the absorbed power sigma_abs * I overflows a "
                             "double")
     return power

@@ -131,7 +131,13 @@ def sustaining_power(member: MediumMember, drive: DriveField) -> float:
 
     The beam exerts the braking power sigma_mech * I on the rotor; the
     pump must replace -sigma_mech * I when that is positive (energy
-    flowing from rotation into the beam).
+    flowing from rotation into the beam).  Raises OverflowError where
+    that power is too large for a double.
     """
     s_mech = mechanical_cross_section(member.model, drive, member.rotation)
-    return -s_mech * drive.intensity(member.model.light_speed)
+    power = -s_mech * drive.intensity(member.model.light_speed)
+    if not (math.isfinite(power) if type(power) is float
+            else np.isfinite(power).all()):
+        raise OverflowError("the sustaining power -sigma_mech * I overflows "
+                            "a double")
+    return power

@@ -11,7 +11,10 @@ Conventions worth pinning down, since they vary across texts:
 
 * circular components are ``E_pm = Ex +/- i*Ey``; left circular
   polarization (LCP) means ``E_plus == 0``.  Use the ``DriveField``
-  constructors rather than guessing signs.
+  constructors rather than guessing signs.  A helicity the drive does
+  not excite (E_plus under LCP light) is not evaluated: it adds no term
+  to any formula and its sideband is 0, even on its own resonance or
+  where its terms would overflow a double.
 * drive frequency ``w`` and rotation frequency ``Omega`` are signed;
   every formula below is well defined for negative values.
 * radiation reaction enters through the damping time ``tau``.  In a
@@ -149,6 +152,17 @@ class DriveField:
     ``frequency`` is the signed angular frequency (rad/s); amplitudes are
     the complex Cartesian components in statvolt/cm.  ``frequency`` may be
     an array for vectorized sweeps; the amplitudes stay scalar.
+
+    Construction also sets plain attributes, which are not dataclass
+    fields, so equality, hashing and repr ignore them:
+
+    * ``e_plus``, ``e_minus``: the circular components Ex +/- i*Ey;
+    * ``field_norm_sq``: |E|^2 = |Ex|^2 + |Ey|^2, inf where that overflows
+      a double;
+    * ``shares``: (|E_plus|^2, |E_minus|^2) / |E|^2, the helicity weights
+      the kernel divides by each |d_pm|^2 (they sum to 2), or None where
+      |E|^2 is zero or a squared magnitude overflows.  The kernel raises
+      on such a drive when it is called, not at construction.
     """
 
     frequency: float
@@ -162,8 +176,19 @@ class DriveField:
                 and cmath.isfinite(self.amplitude_x)
                 and cmath.isfinite(self.amplitude_y)):
             raise ValueError("drive frequency and amplitudes must be finite")
-        for name in ("amplitude_x", "amplitude_y"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+        ex, ey = complex(self.amplitude_x), complex(self.amplitude_y)
+        e_plus, e_minus = ex + 1j * ey, ex - 1j * ey
+        try:
+            e2 = abs(ex) ** 2 + abs(ey) ** 2
+        except OverflowError:
+            e2 = math.inf
+        try:
+            shares = abs(e_plus) ** 2 / e2, abs(e_minus) ** 2 / e2
+        except (OverflowError, ZeroDivisionError):
+            shares = None
+        # frozen: write the instance's dict, as object.__setattr__ would
+        vars(self).update(amplitude_x=ex, amplitude_y=ey, e_plus=e_plus,
+                          e_minus=e_minus, field_norm_sq=e2, shares=shares)
 
     @classmethod
     def lcp(cls, frequency, amplitude=1.0):
@@ -182,19 +207,6 @@ class DriveField:
         """Linear polarization at ``angle`` from x, real amplitudes."""
         return cls(frequency, complex(amplitude * np.cos(angle)),
                    complex(amplitude * np.sin(angle)))
-
-    @property
-    def e_plus(self) -> complex:
-        return self.amplitude_x + 1j * self.amplitude_y
-
-    @property
-    def e_minus(self) -> complex:
-        return self.amplitude_x - 1j * self.amplitude_y
-
-    @property
-    def field_norm_sq(self) -> float:
-        """|E|^2 = |Ex|^2 + |Ey|^2."""
-        return abs(self.amplitude_x) ** 2 + abs(self.amplitude_y) ** 2
 
     def intensity(self, light_speed) -> float:
         """I = (c/2pi)|E|^2, erg/(s cm^2), for the model's light speed c;
@@ -223,13 +235,13 @@ class _Shifted:
         self.minus2 = omega - twice
 
 
-def _denominators(model, s, Omega, plus, minus):
-    """Parts (A, B) of d_pm = A - i*B = omega0^2 - Omega^2
-    - w_pm(w_pm + i*gamma) - i*tau*w_pm*(w_pm^2 + 3*Omega^2) (rad^2/s^2)
-    from the shifted frequencies ``s``, for each helicity whose flag is
-    true, else None.  The operations are the complex product's, whose
-    other terms are exact zeros: complex(A, 0.0 - B) is that product bit
-    for bit wherever it is finite."""
+def _denominators(model, Omega, shifted):
+    """Parts (A, B) of d = A - i*B = omega0^2 - Omega^2 - w(w + i*gamma)
+    - i*tau*w(w^2 + 3*Omega^2) (rad^2/s^2) at each shifted frequency w of
+    ``shifted``: w = omega + Omega gives d_plus, omega - Omega d_minus.
+    The operations are the complex product's, whose other terms are exact
+    zeros: complex(A, 0.0 - B) is that product bit for bit wherever it is
+    finite."""
     # x*x, not x**2: libm's pow may round apart from numpy's square, and
     # the spring must vanish alike at a point and in an array
     osq = Omega * Omega
@@ -238,11 +250,8 @@ def _denominators(model, s, Omega, plus, minus):
     osq3 = 3.0 * osq
     gamma = model.damping_rate
     tau = model.radiative_time
-    parts = []
-    for w, on in ((s.plus, plus), (s.minus, minus)):
-        parts.append((spring - w * w, w * gamma + tau * w * (w**2 + osq3))
-                     if on else None)
-    return parts
+    return [(spring - w * w, w * gamma + tau * w * (w**2 + osq3))
+            for w in shifted]
 
 
 @dataclass(frozen=True)
@@ -281,26 +290,33 @@ class CrossSectionSet:
         }
 
 
-def _weights(model, drive, Omega, e2=None, point=False):
-    """(omega, Omega, s, t_plus, t_minus): the drive and rotation
-    frequencies, the shifted frequencies ``s`` and the weighted inverse
-    denominators t_pm = |E_pm/E|^2 / |d_pm|^2 (``e2`` = |E|^2, when the
-    caller has it).  At a ``point``, where the drive frequency and Omega
-    are both scalars, omega and Omega are Python floats and so is every
-    result; otherwise both are numpy arrays, and numpy's warnings must be
-    off.
+_FIELD_OVERFLOW_MSG = "the field strength |E|^2 or |E+/-|^2 overflows a double"
+_OVERFLOW_MSG = "a response value overflows a double"
 
-    Each excited channel's |d|^2 is A*A + B*B from ``_denominators``; a
-    channel the drive does not excite is not evaluated and weighs 0 even
-    on its resonance.  A point is singular where an excited channel's
-    weight is inf: its |d|^2 is zero, or so small that the quotient
-    overflows.  A NaN weight is an overflow inside A or B (inf - inf or
-    0*inf), not a resonance.
+
+def _weights(model, drive, Omega, point=False):
+    """(omega, Omega, helicities): the drive and rotation frequencies and,
+    for each helicity the drive excites (E_plus's first), a tuple (plus,
+    w, w2, t) of its flag, its shifted frequencies w = omega +/- Omega
+    and w2 = omega +/- 2*Omega and its weighted inverse denominator t =
+    |E_pm/E|^2 / |d_pm|^2, from the drive's ``shares``.  At a ``point``,
+    where the drive frequency and Omega are both scalars, omega and Omega
+    are Python floats and so is every result; otherwise both are numpy
+    arrays, and numpy's warnings must be off.
+
+    A helicity whose share is zero, such as E_plus under LCP light, is not
+    evaluated: it has no tuple, so no shifted frequency, denominator or
+    term of any formula, even on its own resonance or where its terms
+    would overflow.  Each excited helicity's |d|^2 is A*A + B*B from
+    ``_denominators``.  A point is singular where a weight is inf: its
+    |d|^2 is zero, or so small that the quotient overflows.  A NaN weight
+    is an overflow inside A or B (inf - inf or 0*inf), not a resonance.
     """
-    if e2 is None:
-        e2 = drive.field_norm_sq
-    if e2 == 0:
-        raise ValueError("drive field has zero amplitude")
+    shares = drive.shares
+    if shares is None:
+        if drive.field_norm_sq == 0:
+            raise ValueError("drive field has zero amplitude")
+        raise OverflowError(_FIELD_OVERFLOW_MSG)
     omega = drive.frequency
     if point:
         omega, Omega = float(omega), float(Omega)
@@ -309,80 +325,120 @@ def _weights(model, drive, Omega, e2=None, point=False):
     else:
         # a scalar operand too: Python's ** raises where numpy gives inf
         omega, Omega = np.asarray(omega, float), np.asarray(Omega, float)
-    s = _Shifted(omega, Omega)
-    weights = [abs(drive.e_plus) ** 2 / e2, abs(drive.e_minus) ** 2 / e2]
-    for k, parts in enumerate(_denominators(model, s, Omega, *weights)):
-        if parts is not None:
-            # a*a, not a**2, which raises at a point: an overflowing |d|^2
-            # is inf, and its weight 0
-            a, b = parts
-            d2 = a * a + b * b
-            weights[k] = math.inf if point and d2 == 0.0 else weights[k] / d2
-    return omega, Omega, s, *weights
+    twice = 2.0 * Omega
+    share_plus, share_minus = shares
+    excited = []
+    if share_plus:
+        excited.append((True, omega + Omega, omega + twice, share_plus))
+    if share_minus:
+        excited.append((False, omega - Omega, omega - twice, share_minus))
+    try:
+        parts = _denominators(model, Omega, [h[1] for h in excited])
+    except OverflowError:   # Python's ** at a point; numpy gives inf
+        raise OverflowError(_OVERFLOW_MSG) from None
+    helicities = []
+    for (plus, w, w2, share), (a, b) in zip(excited, parts):
+        # a*a, not a**2, which raises at a point: an overflowing |d|^2
+        # is inf, and its weight 0
+        d2 = a * a + b * b
+        helicities.append((plus, w, w2, math.inf if point and d2 == 0.0
+                           else share / d2))
+    return omega, Omega, helicities
 
 
-def _evaluate(formula, model, drive, Omega, e2=None):
-    """``formula(model, omega, Omega, s, t_plus, t_minus)`` over the terms
-    of ``_weights``.  A point raises at a singular point and where a
-    result, or an element of a result tuple, is not finite.  Arrays run
-    without warnings; a singular channel's weight becomes NaN, not inf,
-    so every downstream product is NaN at singular cells."""
+def _evaluate(formula, model, drive, Omega):
+    """``formula(model, omega, Omega, helicities)`` over the terms of
+    ``_weights``.  A point raises at a singular point and where a result,
+    or an element of a result tuple, is not finite.  Arrays run without
+    warnings; a singular helicity's weight becomes NaN, not inf, so every
+    downstream product is NaN at singular cells."""
     if _is_array(drive.frequency) or _is_array(Omega):
         with np.errstate(all="ignore"):
-            omega, Omega, s, tp, tm = _weights(model, drive, Omega, e2)
-            tp, tm = (np.where(np.isinf(t), np.nan, t) for t in (tp, tm))
-            return formula(model, omega, Omega, s, tp, tm)
-    omega, Omega, s, tp, tm = _weights(model, drive, Omega, e2, point=True)
-    if tp == math.inf or tm == math.inf:
-        raise SingularResonanceError(_SINGULAR_MSG)
-    out = formula(model, omega, Omega, s, tp, tm)
+            omega, Omega, hs = _weights(model, drive, Omega)
+            hs = [(plus, w, w2, np.where(np.isinf(t), np.nan, t))
+                  for plus, w, w2, t in hs]
+            return formula(model, omega, Omega, hs)
+    omega, Omega, hs = _weights(model, drive, Omega, point=True)
+    for h in hs:
+        if h[3] == math.inf:
+            raise SingularResonanceError(_SINGULAR_MSG)
+    try:
+        out = formula(model, omega, Omega, hs)
+    except OverflowError:   # Python's ** at a point; numpy gives inf
+        out = math.inf
     if not (math.isfinite(out) if type(out) is float
             else all(map(math.isfinite, out))):
-        raise OverflowError("a response value overflows a double")
+        raise OverflowError(_OVERFLOW_MSG)
     return out
 
 
-def _brake(model, s, tp, tm):
-    """Helicity sum shared by the torque and sigma_mech."""
+def _brake(model, hs):
+    """Helicity sum shared by the torque and sigma_mech: each excited
+    helicity's damping term, E_plus's with a minus sign."""
     gamma = model.damping_rate
     tau = model.radiative_time
-    return (-(gamma * s.plus + tau * s.plus2**3) * tp
-            + (gamma * s.minus + tau * s.minus2**3) * tm)
+    total = None
+    for plus, w, w2, t in hs:
+        term = (gamma * w + tau * w2**3) * t
+        term = -term if plus else term
+        total = term if total is None else total + term
+    return total
 
 
-def _torque(model, omega, Omega, s, tp, tm, e2):
+def _torque(model, omega, Omega, hs, e2):
     """Torque from the brake; ``e2`` = |E|^2 restores the field strength
     that the weights divide out."""
-    return 0.5 * model.coupling * e2 * _brake(model, s, tp, tm)
+    return 0.5 * model.coupling * e2 * _brake(model, hs)
 
 
-def _mechanical(model, omega, Omega, s, tp, tm):
+def _mechanical(model, omega, Omega, hs):
     return (np.pi * model.coupling * Omega / model.light_speed
-            * _brake(model, s, tp, tm))
+            * _brake(model, hs))
 
 
-def _absorption(model, omega, Omega, s, tp, tm):
+def _absorption(model, omega, Omega, hs):
+    total = None
+    for _, w, _, t in hs:
+        term = w**2 * t
+        total = term if total is None else total + term
     return (np.pi * model.damping_rate * model.coupling / model.light_speed
-            * (s.plus**2 * tp + s.minus**2 * tm))
+            * total)
 
 
-def _elastic(model, omega, Omega, s, tp, tm):
-    return model.scattering_prefactor * omega**4 * (tp + tm)
+def _elastic(model, omega, Omega, hs):
+    total = None
+    for _, _, _, t in hs:
+        total = t if total is None else total + t
+    return model.scattering_prefactor * omega**4 * total
 
 
-def _inelastic(model, omega, Omega, s, tp, tm):
+def _inelastic(model, omega, Omega, hs):
+    """The sidebands at w + 2*Omega and w - 2*Omega; an unexcited
+    helicity's is 0.0, or zeros in the broadcast shape."""
     pref = model.scattering_prefactor
-    return pref * s.plus2**4 * tp, pref * s.minus2**4 * tm
+    up = down = None
+    for plus, _, w2, t in hs:
+        sideband = pref * w2**4 * t
+        if plus:
+            up = sideband
+        else:
+            down = sideband
+    if up is None or down is None:
+        zero = (0.0 if type(omega) is float
+                else np.zeros(np.broadcast_shapes(omega.shape, Omega.shape)))
+        return (zero if up is None else up), (zero if down is None else down)
+    return up, down
 
 
-def _extinction(model, omega, Omega, s, tp, tm):
+def _extinction(model, omega, Omega, hs):
     gamma = model.damping_rate
     tau = model.radiative_time
     osq3 = 3.0 * Omega**2
-    return np.pi * model.coupling * omega / model.light_speed * (
-        s.plus * (gamma + tau * (s.plus**2 + osq3)) * tp
-        + s.minus * (gamma + tau * (s.minus**2 + osq3)) * tm
-    )
+    total = None
+    for _, w, _, t in hs:
+        term = w * (gamma + tau * (w**2 + osq3)) * t
+        total = term if total is None else total + term
+    return np.pi * model.coupling * omega / model.light_speed * total
 
 
 def _all_channels(*terms):
@@ -404,8 +460,7 @@ def torque(model: OscillatorModel, drive: DriveField, Omega):
         if not math.isfinite(Omega):
             raise ValueError("Omega must be finite")
         return 0.0
-    return _evaluate(functools.partial(_torque, e2=e2), model, drive, Omega,
-                     e2)
+    return _evaluate(functools.partial(_torque, e2=e2), model, drive, Omega)
 
 
 def absorption_cross_section(model, drive, Omega):
@@ -447,12 +502,13 @@ def _helicity_amplitudes(model, drive, Omega):
     s = _Shifted(omega, Omega)
     fields = drive.e_plus, drive.e_minus
     amplitudes = []
-    for e, parts in zip(fields, _denominators(model, s, Omega, *fields)):
-        if parts is None:
+    for e, w in zip(fields, (s.plus, s.minus)):
+        if not e:
             amplitudes.append(0j)
             continue
+        (a, b), = _denominators(model, Omega, (w,))
         # 0.0 - B keeps the complex product's +0.0 where B is -0.0
-        d = complex(parts[0], 0.0 - parts[1])
+        d = complex(a, 0.0 - b)
         if d == 0 or not cmath.isfinite(e / d):
             if not cmath.isfinite(d):
                 raise OverflowError("a response denominator overflows a "

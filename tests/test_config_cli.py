@@ -995,8 +995,12 @@ _POWER_ERR = "the absorbed power sigma_abs * I overflows a double"
      "[medium]\nnumber_density = 1e3\npath_length = 1e6\n"
      "members = 2.0:0.5, 2.5:0.5\n",
      "the propagated intensity I0 exp(g z) overflows a double"),
+    # |E|^2 = 1e310 itself
+    (["thermal", "--gamma=0.1", "--omega=0.5", "--Omega=0.2",
+      "--amplitude=1e155"], _HOT_INI,
+     "the field strength |E|^2 or |E+/-|^2 overflows a double"),
 ], ids=["thermal-intensity", "spinup-intensity", "thermal-power",
-        "spinup-power", "amplify-propagation"])
+        "spinup-power", "amplify-propagation", "thermal-field"])
 def test_overflowing_power_exits_2(tmp_path, capsys, argv, ini, err):
     # an intensity or power beyond a double is an error, not an inf that
     # reads as a melt or a result
@@ -1009,6 +1013,28 @@ def test_overflowing_power_exits_2(tmp_path, capsys, argv, ini, err):
     assert rc == 2
     assert capsys.readouterr().err == f"error: an input is too large: {err}\n"
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_point_overflow_reads_as_a_scan_cell(capsys):
+    # omega**2 of a denominator overflows at a point, as in a scan's cell
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["point", "--gamma=0.1", "--tau=1e-3", "--omega=1e160",
+                       "--Omega=0.2"])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: an input is too large: a "
+                                       "response value overflows a double\n")
+
+
+def test_point_where_only_the_unexcited_helicity_overflows(capsys):
+    # LCP at omega = Omega = 4.4e76: the E_plus sideband's fourth power
+    # overflows, but LCP light does not excite it
+    rc = cli.main(["point", "--gamma", "0.1", "--tau", "1e-3", "--omega",
+                   "4.4e76", "--Omega", "4.4e76"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "sigma_in_plus = 0\n" in out
+    assert "sigma_elastic = 0.0031415926535897933\n" in out
 
 
 # ---------------------------------------------------------------------------

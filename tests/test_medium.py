@@ -1,5 +1,6 @@
 """Ensemble averaging, Beer-Lambert propagation, and the pump budget."""
 
+import math
 import warnings
 
 import numpy as np
@@ -165,3 +166,15 @@ def test_sustaining_power_is_torque_work():
 def test_slow_rotor_needs_no_pump():
     member = MediumMember(MODEL, 0.2, 1.0)
     assert sustaining_power(member, DRIVE) < 0.0
+
+
+def test_overflowing_sustaining_power_raises():
+    # I = 1.6e305 and sigma_mech = 1.5e4 are finite, their product is not
+    member = MediumMember(OscillatorModel.normalized(1e-4, 0.0),
+                          0.22583426132260587, 1.0)
+    drive = DriveField.lcp(1.2, 1e153)
+    assert math.isfinite(drive.intensity(1.0))
+    with pytest.raises(OverflowError) as info:
+        sustaining_power(member, drive)
+    assert str(info.value) == ("the sustaining power -sigma_mech * I "
+                               "overflows a double")

@@ -108,15 +108,63 @@ def test_mirrored_swaps_helicities():
     assert md.e_minus == d.e_plus
 
 
+def test_derived_attributes_follow_mirrored_and_replace():
+    # |E|^2, E_pm and the shares are set at construction, and a copy
+    # with other fields derives its own
+    d = DriveField(0.5, 0.3 + 0.2j, -0.1 + 0.7j)
+    assert d.field_norm_sq == abs(d.amplitude_x) ** 2 + abs(d.amplitude_y) ** 2
+    assert d.shares == (abs(d.e_plus) ** 2 / d.field_norm_sq,
+                        abs(d.e_minus) ** 2 / d.field_norm_sq)
+    md = d.mirrored()
+    assert md.shares == d.shares[::-1]
+    assert md.field_norm_sq == d.field_norm_sq
+    x_only = dataclasses.replace(d, amplitude_y=0j)
+    assert x_only.e_plus == x_only.e_minus == 0.3 + 0.2j
+    assert x_only.field_norm_sq == abs(0.3 + 0.2j) ** 2
+    assert x_only.shares == (1.0, 1.0)
+    lcp = dataclasses.replace(d, amplitude_x=1.0, amplitude_y=1j)
+    assert (lcp.e_plus, lcp.shares) == (0j, (0.0, 2.0))
+    zero = dataclasses.replace(d, amplitude_x=0, amplitude_y=0)
+    assert (zero.field_norm_sq, zero.shares) == (0.0, None)
+    # not dataclass fields: equality, hashing and repr ignore them
+    assert [f.name for f in dataclasses.fields(d)] == [
+        "frequency", "amplitude_x", "amplitude_y"]
+    assert d == DriveField(0.5, 0.3 + 0.2j, -0.1 + 0.7j)
+    assert hash(d) == hash(DriveField(0.5, 0.3 + 0.2j, -0.1 + 0.7j))
+    assert repr(d) == ("DriveField(frequency=0.5, amplitude_x=(0.3+0.2j), "
+                       "amplitude_y=(-0.1+0.7j))")
+
+
+_FIELD_ERR = "the field strength |E|^2 or |E+/-|^2 overflows a double"
+
+
+@pytest.mark.parametrize("amplitude", [1e155, 1e154],
+                         ids=["norm-overflows", "circular-part-overflows"])
+def test_overflowing_field_raises_where_it_is_used(amplitude):
+    # |E|^2 = 1e310, or |E|^2 = 1e308 with |E_minus|^2 = 2e308: the drive
+    # is built, and the kernel names the field when it is called
+    d = DriveField.lcp(0.5, amplitude)
+    assert d.shares is None
+    for drive in (d, DriveField.lcp(np.array([0.5, 1.0]), amplitude)):
+        for view in _VIEWS:
+            with pytest.raises(OverflowError) as info:
+                view(MODEL, drive, 0.2)
+            assert str(info.value) == _FIELD_ERR
+    if amplitude == 1e155:
+        assert d.field_norm_sq == math.inf
+        with pytest.raises(OverflowError, match="beam intensity"):
+            d.intensity(1.0)
+
+
 # ---------------------------------------------------------------------------
 # denominators
 
 
 def _d_pm(model, omega, Omega):
     """(d_plus, d_minus) at one (omega, Omega) point, each A - i*B."""
+    s = _Shifted(omega, Omega)
     return tuple(complex(a, 0.0 - b) for a, b in
-                 _denominators(model, _Shifted(omega, Omega), Omega,
-                               True, True))
+                 _denominators(model, Omega, (s.plus, s.minus)))
 
 
 def test_denominator_reference_values():
@@ -514,8 +562,8 @@ def test_point_matches_one_element_array(point, pol, exr, exi, eyr, eyi,
     drive = DriveField(w_kind(omega), ex, ey)
     cell = DriveField(np.array([omega]), ex, ey)
     with np.errstate(all="ignore"):
-        *_, tp, tm = _weights(model, cell, Omega)
-    singular = bool(np.isinf(tp) | np.isinf(tm))
+        helicities = _weights(model, cell, Omega)[2]
+    singular = any(np.isinf(t).any() for *_, t in helicities)
     for view in _VIEWS:
         expected = _cell(view(model, cell, Omega))
         if singular or not np.all(np.isfinite(expected)):
@@ -551,6 +599,15 @@ def _d_ref(model, omega, Omega):
                  for w in (omega + Omega, omega - Omega))
 
 
+def _weight_pair(terms):
+    """(t_plus, t_minus) from the terms of ``_weights``: None for a
+    helicity that was not evaluated."""
+    pair = [None, None]
+    for plus, _, _, t in terms[2]:
+        pair[0 if plus else 1] = t
+    return pair
+
+
 def _hex(z):
     return z.real.hex(), z.imag.hex()
 
@@ -580,15 +637,15 @@ def test_real_parts_keep_the_complex_formula_bits(point, pol, lossless, exr,
     with np.errstate(all="ignore"):
         refs = _d_ref(model, omega, Omega)
         cell_refs = _d_ref(model, cell.frequency, np.asarray(Omega, float))
-        cell_weights = _weights(model, cell, Omega)[3:]
-    weights = _weights(model, drive, Omega, point=True)[3:]
+        cell_weights = _weight_pair(_weights(model, cell, Omega))
+    weights = _weight_pair(_weights(model, drive, Omega, point=True))
     for e, d, cell_d, t, cell_t, parts in zip(
             fields, refs, cell_refs, weights, cell_weights,
             _d_pm(model, omega, Omega)):
         assert _hex(parts) == _hex(d)
         share = abs(e) ** 2 / e2
         if share == 0.0:
-            assert t == cell_t == 0.0
+            assert t is None and cell_t is None
             continue
         d2 = d.real * d.real + d.imag * d.imag
         assert t.hex() == (math.inf if d2 == 0.0 else share / d2).hex()
@@ -669,7 +726,7 @@ def test_pinned_point_errors():
     assert repr(torque(*huge)) == "0.0"
     with pytest.raises(OverflowError) as info:
         cross_section_set(*huge)
-    assert str(info.value) == "(34, 'Numerical result out of range')"
+    assert str(info.value) == "a response value overflows a double"
     # sigma_ext itself stays finite at 1e80 but not at 1e110
     tough = (OscillatorModel.normalized(0.3, 0.2), DriveField.lcp(1e110), 0.2)
     with pytest.raises(OverflowError) as info:
@@ -684,6 +741,116 @@ def test_pinned_point_errors():
             "response denominator vanishes (gamma = tau = 0 on the resonance "
             "ellipse, or omega = +/-Omega at |Omega| = omega0); no bounded "
             "steady state exists there")
+
+
+def test_denominator_overflow_at_a_point_reads_as_the_kernels():
+    # Python's ** raises where numpy gives inf: w**2 of d_minus at 1e160
+    m = OscillatorModel.normalized(0.1, 1e-3)
+    for view in _VIEWS:
+        with pytest.raises(OverflowError) as info:
+            view(m, DriveField.lcp(1e160), 0.2)
+        assert str(info.value) == "a response value overflows a double"
+
+
+# ---------------------------------------------------------------------------
+# only the excited helicities are evaluated
+
+
+def test_unexcited_helicity_overflow_hides_no_finite_answer():
+    # LCP at omega = Omega = 4.4e76: the E_plus sideband omega + 2*Omega
+    # has a fourth power beyond a double, but E_plus is not excited; the
+    # E_minus helicity is static in the rotating frame
+    m = OscillatorModel.normalized(0.1, 1e-3)
+    expected = {"sigma_mech": -2e-3 * np.pi, "sigma_abs": 0.0,
+                "sigma_elastic": 1e-3 * np.pi, "sigma_in_plus": 0.0,
+                "sigma_in_minus": 1e-3 * np.pi, "sigma_ext": 0.0}
+    point = cross_section_set(m, DriveField.lcp(4.4e76), 4.4e76).as_dict()
+    cell = cross_section_set(m, DriveField.lcp(np.array([4.4e76])),
+                             4.4e76).as_dict()
+    for key, value in expected.items():
+        assert point[key] == pytest.approx(value, rel=1e-15, abs=0.0)
+        assert cell[key].tobytes() == np.array([point[key]]).tobytes()
+
+
+def _two_helicity_reference(model, drive, Omega):
+    """(torque, the cross_section_set values) from both helicities' terms,
+    an unexcited one weighted 0.0: the kernel's formulas as they read when
+    every helicity was evaluated.  Points in Python floats, which may
+    raise OverflowError; arrays in numpy."""
+    if np.ndim(drive.frequency) or np.ndim(Omega):
+        omega, Omega = np.asarray(drive.frequency, float), np.asarray(Omega,
+                                                                      float)
+    else:
+        omega, Omega = float(drive.frequency), float(Omega)
+    e2 = drive.field_norm_sq
+    gamma, tau = model.damping_rate, model.radiative_time
+    osq = Omega * Omega
+    spring = model.natural_frequency**2 - osq
+    w_plus, w_minus = omega + Omega, omega - Omega
+    plus2, minus2 = omega + 2.0 * Omega, omega - 2.0 * Omega
+    tp, tm = abs(drive.e_plus) ** 2 / e2, abs(drive.e_minus) ** 2 / e2
+    weights = []
+    for share, w in ((tp, w_plus), (tm, w_minus)):
+        if share:
+            a, b = spring - w * w, w * gamma + tau * w * (w**2 + 3.0 * osq)
+            d2 = a * a + b * b
+            share = share / d2 if np.ndim(d2) or d2 else math.inf
+        weights.append(share)
+    tp, tm = weights
+    brake = (-(gamma * w_plus + tau * plus2**3) * tp
+             + (gamma * w_minus + tau * minus2**3) * tm)
+    pref = model.scattering_prefactor
+    osq3 = 3.0 * Omega**2
+    per_c = np.pi * model.coupling / model.light_speed
+    return (0.5 * model.coupling * e2 * brake, (
+        per_c * Omega * brake,
+        np.pi * gamma * model.coupling / model.light_speed
+        * (w_plus**2 * tp + w_minus**2 * tm),
+        pref * omega**4 * (tp + tm),
+        pref * plus2**4 * tp,
+        pref * minus2**4 * tm,
+        np.pi * model.coupling * omega / model.light_speed * (
+            w_plus * (gamma + tau * (w_plus**2 + osq3)) * tp
+            + w_minus * (gamma + tau * (w_minus**2 + osq3)) * tm)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(point=_points(), pol=st.sampled_from(["lcp", "rcp", "linear", "any"]),
+       exr=amps, exi=amps, eyr=amps, eyi=amps,
+       more=st.lists(finite, max_size=4),
+       shape=st.sampled_from(["point", "omega", "Omega"]))
+def test_kernel_matches_the_two_helicity_formulas(point, pol, exr, exi, eyr,
+                                                  eyi, more, shape):
+    # skipping the unexcited helicity changes no bits where the formulas
+    # with both helicities are finite, except the sign of an exact zero
+    model, omega, Omega = point
+    base = {"lcp": DriveField.lcp(omega), "rcp": DriveField.rcp(omega),
+            "linear": DriveField.linear(omega, 1.0, exr),
+            "any": _drive(omega, exr, exi, eyr, eyi)}[pol]
+    assume(base.field_norm_sq > 1e-12)
+    if shape == "omega":
+        drive = DriveField(np.array([omega, *more]), base.amplitude_x,
+                           base.amplitude_y)
+    else:
+        drive = base
+    if shape == "Omega":
+        Omega = np.array([Omega, *more])
+    with np.errstate(all="ignore"):
+        try:
+            ref_torque, ref_set = _two_helicity_reference(model, drive, Omega)
+        except OverflowError:
+            return
+    for ref, view, pick in ((ref_torque, torque, lambda v: v),
+                            (np.array(ref_set), cross_section_set,
+                             lambda v: np.array(_values(v)))):
+        finite_ref = np.isfinite(ref)
+        if shape == "point" and not finite_ref.all():
+            continue        # the point raises or not; nothing to compare
+        got = pick(view(model, drive, Omega))
+        # == tells -0.0 from nothing else: equal nonzero doubles are the
+        # same bits
+        np.testing.assert_array_equal(np.asarray(got)[finite_ref],
+                                      np.asarray(ref)[finite_ref])
 
 
 # ---------------------------------------------------------------------------
@@ -784,22 +951,25 @@ def test_ode_check_catches_amplitude_error(monkeypatch):
 def _rotation_even(formula, eps=1e-8):
     """``formula`` of the kernel times 1 + eps*Omega**2: exact at rest."""
     if formula is response._denominators:   # B, which both routes share
-        return lambda model, s, Omega, *flags: [
-            p and (p[0], p[1] * (1 + eps * Omega**2))
-            for p in formula(model, s, Omega, *flags)]
+        return lambda model, Omega, shifted: [
+            (a, b * (1 + eps * Omega**2))
+            for a, b in formula(model, Omega, shifted)]
     if formula is response._weights:       # |d|^2 = A*A + B*B
         def weights(*args, **kwargs):
-            omega, Omega, s, tp, tm = formula(*args, **kwargs)
+            omega, Omega, helicities = formula(*args, **kwargs)
             scale = 1 + eps * Omega**2
-            return omega, Omega, s, tp / scale, tm / scale
+            return omega, Omega, [(plus, w, w2, t / scale)
+                                  for plus, w, w2, t in helicities]
         return weights
     if formula is response._brake:
-        # the brake takes no Omega: s.plus - s.minus = 2*Omega
-        return lambda model, s, tp, tm: formula(model, s, tp, tm) * (
-            1 + eps * ((s.plus - s.minus) / 2)**2)
+        # the brake takes no Omega: each helicity's w - w2 is +/-Omega
+        def brake(model, helicities):
+            _, w, w2, _ = helicities[0]
+            return formula(model, helicities) * (1 + eps * (w - w2)**2)
+        return brake
 
-    def perturbed(model, omega, Omega, s, tp, tm, **e2):   # torque: |E|^2
-        out = formula(model, omega, Omega, s, tp, tm, **e2)
+    def perturbed(model, omega, Omega, helicities, **e2):   # torque: |E|^2
+        out = formula(model, omega, Omega, helicities, **e2)
         if isinstance(out, tuple):          # the inelastic pair: plus only
             return out[0] * (1 + eps * Omega**2), out[1]
         return out * (1 + eps * Omega**2)
