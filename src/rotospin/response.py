@@ -242,15 +242,16 @@ def _denominators(model, Omega, shifted):
     The operations are the complex product's, whose other terms are exact
     zeros: complex(A, 0.0 - B) is that product bit for bit wherever it is
     finite."""
-    # x*x, not x**2: libm's pow may round apart from numpy's square, and
-    # the spring must vanish alike at a point and in an array
+    # every power in the kernel is a product: numpy's pow is slow at a
+    # negative base and rounds apart from libm's, and a point must give
+    # its array cell's bits, the spring its exact 0
     osq = Omega * Omega
     w0 = model.natural_frequency
     spring = w0 * w0 - osq
     osq3 = 3.0 * osq
     gamma = model.damping_rate
     tau = model.radiative_time
-    return [(spring - w * w, w * gamma + tau * w * (w**2 + osq3))
+    return [(spring - w * w, w * gamma + tau * w * (w * w + osq3))
             for w in shifted]
 
 
@@ -323,7 +324,7 @@ def _weights(model, drive, Omega, point=False):
         if not math.isfinite(Omega):
             raise ValueError("Omega must be finite")
     else:
-        # a scalar operand too: Python's ** raises where numpy gives inf
+        # a scalar operand too: the formulas read the broadcast shape
         omega, Omega = np.asarray(omega, float), np.asarray(Omega, float)
     twice = 2.0 * Omega
     share_plus, share_minus = shares
@@ -332,14 +333,10 @@ def _weights(model, drive, Omega, point=False):
         excited.append((True, omega + Omega, omega + twice, share_plus))
     if share_minus:
         excited.append((False, omega - Omega, omega - twice, share_minus))
-    try:
-        parts = _denominators(model, Omega, [h[1] for h in excited])
-    except OverflowError:   # Python's ** at a point; numpy gives inf
-        raise OverflowError(_OVERFLOW_MSG) from None
+    parts = _denominators(model, Omega, [h[1] for h in excited])
     helicities = []
     for (plus, w, w2, share), (a, b) in zip(excited, parts):
-        # a*a, not a**2, which raises at a point: an overflowing |d|^2
-        # is inf, and its weight 0
+        # an overflowing |d|^2 is inf, and its weight 0
         d2 = a * a + b * b
         helicities.append((plus, w, w2, math.inf if point and d2 == 0.0
                            else share / d2))
@@ -362,10 +359,7 @@ def _evaluate(formula, model, drive, Omega):
     for h in hs:
         if h[3] == math.inf:
             raise SingularResonanceError(_SINGULAR_MSG)
-    try:
-        out = formula(model, omega, Omega, hs)
-    except OverflowError:   # Python's ** at a point; numpy gives inf
-        out = math.inf
+    out = formula(model, omega, Omega, hs)
     if not (math.isfinite(out) if type(out) is float
             else all(map(math.isfinite, out))):
         raise OverflowError(_OVERFLOW_MSG)
@@ -379,7 +373,7 @@ def _brake(model, hs):
     tau = model.radiative_time
     total = None
     for plus, w, w2, t in hs:
-        term = (gamma * w + tau * w2**3) * t
+        term = (gamma * w + tau * (w2 * w2 * w2)) * t
         term = -term if plus else term
         total = term if total is None else total + term
     return total
@@ -399,7 +393,7 @@ def _mechanical(model, omega, Omega, hs):
 def _absorption(model, omega, Omega, hs):
     total = None
     for _, w, _, t in hs:
-        term = w**2 * t
+        term = w * w * t
         total = term if total is None else total + term
     return (np.pi * model.damping_rate * model.coupling / model.light_speed
             * total)
@@ -409,7 +403,8 @@ def _elastic(model, omega, Omega, hs):
     total = None
     for _, _, _, t in hs:
         total = t if total is None else total + t
-    return model.scattering_prefactor * omega**4 * total
+    sq = omega * omega
+    return model.scattering_prefactor * (sq * sq) * total
 
 
 def _inelastic(model, omega, Omega, hs):
@@ -418,7 +413,8 @@ def _inelastic(model, omega, Omega, hs):
     pref = model.scattering_prefactor
     up = down = None
     for plus, _, w2, t in hs:
-        sideband = pref * w2**4 * t
+        sq = w2 * w2
+        sideband = pref * (sq * sq) * t
         if plus:
             up = sideband
         else:
@@ -433,10 +429,10 @@ def _inelastic(model, omega, Omega, hs):
 def _extinction(model, omega, Omega, hs):
     gamma = model.damping_rate
     tau = model.radiative_time
-    osq3 = 3.0 * Omega**2
+    osq3 = 3.0 * (Omega * Omega)
     total = None
     for _, w, _, t in hs:
-        term = w * (gamma + tau * (w**2 + osq3)) * t
+        term = w * (gamma + tau * (w * w + osq3)) * t
         total = term if total is None else total + term
     return np.pi * model.coupling * omega / model.light_speed * total
 
@@ -536,7 +532,8 @@ def radial_ode_residual(model, drive, Omega, t):
     one point (an array raises numpy's TypeError).
     """
     _, Omega, s, a_plus, a_minus = _helicity_amplitudes(model, drive, Omega)
-    w0sq = model.natural_frequency**2
+    w0 = model.natural_frequency
+    w0sq, osq = w0 * w0, Omega * Omega
     gamma = model.damping_rate
     tau = model.radiative_time
 
@@ -552,11 +549,11 @@ def radial_ode_residual(model, drive, Omega, t):
         rho1 = (-1j * w * a * ph).real
         rho2 = ((-1j * w) ** 2 * a * ph).real
         rho3 = ((-1j * w) ** 3 * a * ph).real
-        lhs = lhs + (w0sq * rho - Omega**2 * rho + rho2 + gamma * rho1
-                     - tau * rho3 + 3.0 * tau * Omega**2 * rho1)
-        scale = scale + abs(a) * (w0sq + Omega**2 + w**2 + gamma * abs(w)
-                                  + tau * (abs(w) ** 3
-                                           + 3.0 * Omega**2 * abs(w)))
+        aw = abs(w)
+        lhs = lhs + (w0sq * rho - osq * rho + rho2 + gamma * rho1
+                     - tau * rho3 + 3.0 * tau * osq * rho1)
+        scale = scale + abs(a) * (w0sq + osq + w * w + gamma * aw
+                                  + tau * (aw * aw * aw + 3.0 * osq * aw))
     forcing = ((drive.e_plus * exp(-1j * s.plus * t)).real
                + (drive.e_minus * exp(-1j * s.minus * t)).real)
     scale = scale + (abs(drive.e_plus) + abs(drive.e_minus))

@@ -21,7 +21,8 @@ from . import dynamics, medium, scan, timedomain
 from .materials import (DrudeEllipsoid, DrudeSphere,
                         dipole_torque_low_rotation, from_drude_ellipsoid,
                         from_drude_sphere, optical_theorem_residual)
-from .response import (DriveField, OscillatorModel, cross_section_set,
+from .response import (DriveField, OscillatorModel, absorption_cross_section,
+                       cross_section_set, extinction_cross_section,
                        induced_dipole_spectrum, radial_ode_residual,
                        resonance_locus, static_polarizability, torque)
 
@@ -119,7 +120,7 @@ def check_time_domain(rng) -> CheckResult:
     for m, d, Om in cases:
         avg = timedomain.force_law_averages(m, d, Om)
         closed_m = torque(m, d, Om)
-        closed_p = (cross_section_set(m, d, Om).absorption
+        closed_p = (absorption_cross_section(m, d, Om)
                     * d.intensity(m.light_speed))
         worst = max(worst,
                     abs(avg.torque - closed_m) / abs(closed_m),
@@ -131,8 +132,8 @@ def check_time_domain(rng) -> CheckResult:
 def check_sign_structure(rng) -> CheckResult:
     omegas = np.linspace(1e-3, 3.0, 301)
     omegas = omegas[omegas != 2.0]
-    ext = cross_section_set(OscillatorModel.normalized(0.1, 1e-4),
-                            DriveField.lcp(omegas), 2.0).extinction
+    ext = extinction_cross_section(OscillatorModel.normalized(0.1, 1e-4),
+                                   DriveField.lcp(omegas), 2.0)
     w, Om = np.meshgrid(np.linspace(0.0, 2.0, 64), np.linspace(0.0, 2.0, 64))
     mval = torque(OscillatorModel.normalized(0.1), DriveField.lcp(w), Om)
     # a NaN counts as a wrong sign
@@ -298,7 +299,7 @@ def ridge_offset_along_ray(model, angle):
     def peak(r):
         """Each ray's radius of highest absorption among the radii r."""
         d = DriveField.lcp(r * cos_a)
-        absorption = cross_section_set(model, d, r * sin_a).absorption
+        absorption = absorption_cross_section(model, d, r * sin_a)
         best = np.argmax(absorption, axis=1, keepdims=True)
         return np.take_along_axis(np.broadcast_to(r, absorption.shape),
                                   best, axis=1)
@@ -334,8 +335,8 @@ def check_locus_points(rng) -> CheckResult:
     # the lossless response is singular at the locus point (1, 1) and
     # regular just inside the ellipse, at (0.9, 0.9)
     cells = np.array([1.0, 0.9])
-    ext = cross_section_set(OscillatorModel.normalized(0.0),
-                            DriveField.lcp(cells), cells).extinction
+    ext = extinction_cross_section(OscillatorModel.normalized(0.0),
+                                   DriveField.lcp(cells), cells)
     on_locus = bool(np.isnan(ext[0]) and np.isfinite(ext[1]))
     return CheckResult("resonance-locus", worst <= 1e-12 and on_locus,
                        f"max ellipse deviation {worst:.3e}; lossless "
