@@ -11,10 +11,11 @@ Conventions worth pinning down, since they vary across texts:
 
 * circular components are ``E_pm = Ex +/- i*Ey``; left circular
   polarization (LCP) means ``E_plus == 0``.  Use the ``DriveField``
-  constructors rather than guessing signs.  A helicity the drive does
-  not excite (E_plus under LCP light) is not evaluated: it adds no term
-  to any formula and its sideband is 0, even on its own resonance or
-  where its terms would overflow a double.
+  constructors rather than guessing signs.  A helicity is excited where
+  its E_pm != 0.  Every route evaluates the excited helicities only: an
+  unexcited one (E_plus under LCP light) adds no term to any formula and
+  its sideband is 0, even on its own resonance or where its terms would
+  overflow a double.
 * drive frequency ``w`` and rotation frequency ``Omega`` are signed;
   every formula below is well defined for negative values.
 * radiation reaction enters through the damping time ``tau``.  In a
@@ -157,6 +158,8 @@ class DriveField:
     fields, so equality, hashing and repr ignore them:
 
     * ``e_plus``, ``e_minus``: the circular components Ex +/- i*Ey;
+    * ``excited``: (plus, E_pm) for each helicity with E_pm != 0, however
+      small, E_plus's first;
     * ``field_norm_sq``: |E|^2 = |Ex|^2 + |Ey|^2, inf where that overflows
       a double;
     * ``shares``: (|E_plus|^2, |E_minus|^2) / |E|^2, the helicity weights
@@ -182,13 +185,16 @@ class DriveField:
             e2 = abs(ex) ** 2 + abs(ey) ** 2
         except OverflowError:
             e2 = math.inf
+        excited = (((True, e_plus),) if e_plus else ()) + (
+            ((False, e_minus),) if e_minus else ())
         try:
             shares = abs(e_plus) ** 2 / e2, abs(e_minus) ** 2 / e2
         except (OverflowError, ZeroDivisionError):
             shares = None
         # frozen: write the instance's dict, as object.__setattr__ would
         vars(self).update(amplitude_x=ex, amplitude_y=ey, e_plus=e_plus,
-                          e_minus=e_minus, field_norm_sq=e2, shares=shares)
+                          e_minus=e_minus, excited=excited, field_norm_sq=e2,
+                          shares=shares)
 
     @classmethod
     def lcp(cls, frequency, amplitude=1.0):
@@ -222,23 +228,11 @@ class DriveField:
         return dataclasses.replace(self, amplitude_y=-self.amplitude_y)
 
 
-class _Shifted:
-    """Rotation-shifted drive frequencies."""
-
-    __slots__ = ("plus", "minus", "plus2", "minus2")
-
-    def __init__(self, omega, Omega):
-        twice = 2.0 * Omega
-        self.plus = omega + Omega
-        self.minus = omega - Omega
-        self.plus2 = omega + twice
-        self.minus2 = omega - twice
-
-
-def _denominators(model, Omega, shifted):
+def _denominators(model, Omega, excited):
     """Parts (A, B) of d = A - i*B = omega0^2 - Omega^2 - w(w + i*gamma)
-    - i*tau*w(w^2 + 3*Omega^2) (rad^2/s^2) at each shifted frequency w of
-    ``shifted``: w = omega + Omega gives d_plus, omega - Omega d_minus.
+    - i*tau*w(w^2 + 3*Omega^2) (rad^2/s^2) at the shifted frequency w of
+    each helicity tuple (plus, e, w, w2) in ``excited``: w = omega + Omega
+    gives d_plus, omega - Omega d_minus.
     The operations are the complex product's, whose other terms are exact
     zeros: complex(A, 0.0 - B) is that product bit for bit wherever it is
     finite."""
@@ -252,7 +246,34 @@ def _denominators(model, Omega, shifted):
     gamma = model.damping_rate
     tau = model.radiative_time
     return [(spring - w * w, w * gamma + tau * w * (w * w + osq3))
-            for w in shifted]
+            for _, _, w, _ in excited]
+
+
+def _excited(model, drive, Omega, point):
+    """(omega, Omega, helicities, parts): the drive and rotation
+    frequencies, a tuple (plus, e, w, w2) per helicity in the drive's
+    ``excited``, with its E_pm and shifted frequencies w = omega +/- Omega
+    and w2 = omega +/- 2*Omega, and the (A, B) of each from
+    ``_denominators``.  At a ``point`` omega and Omega are Python floats,
+    and so is every result: a non-finite Omega raises ValueError, an array
+    numpy's TypeError.  Otherwise both are numpy arrays, and numpy's
+    warnings must be off."""
+    omega = drive.frequency
+    if point:
+        omega, Omega = float(omega), float(Omega)
+        if not math.isfinite(Omega):
+            raise ValueError("Omega must be finite")
+    else:
+        # a scalar operand too: the formulas read the broadcast shape
+        omega, Omega = np.asarray(omega, float), np.asarray(Omega, float)
+    twice = 2.0 * Omega
+    excited = []
+    for plus, e in drive.excited:
+        if plus:
+            excited.append((plus, e, omega + Omega, omega + twice))
+        else:
+            excited.append((plus, e, omega - Omega, omega - twice))
+    return omega, Omega, excited, _denominators(model, Omega, excited)
 
 
 @dataclass(frozen=True)
@@ -296,48 +317,24 @@ _OVERFLOW_MSG = "a response value overflows a double"
 
 
 def _weights(model, drive, Omega, point=False):
-    """(omega, Omega, helicities): the drive and rotation frequencies and,
-    for each helicity the drive excites (E_plus's first), a tuple (plus,
-    w, w2, t) of its flag, its shifted frequencies w = omega +/- Omega
-    and w2 = omega +/- 2*Omega and its weighted inverse denominator t =
-    |E_pm/E|^2 / |d_pm|^2, from the drive's ``shares``.  At a ``point``,
-    where the drive frequency and Omega are both scalars, omega and Omega
-    are Python floats and so is every result; otherwise both are numpy
-    arrays, and numpy's warnings must be off.
-
-    A helicity whose share is zero, such as E_plus under LCP light, is not
-    evaluated: it has no tuple, so no shifted frequency, denominator or
-    term of any formula, even on its own resonance or where its terms
-    would overflow.  Each excited helicity's |d|^2 is A*A + B*B from
-    ``_denominators``.  A point is singular where a weight is inf: its
-    |d|^2 is zero, or so small that the quotient overflows.  A NaN weight
-    is an overflow inside A or B (inf - inf or 0*inf), not a resonance.
-    """
+    """(omega, Omega, helicities): ``_excited``'s frequencies and, for each
+    of its helicities, a tuple (plus, w, w2, t) with the weighted inverse
+    denominator t = |E_pm/E|^2 / |d_pm|^2, the drive's share over A*A +
+    B*B.  A point is singular where a weight is inf: its |d|^2 is zero, or
+    so small that the quotient overflows.  A NaN weight is an overflow
+    inside A or B (inf - inf or 0*inf), not a resonance, except in an
+    array where a share that underflowed to 0.0 meets a zero |d|^2."""
     shares = drive.shares
     if shares is None:
         if drive.field_norm_sq == 0:
             raise ValueError("drive field has zero amplitude")
         raise OverflowError(_FIELD_OVERFLOW_MSG)
-    omega = drive.frequency
-    if point:
-        omega, Omega = float(omega), float(Omega)
-        if not math.isfinite(Omega):
-            raise ValueError("Omega must be finite")
-    else:
-        # a scalar operand too: the formulas read the broadcast shape
-        omega, Omega = np.asarray(omega, float), np.asarray(Omega, float)
-    twice = 2.0 * Omega
-    share_plus, share_minus = shares
-    excited = []
-    if share_plus:
-        excited.append((True, omega + Omega, omega + twice, share_plus))
-    if share_minus:
-        excited.append((False, omega - Omega, omega - twice, share_minus))
-    parts = _denominators(model, Omega, [h[1] for h in excited])
+    omega, Omega, excited, parts = _excited(model, drive, Omega, point)
     helicities = []
-    for (plus, w, w2, share), (a, b) in zip(excited, parts):
+    for (plus, _, w, w2), (a, b) in zip(excited, parts):
         # an overflowing |d|^2 is inf, and its weight 0
         d2 = a * a + b * b
+        share = shares[0] if plus else shares[1]
         helicities.append((plus, w, w2, math.inf if point and d2 == 0.0
                            else share / d2))
     return omega, Omega, helicities
@@ -420,10 +417,15 @@ def _inelastic(model, omega, Omega, hs):
         else:
             down = sideband
     if up is None or down is None:
-        zero = (0.0 if type(omega) is float
-                else np.zeros(np.broadcast_shapes(omega.shape, Omega.shape)))
+        zero = _zero(omega, Omega)
         return (zero if up is None else up), (zero if down is None else down)
     return up, down
+
+
+def _zero(omega, Omega):
+    """0.0 at a point, or zeros in the broadcast shape."""
+    return (0.0 if type(omega) is float
+            else np.zeros(np.broadcast_shapes(omega.shape, Omega.shape)))
 
 
 def _extinction(model, omega, Omega, hs):
@@ -449,13 +451,11 @@ def torque(model: OscillatorModel, drive: DriveField, Omega):
     rotation outruns the drive (both gamma and tau channels contribute).
     """
     e2 = drive.field_norm_sq
-    if e2 == 0:
-        if _is_array(drive.frequency) or _is_array(Omega):
-            return np.zeros(np.broadcast_shapes(np.shape(drive.frequency),
-                                                np.shape(Omega)))
-        if not math.isfinite(Omega):
-            raise ValueError("Omega must be finite")
-        return 0.0
+    if e2 == 0:     # no field, no torque
+        with np.errstate(all="ignore"):
+            omega, Omega, *_ = _excited(model, drive, Omega, not (
+                _is_array(drive.frequency) or _is_array(Omega)))
+        return _zero(omega, Omega)
     return _evaluate(functools.partial(_torque, e2=e2), model, drive, Omega)
 
 
@@ -481,28 +481,14 @@ def cross_section_set(model, drive, Omega) -> CrossSectionSet:
 
 
 def _helicity_amplitudes(model, drive, Omega):
-    """(omega, Omega, s, a_plus, a_minus) at one point: the drive and
-    rotation frequencies as Python floats, the shifted frequencies ``s``
-    and the complex amplitudes a_pm = E_pm/d_pm of the two helicity
-    components, in units where Q/m = 1.
-
-    An unexcited channel is 0j even on its resonance.  An excited one
-    raises SingularResonanceError where d_pm is zero, or so small that
-    E_pm/d_pm is not finite, and OverflowError where that quotient is not
-    finite because d_pm is not.  An array operand raises numpy's
-    TypeError.
-    """
-    omega, Omega = float(drive.frequency), float(Omega)
-    if not math.isfinite(Omega):
-        raise ValueError("Omega must be finite")
-    s = _Shifted(omega, Omega)
-    fields = drive.e_plus, drive.e_minus
-    amplitudes = []
-    for e, w in zip(fields, (s.plus, s.minus)):
-        if not e:
-            amplitudes.append(0j)
-            continue
-        (a, b), = _denominators(model, Omega, (w,))
+    """(omega, Omega, helicities) at one point: ``_excited``'s frequencies
+    and, for each of its helicity tuples (plus, e, w, w2), that tuple and
+    the complex amplitude E_pm/d_pm (Q/m = 1).  Raises
+    SingularResonanceError where d_pm is zero, or so small that E_pm/d_pm
+    is not finite, and OverflowError where d_pm is not finite."""
+    omega, Omega, excited, parts = _excited(model, drive, Omega, point=True)
+    helicities = []
+    for (plus, e, w, w2), (a, b) in zip(excited, parts):
         # 0.0 - B keeps the complex product's +0.0 where B is -0.0
         d = complex(a, 0.0 - b)
         if d == 0 or not cmath.isfinite(e / d):
@@ -510,8 +496,8 @@ def _helicity_amplitudes(model, drive, Omega):
                 raise OverflowError("a response denominator overflows a "
                                     "double")
             raise SingularResonanceError(_SINGULAR_MSG)
-        amplitudes.append(e / d)
-    return omega, Omega, s, *amplitudes
+        helicities.append((plus, e, w, w2, e / d))
+    return omega, Omega, helicities
 
 
 def radial_ode_residual(model, drive, Omega, t):
@@ -531,7 +517,7 @@ def radial_ode_residual(model, drive, Omega, t):
     complexes and returns a float; the drive frequency and ``Omega`` are
     one point (an array raises numpy's TypeError).
     """
-    _, Omega, s, a_plus, a_minus = _helicity_amplitudes(model, drive, Omega)
+    _, Omega, hs = _helicity_amplitudes(model, drive, Omega)
     w0 = model.natural_frequency
     w0sq, osq = w0 * w0, Omega * Omega
     gamma = model.damping_rate
@@ -541,25 +527,28 @@ def radial_ode_residual(model, drive, Omega, t):
         t, exp = np.asarray(t, dtype=float), np.exp
     else:
         t, exp = float(t), cmath.exp
-    lhs = 0.0
-    scale = 0.0
-    for a, w in ((a_plus, s.plus), (a_minus, s.minus)):
-        ph = exp(-1j * w * t)
-        rho = (a * ph).real
-        rho1 = (-1j * w * a * ph).real
-        rho2 = ((-1j * w) ** 2 * a * ph).real
-        rho3 = ((-1j * w) ** 3 * a * ph).real
+    residual = scale = 0.0
+    for _, e, w, _, a in hs:
+        # each derivative is the previous one times -i*w, and each
+        # magnitude the previous one times |w|: a term overflows only
+        # where its own value does, never through a power of w alone
+        iw = -1j * w
+        ph = exp(iw * t)
+        rho = a * ph
+        rho1 = rho * iw
+        rho2 = rho1 * iw
+        rho3 = rho2 * iw
+        residual = residual + (w0sq * rho.real - osq * rho.real + rho2.real
+                               + gamma * rho1.real - tau * rho3.real
+                               + 3.0 * tau * osq * rho1.real - (e * ph).real)
         aw = abs(w)
-        lhs = lhs + (w0sq * rho - osq * rho + rho2 + gamma * rho1
-                     - tau * rho3 + 3.0 * tau * osq * rho1)
-        scale = scale + abs(a) * (w0sq + osq + w * w + gamma * aw
-                                  + tau * (aw * aw * aw + 3.0 * osq * aw))
-    forcing = ((drive.e_plus * exp(-1j * s.plus * t)).real
-               + (drive.e_minus * exp(-1j * s.minus * t)).real)
-    scale = scale + (abs(drive.e_plus) + abs(drive.e_minus))
+        m1 = abs(a) * aw
+        m2 = m1 * aw
+        scale = scale + ((w0sq + osq) * abs(a) + m2 + gamma * m1
+                         + tau * (m2 * aw + 3.0 * osq * m1) + abs(e))
     if scale == 0:
         return 0.0 if type(t) is float else np.zeros_like(t)
-    return abs(lhs - forcing) / scale
+    return abs(residual) / scale
 
 
 @dataclass(frozen=True)
@@ -593,17 +582,24 @@ def induced_dipole_spectrum(model, drive, Omega) -> DipoleSpectrum:
 
     Rotation splits the response into a carrier at the drive frequency
     and two sidebands shifted by +/- 2*Omega; each sideband is fed by a
-    single circular component of the drive.  Takes one (w, Omega) point:
-    an array operand raises numpy's TypeError.
+    single circular component of the drive, and is a line of amplitude 0
+    where that component is not excited.  Takes one (w, Omega) point: an
+    array operand raises numpy's TypeError.
     """
-    omega, _, s, a_plus, a_minus = _helicity_amplitudes(model, drive, Omega)
+    omega, Omega, hs = _helicity_amplitudes(model, drive, Omega)
     q = model.coupling / 4.0
-    carrier = SpectralLine(omega,
-                           q * (a_plus + a_minus),
-                           -1j * q * (a_plus - a_minus))
-    up = SpectralLine(s.plus2, q * a_plus, 1j * q * a_plus)
-    down = SpectralLine(s.minus2, q * a_minus, -1j * q * a_minus)
-    return DipoleSpectrum(carrier, up, down)
+    lines = {}
+    total = diff = 0j
+    for plus, _, _, w2, a in hs:
+        spin = 1j if plus else -1j
+        lines[plus] = SpectralLine(w2, q * a, spin * q * a)
+        total, diff = total + a, (diff + a if plus else diff - a)
+    twice = 2.0 * Omega
+    for plus, w2 in ((True, omega + twice), (False, omega - twice)):
+        if plus not in lines:
+            lines[plus] = SpectralLine(w2, 0j, 0j)
+    carrier = SpectralLine(omega, q * total, -1j * q * diff)
+    return DipoleSpectrum(carrier, lines[True], lines[False])
 
 
 def static_polarizability(model, omega) -> complex:

@@ -354,6 +354,31 @@ def test_point_singular_resonance_exits_3(capsys):
     assert "singular" in capsys.readouterr().err
 
 
+def test_point_faint_excited_helicity_on_its_resonance_exits_3(tmp_path,
+                                                               capsys):
+    # E_plus = 1e-170j: |E_plus|^2 underflows to 0, but E_plus is excited,
+    # and d_plus = 25 - 9 - 16 = 0 at omega = 1, Omega = 3
+    conf = _write(tmp_path, """\
+        [model]
+        gamma = 0
+        tau = 0
+        omega0 = 5
+        [drive]
+        polarization = explicit
+        ex_re = 1
+        ey_re = 1e-170
+        ey_im = 1
+        omega = 1
+        [point]
+        Omega = 3
+        """)
+    rc = cli.main(["point", "--config", conf])
+    assert rc == cli.EXIT_SINGULAR == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("singular resonance: ")
+
+
 def test_point_corotating_zero_torque(capsys):
     # omega = Omega away from omega0: regular, and the torque vanishes
     # exactly when radiation damping is off

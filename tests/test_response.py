@@ -29,8 +29,7 @@ from rotospin import (
     torque,
 )
 from rotospin import response, validation
-from rotospin.response import (_Shifted, _denominators, _helicity_amplitudes,
-                               _weights)
+from rotospin.response import _excited, _helicity_amplitudes, _weights
 
 # reference point used throughout: omega = 0.5, Omega = 0.2, gamma = 0.1,
 # tau = 0, LCP drive with |E| = 1 (normalized units)
@@ -43,16 +42,21 @@ OMEGA_ROT = 0.2
 # frequency bookkeeping and field conventions
 
 
+def _shifted(omega, Omega):
+    """(w_plus, w_minus, w2_plus, w2_minus) from ``_excited`` under a
+    linear drive, which excites both helicities."""
+    _, _, (plus, minus), _ = _excited(MODEL, DriveField.linear(omega), Omega,
+                                      point=True)
+    assert (plus[0], minus[0]) == (True, False)
+    return plus[2], minus[2], plus[3], minus[3]
+
+
 def test_shifted_frequencies():
-    s = _Shifted(0.5, 0.2)
-    assert_allclose([s.plus, s.minus, s.plus2, s.minus2],
-                    [0.7, 0.3, 0.9, 0.1], rtol=1e-15)
+    assert_allclose(_shifted(0.5, 0.2), [0.7, 0.3, 0.9, 0.1], rtol=1e-15)
 
 
 def test_shifted_frequencies_signed():
-    s = _Shifted(1.0, -0.3)
-    assert_allclose([s.plus, s.minus, s.plus2, s.minus2],
-                    [0.7, 1.3, 0.4, 1.6], rtol=1e-15)
+    assert_allclose(_shifted(1.0, -0.3), [0.7, 1.3, 0.4, 1.6], rtol=1e-15)
 
 
 def test_circular_components():
@@ -109,13 +113,15 @@ def test_mirrored_swaps_helicities():
 
 
 def test_derived_attributes_follow_mirrored_and_replace():
-    # |E|^2, E_pm and the shares are set at construction, and a copy
-    # with other fields derives its own
+    # |E|^2, E_pm, the excited helicities and their shares are set at
+    # construction, and a copy with other fields derives its own
     d = DriveField(0.5, 0.3 + 0.2j, -0.1 + 0.7j)
     assert d.field_norm_sq == abs(d.amplitude_x) ** 2 + abs(d.amplitude_y) ** 2
+    assert d.excited == ((True, d.e_plus), (False, d.e_minus))
     assert d.shares == (abs(d.e_plus) ** 2 / d.field_norm_sq,
                         abs(d.e_minus) ** 2 / d.field_norm_sq)
     md = d.mirrored()
+    assert md.excited == ((True, d.e_minus), (False, d.e_plus))
     assert md.shares == d.shares[::-1]
     assert md.field_norm_sq == d.field_norm_sq
     x_only = dataclasses.replace(d, amplitude_y=0j)
@@ -123,9 +129,14 @@ def test_derived_attributes_follow_mirrored_and_replace():
     assert x_only.field_norm_sq == abs(0.3 + 0.2j) ** 2
     assert x_only.shares == (1.0, 1.0)
     lcp = dataclasses.replace(d, amplitude_x=1.0, amplitude_y=1j)
-    assert (lcp.e_plus, lcp.shares) == (0j, (0.0, 2.0))
+    assert (lcp.e_plus, lcp.excited, lcp.shares) == (0j, ((False, 2 + 0j),),
+                                                     (0.0, 2.0))
+    # E_plus = 1e-170j is excited, though its share underflows to 0.0
+    faint = dataclasses.replace(d, amplitude_x=1.0, amplitude_y=1j + 1e-170)
+    assert faint.excited == ((True, 1e-170j), (False, 2 - 1e-170j))
+    assert faint.shares == (0.0, 2.0)
     zero = dataclasses.replace(d, amplitude_x=0, amplitude_y=0)
-    assert (zero.field_norm_sq, zero.shares) == (0.0, None)
+    assert (zero.field_norm_sq, zero.excited, zero.shares) == (0.0, (), None)
     # not dataclass fields: equality, hashing and repr ignore them
     assert [f.name for f in dataclasses.fields(d)] == [
         "frequency", "amplitude_x", "amplitude_y"]
@@ -161,10 +172,11 @@ def test_overflowing_field_raises_where_it_is_used(amplitude):
 
 
 def _d_pm(model, omega, Omega):
-    """(d_plus, d_minus) at one (omega, Omega) point, each A - i*B."""
-    s = _Shifted(omega, Omega)
-    return tuple(complex(a, 0.0 - b) for a, b in
-                 _denominators(model, Omega, (s.plus, s.minus)))
+    """(d_plus, d_minus) at one (omega, Omega) point, each A - i*B, from
+    ``_excited`` under a linear drive, which excites both helicities."""
+    _, _, _, parts = _excited(model, DriveField.linear(omega), Omega,
+                              point=True)
+    return tuple(complex(a, 0.0 - b) for a, b in parts)
 
 
 def test_denominator_reference_values():
@@ -544,6 +556,11 @@ _KINDS = st.sampled_from([float, np.float64, np.asarray])
 @settings(max_examples=300, deadline=None)
 @given(point=_points(), pol=st.sampled_from(["lcp", "rcp", "linear", "any"]),
        exr=amps, exi=amps, eyr=amps, eyi=amps, w_kind=_KINDS, Om_kind=_KINDS)
+# E_minus = 4.7e-277 is excited, though its share underflows to 0.0, on its
+# lossless resonance: the cell's weight is 0/0, the point's singular
+@example(point=(OscillatorModel.normalized(0.0, 0.0), 0.5411961001461969,
+                0.3826834323650898), pol="any", exr=1.0, exi=0.0,
+         eyr=4.65110334396459e-277, eyi=1.0, w_kind=float, Om_kind=float)
 def test_point_matches_one_element_array(point, pol, exr, exi, eyr, eyi,
                                          w_kind, Om_kind):
     model, omega, Omega = point
@@ -555,8 +572,12 @@ def test_point_matches_one_element_array(point, pol, exr, exi, eyr, eyi,
     drive = DriveField(w_kind(omega), ex, ey)
     cell = DriveField(np.array([omega]), ex, ey)
     with np.errstate(all="ignore"):
+        parts = _excited(model, cell, Omega, point=False)[3]
         helicities = _weights(model, cell, Omega)[2]
-    singular = any(np.isinf(t).any() for *_, t in helicities)
+        # singular where |d|^2 is zero or so small that the weight
+        # overflows; a share of 0.0 over a zero |d|^2 weighs 0/0 = NaN
+        singular = any((np.isinf(t) | (a * a + b * b == 0)).any()
+                       for (a, b), (*_, t) in zip(parts, helicities))
     for view in _VIEWS:
         expected = _cell(view(model, cell, Omega))
         if singular or not np.all(np.isfinite(expected)):
@@ -585,12 +606,13 @@ def _d_ref(model, omega, Omega):
                  for w in (omega + Omega, omega - Omega))
 
 
-def _weight_pair(terms):
-    """(t_plus, t_minus) from the terms of ``_weights``: None for a
-    helicity that was not evaluated."""
+def _by_helicity(terms):
+    """[plus's, minus's] last element of each helicity tuple of
+    ``_weights`` or ``_helicity_amplitudes``: None for a helicity that was
+    not evaluated."""
     pair = [None, None]
-    for plus, _, _, t in terms[2]:
-        pair[0 if plus else 1] = t
+    for h in terms[2]:
+        pair[0 if h[0] else 1] = h[-1]
     return pair
 
 
@@ -605,10 +627,15 @@ def _hex(z):
 # reaches the real part of the amplitude
 @example(point=(MODEL, 0.5, 0.2), pol="any", lossless=True, exr=-0.0,
          exi=0.5, eyr=0.0, eyi=0.0)
+# E_minus = 1e-300 is excited, though its share |E_minus|^2/|E|^2
+# underflows to 0.0: its weight is 0.0, not absent
+@example(point=(MODEL, 0.5, 0.2), pol="any", lossless=False, exr=0.0,
+         exi=1.0, eyr=1.0, eyi=1e-300)
 def test_real_parts_keep_the_complex_formula_bits(point, pol, lossless, exr,
                                                   exi, eyr, eyi):
     # the weights and amplitudes built from (A, B) are those of the
-    # complex formula bit for bit, signed zeros included
+    # complex formula bit for bit, signed zeros included; a helicity is
+    # evaluated where its E_pm != 0
     model, omega, Omega = point
     if lossless:
         model = dataclasses.replace(model, damping_rate=0.0,
@@ -623,16 +650,16 @@ def test_real_parts_keep_the_complex_formula_bits(point, pol, lossless, exr,
     with np.errstate(all="ignore"):
         refs = _d_ref(model, omega, Omega)
         cell_refs = _d_ref(model, cell.frequency, np.asarray(Omega, float))
-        cell_weights = _weight_pair(_weights(model, cell, Omega))
-    weights = _weight_pair(_weights(model, drive, Omega, point=True))
+        cell_weights = _by_helicity(_weights(model, cell, Omega))
+    weights = _by_helicity(_weights(model, drive, Omega, point=True))
     for e, d, cell_d, t, cell_t, parts in zip(
             fields, refs, cell_refs, weights, cell_weights,
             _d_pm(model, omega, Omega)):
         assert _hex(parts) == _hex(d)
-        share = abs(e) ** 2 / e2
-        if share == 0.0:
+        if e == 0:
             assert t is None and cell_t is None
             continue
+        share = abs(e) ** 2 / e2
         d2 = d.real * d.real + d.imag * d.imag
         assert t.hex() == (math.inf if d2 == 0.0 else share / d2).hex()
         with np.errstate(all="ignore"):
@@ -640,13 +667,16 @@ def test_real_parts_keep_the_complex_formula_bits(point, pol, lossless, exr,
                                 + cell_d.imag * cell_d.imag)
         assert cell_t.tobytes() == expected.tobytes()
     try:
-        amplitudes = _helicity_amplitudes(model, drive, Omega)[3:]
+        amplitudes = _by_helicity(_helicity_amplitudes(model, drive, Omega))
     except (SingularResonanceError, OverflowError) as exc:
         assert any(e != 0 and (d == 0 or not cmath.isfinite(e / d))
                    for e, d in zip(fields, refs)), exc
         return
     for e, d, a in zip(fields, refs, amplitudes):
-        assert _hex(a) == _hex(e / d if e != 0 else 0j)
+        if e == 0:
+            assert a is None
+        else:
+            assert _hex(a) == _hex(e / d)
 
 
 # repr of the torque and the six cross sections at six points, each power
@@ -770,11 +800,38 @@ def test_unexcited_helicity_overflow_hides_no_finite_answer():
         assert cell[key].tobytes() == np.array([point[key]]).tobytes()
 
 
+# E_plus = 1e-170j is excited, though |E_plus|^2 underflows to 0, and
+# d_plus = 25 - 9 - 16 is exactly 0 at omega = 1, Omega = 3, omega0 = 5
+_FAINT = (OscillatorModel.normalized(0.0, 0.0, natural_frequency=5.0),
+          DriveField(1.0, 1.0, 1j + 1e-170), 3.0)
+
+
+def test_faint_excited_helicity_is_singular_in_every_route():
+    # every route evaluates the helicities with E_pm != 0, so the kernel
+    # finds E_plus's resonance as the amplitudes route does
+    model, drive, Omega = _FAINT
+    assert drive.e_plus == 1e-170j and drive.shares == (0.0, 2.0)
+    for route in (*_VIEWS, induced_dipole_spectrum,
+                  lambda m, d, Om: radial_ode_residual(m, d, Om, 0.0)):
+        with pytest.raises(SingularResonanceError) as info:
+            route(model, drive, Omega)
+        assert type(info.value) is SingularResonanceError
+    # in a one-element array E_plus's weight is 0/0: NaN in every cell
+    # that its terms enter, that is all but the E_minus sideband
+    ex, ey = drive.amplitude_x, drive.amplitude_y
+    for cell, rotation in ((DriveField(np.array([1.0]), ex, ey), Omega),
+                           (drive, np.array([Omega]))):
+        assert np.isnan(torque(model, cell, rotation)).all()
+        values = cross_section_set(model, cell, rotation).as_dict()
+        assert [k for k, v in values.items() if not np.isnan(v).all()] == [
+            "sigma_in_minus"]
+
+
 def _two_helicity_reference(model, drive, Omega):
     """(torque, the cross_section_set values) from both helicities' terms,
-    an unexcited one weighted 0.0: the kernel's formulas as they read when
-    every helicity was evaluated, each power a product.  Points in Python
-    floats, arrays in numpy."""
+    an unexcited one (E_pm == 0) weighted 0.0: the kernel's formulas as
+    they read when every helicity was evaluated, each power a product.
+    Points in Python floats, arrays in numpy."""
     if np.ndim(drive.frequency) or np.ndim(Omega):
         omega, Omega = np.asarray(drive.frequency, float), np.asarray(Omega,
                                                                       float)
@@ -789,8 +846,9 @@ def _two_helicity_reference(model, drive, Omega):
     plus2, minus2 = omega + 2.0 * Omega, omega - 2.0 * Omega
     tp, tm = abs(drive.e_plus) ** 2 / e2, abs(drive.e_minus) ** 2 / e2
     weights = []
-    for share, w in ((tp, w_plus), (tm, w_minus)):
-        if share:
+    for e, share, w in ((drive.e_plus, tp, w_plus),
+                        (drive.e_minus, tm, w_minus)):
+        if e:
             a, b = spring - w * w, w * gamma + tau * w * (w * w + 3.0 * osq)
             d2 = a * a + b * b
             share = share / d2 if np.ndim(d2) or d2 else math.inf
@@ -926,6 +984,17 @@ def test_ode_residual_at_one_time_matches_an_array_of_times(
     assert abs(got - element) <= 1e-15
 
 
+@pytest.mark.parametrize("t", [0.0, np.array([0.0, 1.0])],
+                         ids=["scalar", "array"])
+def test_ode_residual_forms_no_power_beyond_its_terms(t):
+    # w = 1e104: w**3 leaves the double range, but each derivative of the
+    # amplitude E/d ~ 1e-208 stays finite; Python's complex power raised
+    # "complex exponentiation" here
+    res = radial_ode_residual(OscillatorModel.normalized(0.1, 0.0),
+                              DriveField.lcp(1e104), 0.2, t)
+    assert np.all(res <= 1e-15)
+
+
 def test_ode_residual_overflowing_amplitude_is_singular():
     # tau = 5e-324 on resonance: the denominator is not zero, but e/d
     # overflows, which is the lossless resonance to double precision
@@ -936,14 +1005,15 @@ def test_ode_residual_overflowing_amplitude_is_singular():
 
 
 def test_ode_check_catches_amplitude_error(monkeypatch):
-    # the closed form solves the radial equation to about 1e-16, so both
-    # helicity amplitudes off by a uniform 1e-12 fail the check
+    # the closed form solves the radial equation to about 1e-16, so every
+    # excited helicity's amplitude off by a uniform 1e-12 fails the check
     rng = random.Random(0)
     assert validation.check_ode_residual(rng).passed
 
     def scaled(*args):
-        omega, Omega, s, a_plus, a_minus = _helicity_amplitudes(*args)
-        return omega, Omega, s, a_plus * (1 + 1e-12), a_minus * (1 + 1e-12)
+        omega, Omega, hs = _helicity_amplitudes(*args)
+        return omega, Omega, [(plus, e, w, w2, a * (1 + 1e-12))
+                              for plus, e, w, w2, a in hs]
 
     monkeypatch.setattr(response, "_helicity_amplitudes", scaled)
     assert not validation.check_ode_residual(rng).passed
@@ -952,9 +1022,9 @@ def test_ode_check_catches_amplitude_error(monkeypatch):
 def _rotation_even(formula, eps=1e-8):
     """``formula`` of the kernel times 1 + eps*Omega**2: exact at rest."""
     if formula is response._denominators:   # B, which both routes share
-        return lambda model, Omega, shifted: [
+        return lambda model, Omega, excited: [
             (a, b * (1 + eps * Omega**2))
-            for a, b in formula(model, Omega, shifted)]
+            for a, b in formula(model, Omega, excited)]
     if formula is response._weights:       # |d|^2 = A*A + B*B
         def weights(*args, **kwargs):
             omega, Omega, helicities = formula(*args, **kwargs)
@@ -1014,11 +1084,13 @@ def test_helicity_amplitudes_take_one_point():
             # co-rotating: w_minus = 0, but Omega*Omega is inf
             with pytest.raises(OverflowError):
                 route(m, DriveField.lcp(Omega), Omega)
-    # a numpy point comes back as Python floats
-    omega, Omega, s, a_plus, a_minus = _helicity_amplitudes(
+    # a numpy point comes back as Python floats, and E_plus under LCP
+    # light has no tuple
+    omega, Omega, hs = _helicity_amplitudes(
         m, DriveField.lcp(np.float64(0.5)), np.array(0.2))
-    assert all(type(v) is float for v in (omega, Omega, s.plus, s.minus2))
-    assert a_plus == 0j and type(a_minus) is complex
+    (plus, _, w, w2, a), = hs
+    assert all(type(v) is float for v in (omega, Omega, w, w2))
+    assert plus is False and type(a) is complex
 
 
 # ---------------------------------------------------------------------------

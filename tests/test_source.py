@@ -57,6 +57,36 @@ def test_modules_import_no_private_names_of_each_other():
     assert borrowed == [("dynamics", "response", "_is_array")]
 
 
+def _powers(tree):
+    """Qualified names of the functions that hold a ``**``, one entry per
+    power; a module-level power reads as ``<module>``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(
+                    child.op, ast.Pow):
+                found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_response_takes_its_powers_by_multiplication():
+    # a point equals its array cell bit for bit only where both take each
+    # power as a product: numpy's and libm's pow round apart, and numpy's
+    # is slow at a negative base.  Outside the kernel these keep ``**``.
+    allowed = {"OscillatorModel.physical", "DriveField.__post_init__",
+               "SpectralLine.norm_sq", "_static_denominator"}
+    found = _powers(ast.parse((SRC / "response.py").read_text()))
+    assert found
+    assert sorted(set(found) - allowed) == []
+
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
