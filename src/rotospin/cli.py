@@ -25,98 +25,18 @@ EXIT_CONFIG = 2
 EXIT_SINGULAR = 3
 EXIT_VALIDATION = 4
 
-def _float(help=None):
-    return {"type": float, "help": help}
-
-
-_INT = {"type": int}
-_UNITS = {"choices": ["physical", "fig2"]}
-_OUT = ("--out", "output.path", {"metavar": "PATH"})
-
-#: Every config flag, once: (flag, "section.key" it sets, argparse
-#: options).  The model and drive flags are shared by every subcommand but
-#: validate; a flag writes only the section its key names.
-_FLAGS = {
-    "model": (
-        ("--normalized", "model.mode",
-         {"action": "store_const", "const": "normalized",
-          "help": "dimensionless model (omega0 = c = coupling = 1 by "
-                  "default)"}),
-        ("--physical", "model.mode",
-         {"action": "store_const", "const": "physical",
-          "help": "CGS model; tau linked to the coupling unless --tau is "
-                  "given"}),
-        ("--source", "model.source",
-         {"choices": ["direct", "drude-sphere", "drude-ellipsoid"]}),
-        ("--gamma", "model.gamma", _float("friction rate (rad/s)")),
-        ("--tau", "model.tau", _float("radiative time (s)")),
-        ("--omega0", "model.omega0", _float("natural frequency (rad/s)")),
-        ("--coupling", "model.coupling", _float("Q^2/m (cm^3/s^2)")),
-        ("--light-speed", "model.light_speed", _float()),
-        ("--plasma-frequency", "model.plasma_frequency", _float()),
-        ("--damping", "model.damping", _float("Drude damping (rad/s)")),
-        ("--radius", "model.radius", _float("sphere radius (cm)")),
-        ("--volume", "model.volume", _float("ellipsoid volume (cm^3)")),
-        ("--depolarization-factor", "model.depolarization_factor", _float()),
-    ),
-    "drive": (
-        ("--pol", "drive.polarization",
-         {"choices": ["lcp", "rcp", "linear", "explicit"],
-          "help": "polarization (LCP means E_x + i E_y = 0)"}),
-        ("--omega", "drive.omega", _float("drive frequency (rad/s)")),
-        ("--amplitude", "drive.amplitude", _float("|E| (statvolt/cm)")),
-        ("--angle", "drive.angle",
-         _float("linear-polarization angle from x (rad)")),
-        ("--intensity", "drive.intensity",
-         _float("beam intensity (erg/s/cm^2); overrides --amplitude")),
-    ),
-    "point": (("--Omega", "point.Omega",
-               _float("rotation frequency (rad/s)")),),
-    "scan": (
-        ("--omega-min", "scan.omega_min", _float()),
-        ("--omega-max", "scan.omega_max", _float()),
-        ("--Omega-min", "scan.Omega_min", _float()),
-        ("--Omega-max", "scan.Omega_max", _float()),
-        ("--omega-count", "scan.omega_count", _INT),
-        ("--Omega-count", "scan.Omega_count", _INT),
-        ("--units", "scan.units", _UNITS),
-        _OUT,
-    ),
-    "spectrum": (
-        ("--Omega", "spectrum.Omega", _float()),
-        ("--omega-min", "spectrum.omega_min", _float()),
-        ("--omega-max", "spectrum.omega_max", _float()),
-        ("--omega-count", "spectrum.omega_count", _INT),
-        ("--units", "spectrum.units", _UNITS),
-        _OUT,
-    ),
-    "spinup": (
-        ("--Omega-init", "spinup.Omega_init", _float()),
-        ("--Omega-target", "spinup.Omega_target", _float()),
-        ("--max-time", "spinup.max_time", _float()),
-        ("--samples", "spinup.samples", _INT),
-        _OUT,
-    ),
-    "thermal": (("--Omega", "thermal.Omega", _float()),),
-    "amplify": (("--samples", "medium.samples", _INT), _OUT),
-}
-
-
-def _add_flags(p, rows):
-    """Declare table rows on ``p``, each with dest "section.key"."""
-    mode = None
-    for flag, dest, options in rows:
-        if options.get("action") == "store_const":
-            # --normalized and --physical set one key, so they exclude
-            # each other
-            mode = mode or p.add_mutually_exclusive_group()
-            mode.add_argument(flag, dest=dest, **options)
+def _add_flags(p, section):
+    """Declare the flags of ``section`` in ``config.KEYS`` on ``p``, each
+    with dest "section.key"; argparse keeps each value as typed."""
+    for key, row in cfgmod.KEYS[section].items():
+        if row is None:
             continue
+        flag, options = row
         if "choices" not in options:
             # the metavar argparse would derive from the flag itself
             options = {"metavar": flag[2:].replace("-", "_").upper(),
                        **options}
-        p.add_argument(flag, dest=dest, **options)
+        p.add_argument(flag, dest=f"{section}.{key}", **options)
 
 
 def _seed(text):
@@ -139,8 +59,7 @@ def _flag_overlay(args) -> dict:
     for dest, value in vars(args).items():
         section, dot, key = dest.partition(".")
         if dot and value is not None:
-            overlay.setdefault(section, {})[key] = (
-                repr(value) if isinstance(value, float) else str(value))
+            overlay.setdefault(section, {})[key] = value
     return overlay
 
 
@@ -291,26 +210,41 @@ def build_parser() -> argparse.ArgumentParser:
                     "oscillator particles")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, summary, preset=False):
+    def add(name, func, summary, sections, preset=False):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", metavar="PATH",
                        help="INI-style key-value config file")
         if preset:
             p.add_argument("--preset", choices=sorted(cfgmod.PRESETS),
                            help="parameter bundle for a known figure")
-        for group in ("model", "drive"):
-            _add_flags(p.add_argument_group(group), _FLAGS[group])
-        _add_flags(p, _FLAGS[name])
+        model = p.add_argument_group("model")
+        mode = model.add_mutually_exclusive_group()
+        mode.add_argument(
+            "--normalized", dest="model.mode", action="store_const",
+            const="normalized",
+            help="dimensionless model (omega0 = c = coupling = 1 by default)")
+        mode.add_argument(
+            "--physical", dest="model.mode", action="store_const",
+            const="physical",
+            help="CGS model; tau linked to the coupling unless --tau is given")
+        _add_flags(model, "model")
+        _add_flags(p.add_argument_group("drive"), "drive")
+        for section in sections:
+            _add_flags(p, section)
         p.set_defaults(func=func)
 
-    add("point", cmd_point, "all cross sections at one (omega, Omega) point")
-    add("scan", cmd_scan, "(omega, Omega) grid map to CSV", preset=True)
-    add("spectrum", cmd_spectrum, "fixed-Omega frequency sweep to CSV",
+    add("point", cmd_point, "all cross sections at one (omega, Omega) point",
+        ("point",))
+    add("scan", cmd_scan, "(omega, Omega) grid map to CSV", ("scan", "output"),
         preset=True)
-    add("spinup", cmd_spinup, "solve the rotation spin-up")
-    add("thermal", cmd_thermal, "radiative equilibrium temperature")
-    add("amplify", cmd_amplify, "beam gain through a rotating-particle "
-                                "medium")
+    add("spectrum", cmd_spectrum, "fixed-Omega frequency sweep to CSV",
+        ("spectrum", "output"), preset=True)
+    add("spinup", cmd_spinup, "solve the rotation spin-up",
+        ("spinup", "output"))
+    add("thermal", cmd_thermal, "radiative equilibrium temperature",
+        ("thermal",))
+    add("amplify", cmd_amplify, "beam gain through a rotating-particle medium",
+        ("medium", "output"))
 
     p = sub.add_parser("validate", help="run the physics self-check suite")
     p.add_argument("--seed", type=_seed, default=20260822)

@@ -14,11 +14,9 @@ Configs are INI-style key-value text read with :mod:`configparser`:
     [point]
     Omega = 0.2
 
-Sections used per subcommand: ``model`` and ``drive`` always; ``point``,
-``scan``, ``spectrum``, ``spinup`` + ``body`` (+ optional ``thermal``),
-``thermal``, ``medium``, ``output``.  Presets seed the same layered
-dictionary; file values override presets and command-line flags override
-both.
+Every section and key is listed in :data:`KEYS`.  Presets, then files,
+then command-line flags layer into one dictionary of text, each layer
+overriding the last, and the ``_get_*`` helpers parse each value once.
 """
 
 from __future__ import annotations
@@ -44,6 +42,65 @@ class ConfigError(ValueError):
 
 #: layered configuration: section -> key -> string value
 Sections = dict
+
+#: Every config key, by section: the flag that sets it and its argparse
+#: options, or None for a key only a file sets.  A file may hold the
+#: sections of several subcommands; any other section or key is rejected.
+KEYS = {
+    "model": {
+        "mode": None,   # the CLI's --normalized / --physical pair
+        "source": ("--source",
+                   {"choices": ["direct", "drude-sphere", "drude-ellipsoid"]}),
+        "gamma": ("--gamma", {"help": "friction rate (rad/s)"}),
+        "tau": ("--tau", {"help": "radiative time (s)"}),
+        "omega0": ("--omega0", {"help": "natural frequency (rad/s)"}),
+        "coupling": ("--coupling", {"help": "Q^2/m (cm^3/s^2)"}),
+        "light_speed": ("--light-speed", {}),
+        "plasma_frequency": ("--plasma-frequency", {}),
+        "damping": ("--damping", {"help": "Drude damping (rad/s)"}),
+        "radius": ("--radius", {"help": "sphere radius (cm)"}),
+        "volume": ("--volume", {"help": "ellipsoid volume (cm^3)"}),
+        "depolarization_factor": ("--depolarization-factor", {}),
+    },
+    "drive": {
+        "polarization": ("--pol", {
+            "choices": ["lcp", "rcp", "linear", "explicit"],
+            "help": "polarization (LCP means E_x + i E_y = 0)"}),
+        "omega": ("--omega", {"help": "drive frequency (rad/s)"}),
+        "amplitude": ("--amplitude", {"help": "|E| (statvolt/cm)"}),
+        "angle": ("--angle",
+                  {"help": "linear-polarization angle from x (rad)"}),
+        "intensity": ("--intensity", {
+            "help": "beam intensity (erg/s/cm^2); overrides --amplitude"}),
+        **dict.fromkeys(("ex_re", "ex_im", "ey_re", "ey_im")),
+    },
+    "point": {"Omega": ("--Omega", {"help": "rotation frequency (rad/s)"})},
+    "scan": {
+        "omega_min": ("--omega-min", {}), "omega_max": ("--omega-max", {}),
+        "Omega_min": ("--Omega-min", {}), "Omega_max": ("--Omega-max", {}),
+        "omega_count": ("--omega-count", {}),
+        "Omega_count": ("--Omega-count", {}),
+        "units": ("--units", {"choices": ["physical", "fig2"]}),
+    },
+    "spectrum": {
+        "Omega": ("--Omega", {}), "omega_min": ("--omega-min", {}),
+        "omega_max": ("--omega-max", {}), "omega_count": ("--omega-count", {}),
+        "units": ("--units", {"choices": ["physical", "fig2"]}),
+    },
+    "spinup": {
+        "Omega_init": ("--Omega-init", {}),
+        "Omega_target": ("--Omega-target", {}),
+        "max_time": ("--max-time", {}), "samples": ("--samples", {}),
+    },
+    "body": dict.fromkeys((
+        "shape", "moment_of_inertia", "radius", "density", "mass", "length",
+        "melting_temperature", "surface_tension")),
+    "thermal": {"Omega": ("--Omega", {}), "ambient_temperature": None,
+                "radiative_coefficient": None},
+    "medium": {"members": None, "number_density": None, "path_length": None,
+               "samples": ("--samples", {})},
+    "output": {"path": ("--out", {"metavar": "PATH"})},
+}
 
 PRESETS = {
     # resonance maps of a dissipative rod under LCP light
@@ -83,7 +140,8 @@ def load_config(path) -> Sections:
     """Parse an INI file into plain nested dicts.
 
     Parse failures surface as ConfigError carrying configparser's
-    line-numbered message.
+    line-numbered message, and a section or key missing from KEYS as one
+    naming it; a ``[DEFAULT]`` key is checked in every section.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str    # keys are case-sensitive (Omega vs omega)
@@ -94,7 +152,14 @@ def load_config(path) -> Sections:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
-    return {name: dict(parser[name]) for name in parser.sections()}
+    cfg = {name: dict(parser[name]) for name in parser.sections()}
+    for name, values in cfg.items():
+        if name not in KEYS:
+            raise ConfigError(f"[{name}]: unknown section")
+        for key in values:
+            if key not in KEYS[name]:
+                raise ConfigError(f"[{name}] {key}: unknown key")
+    return cfg
 
 
 def layer_configs(*layers) -> Sections:
@@ -139,7 +204,7 @@ def _get_float(cfg, section, key, default=None):
 
 def _get_int(cfg, section, key, default=None, minimum=None):
     raw = _section(cfg, section).get(key)
-    if raw is None or raw == "":
+    if raw is None:
         if default is None:
             raise ConfigError(f"missing [{section}] {key}")
         return default
@@ -155,7 +220,7 @@ def _get_int(cfg, section, key, default=None, minimum=None):
 
 def _get_optional_float(cfg, section, key):
     raw = _section(cfg, section).get(key)
-    if raw is None or raw == "":
+    if raw is None:
         return None
     try:
         value = float(raw)

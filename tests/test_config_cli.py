@@ -1,12 +1,16 @@
 """Config parsing, layering, builders, and end-to-end CLI runs."""
 
+import contextlib
 import csv
+import importlib
+import io
 import os
 import subprocess
 import sys
 import tempfile
 import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from rotospin import OscillatorModel, cli, extinction_cross_section, response
+from rotospin import config as cfgmod
 from rotospin.config import (
+    KEYS,
     PRESETS,
     ConfigError,
     build_medium,
@@ -26,6 +32,8 @@ from rotospin.config import (
     load_config,
 )
 from rotospin.scan import reparse_balance_check
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def _write(tmp_path, text, name="conf.ini"):
@@ -72,6 +80,50 @@ def test_parse_error_carries_line_info(tmp_path):
         load_config(path)
 
 
+_POINT_INI = textwrap.dedent("""\
+    [model]
+    gamma = 0.1
+    tau = 1e-3
+
+    [drive]
+    omega = 0.5
+
+    [point]
+    Omega = 0.2
+    """)
+
+
+@pytest.mark.parametrize("ini, flags", [
+    # one file may hold the sections of several subcommands
+    (_POINT_INI + "[spinup]\nOmega_target = 1e-3\n"
+     "[body]\nshape = sphere\ndensity = 1\nradius = 1\n", []),
+    # a known key this run does not read
+    (_POINT_INI, ["--source", "direct", "--radius", "3"]),
+], ids=["other-subcommand-sections", "unread-flag"])
+def test_known_keys_this_run_does_not_read_are_accepted(tmp_path, capsys,
+                                                        ini, flags):
+    assert cli.main(["point", "--config", _write(tmp_path, _POINT_INI)]) == 0
+    plain = capsys.readouterr()
+    conf = _write(tmp_path, ini, "extra.ini")
+    assert cli.main(["point", "--config", conf, *flags]) == 0
+    assert capsys.readouterr() == plain
+
+
+def test_presets_and_bench_configs_use_known_keys(tmp_path, monkeypatch):
+    for preset in PRESETS.values():
+        for section, values in preset.items():
+            assert values.keys() <= KEYS[section].keys(), section
+    # every config file the cli-short benchmark writes loads
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    for seed in range(3):
+        workloads.cli_pool("cli-short", seed, 2, str(tmp_path))
+        paths = sorted(tmp_path.glob("*.ini"))
+        assert len(paths) == 8
+        for path in paths:
+            assert load_config(path)
+
+
 def test_layering_later_wins():
     merged = layer_configs(PRESETS["fig2"],
                            {"scan": {"omega_count": "16"}},
@@ -102,7 +154,7 @@ _FLAG_CONTRACT = [
     (_CONFIG_SUBCOMMANDS, ["--plasma-frequency", "1e+16"], "model",
      "plasma_frequency", "1e+16"),
     (_CONFIG_SUBCOMMANDS, ["--damping", "4e+13"], "model", "damping",
-     "40000000000000.0"),
+     "4e+13"),
     (_CONFIG_SUBCOMMANDS, ["--radius", "5e-07"], "model", "radius", "5e-07"),
     (_CONFIG_SUBCOMMANDS, ["--volume", "1e-18"], "model", "volume", "1e-18"),
     (_CONFIG_SUBCOMMANDS, ["--depolarization-factor", "0.2"], "model",
@@ -144,10 +196,16 @@ _FLAG_CONTRACT = [
     ids=[("all" if len(subs) > 1 else subs[0]) + argv[0]
          for subs, argv, *_ in _FLAG_CONTRACT])
 def test_flag_sets_its_config_key(subs, argv, section, key, expected):
+    # a flag's value reaches the config as the text that was typed, and
+    # config parses it like a file's value
+    numeric = expected[0].isdigit() or expected[0] == "-"
     parser = cli.build_parser()
     for sub in subs:
         cfg = cli._layered(parser.parse_args([sub, *argv]))
         assert cfg[section][key] == expected, sub
+        if numeric:
+            value = cfgmod._get_float(cfg, section, key)
+            assert value == float(expected), sub
 
 
 def test_flag_writes_only_its_own_section():
@@ -1116,6 +1174,12 @@ _AMPLIFY_FLAGS = ["amplify", "--gamma=0.1", "--omega=1"]
     (["scan", "--gamma=0.1", "--omega=1"],
      "[scan]\nomega_min = 0\nomega_max = 2\nOmega_min = 0\nOmega_max = 2\n"
      "Omega_count = 4\n", "config error: missing [scan] omega_count"),
+    # an empty value is no number: it neither means the default nor drops
+    # an earlier layer's value
+    (["scan", "--preset=fig2", "--tau="], "",
+     "config error: [model] tau: not a number: ''"),
+    (["scan", "--preset=fig2"], "[model]\ntau =\n",
+     "config error: [model] tau: not a number: ''"),
     (["scan", "--preset=fig2"], "[model]\nmode = bogus\n",
      "config error: [model] mode must be normalized or physical, "
      "got 'bogus'"),
@@ -1131,6 +1195,16 @@ _AMPLIFY_FLAGS = ["amplify", "--gamma=0.1", "--omega=1"]
      "config error: [medium] members is empty"),
     (_AMPLIFY_FLAGS, "[medium]\nmembers = 1:0\n",
      "config error: [medium] members: weights must sum to > 0"),
+    # keys and sections that config.KEYS does not list: a misspelt tau
+    # used to run at tau = 0 and exit 0
+    (["scan", "--preset=fig2"], "[model]\ngamma = 0.1\ntua = 0.5\n",
+     "config error: [model] tua: unknown key"),
+    (["scan", "--preset=fig2"], "[model]\ngamma = 0.1\n[bogus]\nx = 1\n",
+     "config error: [bogus]: unknown section"),
+    # a [DEFAULT] key lands in every section and is checked in each: the
+    # [point] key Omega is unknown to [model]
+    (["scan", "--preset=fig2"], "[DEFAULT]\nOmega = 0.2\n[model]\n"
+     "gamma = 0.1\n", "config error: [model] Omega: unknown key"),
 ], ids=["spinup-samples-1", "spinup-samples-0", "spinup-samples-negative",
         "amplify-samples-1", "amplify-samples-0", "amplify-samples-negative",
         "Omega-init-at-target", "Omega-init-beyond-target",
@@ -1138,9 +1212,11 @@ _AMPLIFY_FLAGS = ["amplify", "--gamma=0.1", "--omega=1"]
         "fig2-divisor-underflow",
         "intensity-overflow", "axis-width-overflow",
         "omega-axis-step-overflow", "Omega-axis-step-overflow",
-        "omega-count-not-integer", "omega-count-missing", "mode-unknown",
+        "omega-count-not-integer", "omega-count-missing", "tau-flag-empty",
+        "tau-file-empty", "mode-unknown",
         "body-missing", "shape-unknown", "thermal-missing", "medium-missing",
-        "members-missing", "members-empty", "members-zero-weight"])
+        "members-missing", "members-empty", "members-zero-weight",
+        "key-unknown", "section-unknown", "default-key-unknown"])
 def test_bad_numeric_input_exits_2(tmp_path, capsys, argv, ini, err):
     out = tmp_path / "x.csv"
     argv = argv + ["--config", _write(tmp_path, ini)]
@@ -1243,30 +1319,40 @@ _EDGE_COUNTS = st.one_of(st.integers(-3, 6),
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_numeric_inputs_exit_0_or_2(command, data):
-    # up to three numeric flags of the command take edge values on top of
-    # a valid config; every other key keeps its regular value
-    rows = [row for group in ("model", "drive", command)
-            for row in cli._FLAGS[group]]
-    types = {flag: opts["type"] for flag, _, opts in rows if "type" in opts}
+    # up to three flags of the command without choices take float or count
+    # edge values, or text that is no number, on top of a valid config;
+    # every other key keeps its regular value.  Config parses every flag
+    # value, so a rejected one reads like a bad file value.
+    flags = {row[0]: (section, key)
+             for section in ("model", "drive", command)
+             for key, row in cfgmod.KEYS[section].items()
+             if row and "choices" not in row[1]}
     ini = (data.draw(_MODEL_INIS) + "[drive]\nomega = 0.5\npolarization = "
            + data.draw(st.sampled_from(["lcp", "rcp", "linear"])) + "\n"
            + _COMMAND_INIS[command])
     if command in ("scan", "spectrum"):
         ini += "units = " + data.draw(st.sampled_from(["physical", "fig2"]))
     argv = [command]
-    for flag in data.draw(st.lists(st.sampled_from(sorted(types)),
-                                   unique=True, max_size=3)):
-        value = data.draw(_EDGE_FLOATS if types[flag] is float
-                          else _EDGE_COUNTS)
-        argv.append(f"{flag}={value!r}" if types[flag] is float
-                    else f"{flag}={value}")
-    try:
+    drawn = data.draw(st.lists(st.sampled_from(sorted(flags)), unique=True,
+                               max_size=3))
+    for flag in drawn:
+        value = data.draw(st.one_of(_EDGE_FLOATS.map(repr),
+                                    _EDGE_COUNTS.map(str), st.just("abc")))
+        argv.append(f"{flag}={value}")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
         rc = _main_in_tmpdir(argv, ini)
-    except SystemExit as exc:
-        rc = exc.code       # argparse rejects a count that is no integer
     # a single point may also sit on a singular resonance (omega = Omega =
     # -omega0, say), which exits 3; a map flags such cells instead
     assert rc in ((0, 2, 3) if command in ("point", "thermal") else (0, 2))
+    err = err.getvalue()
+    if rc == 2:
+        assert err.count("\n") == 1 and "usage:" not in err, err
+        if any(text in err for text in (": not a number: ",
+                                         ": not an integer: ",
+                                         ": must be finite, got ")):
+            assert any(err.startswith(f"config error: [{section}] {key}: ")
+                       for section, key in map(flags.get, drawn)), err
 
 
 # ---------------------------------------------------------------------------

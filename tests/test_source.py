@@ -45,16 +45,43 @@ def test_all_matches_the_package_imports():
     assert all(hasattr(rotospin, name) for name in exported)
 
 
+def _borrowed_private_names(tree):
+    """(module, name) of each private name the module takes from a sibling
+    module, by ``from .module import _name`` or as an attribute of a
+    module bound by ``from . import module``."""
+    modules, borrowed = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    borrowed.add((node.module, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            borrowed.add((modules[node.value.id], node.attr))
+    return borrowed
+
+
 def test_modules_import_no_private_names_of_each_other():
     # a module that borrows another's private helper keeps a second copy
-    # of its rule; dynamics may test for arrays as the kernel does
+    # of its rule; dynamics may test for arrays as the kernel does.  The
+    # CLI's borrowings await public per-subcommand builders: this list may
+    # only shrink.
     borrowed = sorted(
-        (path.stem, node.module, alias.name)
-        for path in SRC.glob("*.py")
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names if alias.name.startswith("_"))
-    assert borrowed == [("dynamics", "response", "_is_array")]
+        (path.stem, module, name) for path in SRC.glob("*.py")
+        for module, name in _borrowed_private_names(
+            ast.parse(path.read_text())))
+    assert borrowed == [
+        ("cli", "config", "_get_float"),
+        ("cli", "config", "_get_int"),
+        ("cli", "config", "_get_optional_float"),
+        ("cli", "config", "_section_errors"),
+        ("cli", "dynamics", "_absorbed_power"),
+        ("dynamics", "response", "_is_array"),
+    ]
 
 
 def _powers(tree):
