@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
 from . import config as cfgmod
 from . import dynamics, medium, scan, validation
-from .config import ConfigError
 from .response import (SingularResonanceError, absorption_cross_section,
                        cross_section_set, torque)
 
@@ -53,25 +53,17 @@ def _seed(text):
     return seed
 
 
-def _flag_overlay(args) -> dict:
-    """Translate parsed flags into config-section form."""
-    overlay = {}
+def _layered(args) -> dict:
+    """The preset, then the --config file, then the flags (dest
+    "section.key"), each layer overriding the last."""
+    flags = {}
     for dest, value in vars(args).items():
         section, dot, key = dest.partition(".")
         if dot and value is not None:
-            overlay.setdefault(section, {})[key] = value
-    return overlay
-
-
-def _layered(args) -> dict:
-    layers = []
-    preset = getattr(args, "preset", None)
-    if preset:
-        layers.append(cfgmod.PRESETS[preset])
-    if getattr(args, "config", None):
-        layers.append(cfgmod.load_config(args.config))
-    layers.append(_flag_overlay(args))
-    return cfgmod.layer_configs(*layers)
+            flags.setdefault(section, {})[key] = value
+    preset = cfgmod.PRESETS.get(getattr(args, "preset", None), {})
+    file = cfgmod.load_config(args.config) if args.config else {}
+    return cfgmod.layer_configs(preset, file, flags)
 
 
 def _print_kv(pairs):
@@ -82,11 +74,8 @@ def _print_kv(pairs):
             print(f"{key} = {value}")
 
 
-def cmd_point(args) -> int:
-    cfg = _layered(args)
-    model = cfgmod.build_model(cfg)
-    drive = cfgmod.build_drive(cfg, model)
-    Omega = cfgmod._get_float(cfg, "point", "Omega")
+def cmd_point(cfg) -> int:
+    model, drive, Omega = cfgmod.point_args(cfg)
     cs = cross_section_set(model, drive, Omega)
     m_val = torque(model, drive, Omega)
     scale = cs.balance_scale
@@ -100,9 +89,7 @@ def cmd_point(args) -> int:
     for key, value in rows:
         print(f"  {key:<{width}}  {value:+.10e}")
     print()
-    _print_kv([("omega", drive.frequency), ("Omega", Omega),
-               ("torque", m_val)] + list(cs.as_dict().items())
-              + [("balance_residual", residual)])
+    _print_kv([("omega", drive.frequency), ("Omega", Omega)] + rows)
     if rel > validation.BALANCE_TOL:
         print(f"self-check failed: balance residual {rel:.3e} exceeds "
               f"{validation.BALANCE_TOL:.0e}", file=sys.stderr)
@@ -110,44 +97,33 @@ def cmd_point(args) -> int:
     return EXIT_OK
 
 
-def _export_grid(args, section):
-    """Layer the config, scan the grid of ``section`` and write it to CSV:
-    the request, the grid, the CSV's path and its sidecar's."""
-    cfg = _layered(args)
+def _export_grid(cfg, section):
+    """Scan the grid of ``section`` and write it to CSV: the request, the
+    grid, the CSV's path and its sidecar's."""
     req = cfgmod.build_scan_request(cfg, cfgmod.build_model(cfg), section)
     grid = scan.grid_scan(req)
     out = cfgmod.build_output(cfg, f"{section}.csv")
     return req, grid, out, scan.write_grid_csv(grid, out)
 
 
-def cmd_scan(args) -> int:
-    _, grid, out, sidecar = _export_grid(args, "scan")
+def cmd_scan(cfg) -> int:
+    _, grid, out, sidecar = _export_grid(cfg, "scan")
     print(f"wrote {out} ({grid.singular.size} cells, "
           f"{int(grid.singular.sum())} singular) and {sidecar}")
     return EXIT_OK
 
 
-def cmd_spectrum(args) -> int:
-    req, _, out, sidecar = _export_grid(args, "spectrum")
+def cmd_spectrum(cfg) -> int:
+    req, _, out, sidecar = _export_grid(cfg, "spectrum")
     print(f"wrote {out} ({req.omega_count} frequencies at Omega = "
           f"{req.Omega_min:g}) and {sidecar}")
     return EXIT_OK
 
 
-def cmd_spinup(args) -> int:
-    cfg = _layered(args)
-    model = cfgmod.build_model(cfg)
-    drive = cfgmod.build_drive(cfg, model)
-    body = cfgmod.build_body(cfg)
-    thermal = (cfgmod.build_thermal(cfg) if "thermal" in cfg else None)
-    Omega_init = cfgmod._get_float(cfg, "spinup", "Omega_init", 0.0)
-    Omega_target = cfgmod._get_float(cfg, "spinup", "Omega_target")
-    max_time = cfgmod._get_optional_float(cfg, "spinup", "max_time")
-    n_samples = cfgmod._get_int(cfg, "spinup", "samples", 200, minimum=2)
-    with cfgmod._section_errors("spinup"):
-        traj = dynamics.spin_up_trajectory(
-            model, drive, body, Omega_init, Omega_target, max_time, thermal,
-            n_samples=n_samples)
+def cmd_spinup(cfg) -> int:
+    kwargs = cfgmod.spinup_args(cfg)
+    with cfgmod.section_errors("spinup"):
+        traj = dynamics.spin_up_trajectory(**kwargs)
     out = cfgmod.build_output(cfg, default="spinup.csv")
     scan.write_columns(out, ("t", "Omega"), traj.times, traj.rotation)
     _print_kv([("outcome", traj.outcome),
@@ -157,30 +133,22 @@ def cmd_spinup(args) -> int:
     return EXIT_OK
 
 
-def cmd_thermal(args) -> int:
-    cfg = _layered(args)
-    model = cfgmod.build_model(cfg)
-    drive = cfgmod.build_drive(cfg, model)
-    thermal = cfgmod.build_thermal(cfg)
-    Omega = cfgmod._get_float(cfg, "thermal", "Omega", 0.0)
+def cmd_thermal(cfg) -> int:
+    model, drive, thermal, Omega = cfgmod.thermal_args(cfg)
     sigma = absorption_cross_section(model, drive, Omega)
-    power = dynamics._absorbed_power(sigma, drive.intensity(model.light_speed))
+    power = dynamics.absorbed_power(sigma, drive.intensity(model.light_speed))
     t_eq = dynamics.equilibrium_temperature(thermal, power)
     _print_kv([("sigma_abs", sigma), ("absorbed_power", power),
                ("T_eq", t_eq)])
     return EXIT_OK
 
 
-def cmd_amplify(args) -> int:
-    cfg = _layered(args)
-    model = cfgmod.build_model(cfg)
-    drive = cfgmod.build_drive(cfg, model)
-    spec = cfgmod.build_medium(cfg, model)
+def cmd_amplify(cfg) -> int:
+    model, drive, spec, n_samples = cfgmod.amplify_args(cfg)
     mean = medium.ensemble_extinction(spec, drive)
     g = -spec.number_density * mean.value
     intensity_in = drive.intensity(model.light_speed)
-    z = np.linspace(0.0, spec.path_length,
-                    cfgmod._get_int(cfg, "medium", "samples", 101, minimum=2))
+    z = np.linspace(0.0, spec.path_length, n_samples)
     profile = medium.propagate_intensity(intensity_in, g, z)
     out = cfgmod.build_output(cfg, default="amplify.csv")
     scan.write_columns(out, ("z", "I"), z, profile)
@@ -194,8 +162,8 @@ def cmd_amplify(args) -> int:
     return EXIT_OK
 
 
-def cmd_validate(args) -> int:
-    results = validation.run_all(seed=args.seed)
+def cmd_validate(seed) -> int:
+    results = validation.run_all(seed=seed)
     n_pass = sum(r.passed for r in results)
     for r in results:
         print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
@@ -231,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_flags(p.add_argument_group("drive"), "drive")
         for section in sections:
             _add_flags(p, section)
-        p.set_defaults(func=func)
+        p.set_defaults(func=lambda a: func(_layered(a)))
 
     add("point", cmd_point, "all cross sections at one (omega, Omega) point",
         ("point",))
@@ -248,35 +216,38 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the physics self-check suite")
     p.add_argument("--seed", type=_seed, default=20260822)
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=lambda a: cmd_validate(a.seed))
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SingularResonanceError as exc:
-        print(f"singular resonance: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except dynamics.UnreachableTargetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OverflowError as exc:
-        # every input is finite by now, so only its magnitude can overflow
-        print(f"error: an input is too large: {exc.args[-1]}",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        # the output writers report the path they were asked to write
-        print(f"error: cannot write {exc.filename}: {exc.strerror}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+    args = build_parser().parse_args(argv)
+    with warnings.catch_warnings():
+        # one line, without the source path and line of the caller
+        warnings.showwarning = lambda message, *_: print(
+            f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except cfgmod.ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except SingularResonanceError as exc:
+            print(f"singular resonance: {exc}", file=sys.stderr)
+            return EXIT_SINGULAR
+        except dynamics.UnreachableTargetError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except OverflowError as exc:
+            # every input is finite by now, so only its magnitude can overflow
+            print(f"error: an input is too large: {exc.args[-1]}",
+                  file=sys.stderr)
+            return EXIT_CONFIG
+        except OSError as exc:
+            # the output writers report the path they were asked to write
+            print(f"error: cannot write {exc.filename}: {exc.strerror}",
+                  file=sys.stderr)
+            return EXIT_CONFIG
 
 
 if __name__ == "__main__":

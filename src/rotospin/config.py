@@ -16,7 +16,8 @@ Configs are INI-style key-value text read with :mod:`configparser`:
 
 Every section and key is listed in :data:`KEYS`.  Presets, then files,
 then command-line flags layer into one dictionary of text, each layer
-overriding the last, and the ``_get_*`` helpers parse each value once.
+overriding the last.  Layering checks that every number parses, and the
+``_get_*`` helpers parse each value a builder reads.
 """
 
 from __future__ import annotations
@@ -102,6 +103,12 @@ KEYS = {
     "output": {"path": ("--out", {"metavar": "PATH"})},
 }
 
+#: the keys that hold text; every other key holds a number, and a count
+#: if it is in COUNT_KEYS
+TEXT_KEYS = frozenset(("mode", "source", "polarization", "units", "shape",
+                       "members", "path"))
+COUNT_KEYS = frozenset(("omega_count", "Omega_count", "samples"))
+
 PRESETS = {
     # resonance maps of a dissipative rod under LCP light
     "fig2": {
@@ -141,7 +148,8 @@ def load_config(path) -> Sections:
 
     Parse failures surface as ConfigError carrying configparser's
     line-numbered message, and a section or key missing from KEYS as one
-    naming it; a ``[DEFAULT]`` key is checked in every section.
+    naming it.  A ``[DEFAULT]`` key is checked in every section it lands
+    in, and a file with no other section is rejected.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str    # keys are case-sensitive (Omega vs omega)
@@ -152,6 +160,9 @@ def load_config(path) -> Sections:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
+    if parser.defaults() and not parser.sections():
+        raise ConfigError("[DEFAULT]: no other section for its keys to land "
+                          "in")
     cfg = {name: dict(parser[name]) for name in parser.sections()}
     for name, values in cfg.items():
         if name not in KEYS:
@@ -163,17 +174,23 @@ def load_config(path) -> Sections:
 
 
 def layer_configs(*layers) -> Sections:
-    """Merge section dicts; later layers win key-by-key."""
+    """Merge section dicts; later layers win key-by-key.  Every number in
+    the result is parsed here, whether or not the run reads it."""
     out: Sections = {}
     for layer in layers:
         for section, values in layer.items():
             out.setdefault(section, {}).update(
                 {k: v for k, v in values.items() if v is not None})
+    for section, values in out.items():
+        for key in values:
+            if key not in TEXT_KEYS:
+                parse = _get_int if key in COUNT_KEYS else _get_optional_float
+                parse(out, section, key)
     return out
 
 
 @contextlib.contextmanager
-def _section_errors(section):
+def section_errors(section):
     """Report a library ValueError or RuntimeError as a ConfigError
     naming ``section``.
 
@@ -237,7 +254,7 @@ def build_model(cfg: Sections) -> OscillatorModel:
         raise ConfigError(f"[model] mode must be normalized or physical, "
                           f"got {mode!r}")
     source = _section(cfg, "model").get("source", "direct").lower()
-    with _section_errors("model"):
+    with section_errors("model"):
         if source == "direct":
             if mode == "normalized":
                 return OscillatorModel.normalized(
@@ -320,10 +337,11 @@ def _parse_complex(cfg: Sections, prefix):
     return complex(re, im)
 
 
-def build_drive(cfg: Sections, model: OscillatorModel) -> DriveField:
+def _model_and_drive(cfg: Sections):
+    model = build_model(cfg)
     ex, ey, _ = drive_amplitudes(cfg, model)
     omega = _get_float(cfg, "drive", "omega")
-    return DriveField(omega, ex, ey)
+    return model, DriveField(omega, ex, ey)
 
 
 def build_scan_request(cfg: Sections, model: OscillatorModel,
@@ -336,7 +354,7 @@ def build_scan_request(cfg: Sections, model: OscillatorModel,
         Om_min = _get_float(cfg, section, "Omega_min")
         Om_max = _get_float(cfg, section, "Omega_max")
         Om_count = _get_int(cfg, section, "Omega_count")
-    with _section_errors(section):
+    with section_errors(section):
         return ScanRequest(
             model=model, amplitude_x=ex, amplitude_y=ey,
             omega_min=_get_float(cfg, section, "omega_min"),
@@ -354,7 +372,7 @@ def build_body(cfg: Sections) -> RigidBodyParams:
     shape = sec.get("shape", "direct").lower()
     melt = _get_optional_float(cfg, "body", "melting_temperature")
     surface = _get_optional_float(cfg, "body", "surface_tension")
-    with _section_errors("body"):
+    with section_errors("body"):
         if shape == "direct":
             return RigidBodyParams(
                 moment_of_inertia=_get_float(cfg, "body", "moment_of_inertia"),
@@ -377,7 +395,7 @@ def build_body(cfg: Sections) -> RigidBodyParams:
 def build_thermal(cfg: Sections) -> ThermalParams:
     if "thermal" not in cfg:
         raise ConfigError("missing [thermal] section")
-    with _section_errors("thermal"):
+    with section_errors("thermal"):
         return ThermalParams(
             ambient_temperature=_get_float(cfg, "thermal",
                                            "ambient_temperature"),
@@ -417,7 +435,7 @@ def build_medium(cfg: Sections, model: OscillatorModel) -> MediumSpec:
     total = sum(w for _, w in members)
     if total <= 0:
         raise ConfigError("[medium] members: weights must sum to > 0")
-    with _section_errors("medium"):
+    with section_errors("medium"):
         return MediumSpec(
             number_density=_get_float(cfg, "medium", "number_density"),
             path_length=_get_float(cfg, "medium", "path_length"),
@@ -428,3 +446,37 @@ def build_medium(cfg: Sections, model: OscillatorModel) -> MediumSpec:
 def build_output(cfg: Sections, default) -> str:
     """The [output] path; a scan's sidecar goes beside it as PATH.meta."""
     return _section(cfg, "output").get("path", default)
+
+
+# Per-subcommand builders: each returns the arguments of its subcommand's
+# library call, reading the keys in the order the run uses them.
+
+def point_args(cfg: Sections):
+    """(model, drive, Omega) of ``point``."""
+    return (*_model_and_drive(cfg), _get_float(cfg, "point", "Omega"))
+
+
+def thermal_args(cfg: Sections):
+    """(model, drive, thermal, Omega) of ``thermal``; Omega defaults to 0."""
+    return (*_model_and_drive(cfg), build_thermal(cfg),
+            _get_float(cfg, "thermal", "Omega", 0.0))
+
+
+def spinup_args(cfg: Sections) -> dict:
+    """Keyword arguments of ``dynamics.spin_up_trajectory``."""
+    model, drive = _model_and_drive(cfg)
+    return dict(
+        model=model, drive=drive, body=build_body(cfg),
+        thermal=build_thermal(cfg) if "thermal" in cfg else None,
+        Omega_init=_get_float(cfg, "spinup", "Omega_init", 0.0),
+        Omega_target=_get_float(cfg, "spinup", "Omega_target"),
+        max_time=_get_optional_float(cfg, "spinup", "max_time"),
+        n_samples=_get_int(cfg, "spinup", "samples", 200, minimum=2))
+
+
+def amplify_args(cfg: Sections):
+    """(model, drive, medium, samples) of ``amplify``: the ensemble and
+    the number of depths its intensity profile is written at."""
+    model, drive = _model_and_drive(cfg)
+    return (model, drive, build_medium(cfg, model),
+            _get_int(cfg, "medium", "samples", 101, minimum=2))

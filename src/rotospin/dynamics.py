@@ -207,7 +207,7 @@ def equilibrium_temperature(thermal: ThermalParams, absorbed_power):
     return out
 
 
-def _absorbed_power(sigma_abs, intensity):
+def absorbed_power(sigma_abs, intensity):
     """P = sigma_abs * I at a point or an array of points; raises
     OverflowError where P is too large for a double."""
     if type(sigma_abs) is float and type(intensity) is float:
@@ -268,7 +268,7 @@ def spin_up_trajectory(model: OscillatorModel, drive: DriveField,
         intensity = drive.intensity(model.light_speed)
 
         def overheat(Om):
-            return equilibrium_temperature(thermal, _absorbed_power(
+            return equilibrium_temperature(thermal, absorbed_power(
                 absorption_cross_section(model, drive, Om), intensity)
             ) - body.melting_temperature
         samples = np.linspace(Omega_init, Omega_end, _SAMPLES)

@@ -1,10 +1,12 @@
 """Config parsing, layering, builders, and end-to-end CLI runs."""
 
+import ast
 import contextlib
 import csv
 import importlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -122,6 +124,45 @@ def test_presets_and_bench_configs_use_known_keys(tmp_path, monkeypatch):
         assert len(paths) == 8
         for path in paths:
             assert load_config(path)
+
+
+def test_text_and_count_keys_are_known():
+    # layering parses every other key as a number, read or not, so a key
+    # with choices must be text
+    keys = {key for section in KEYS.values() for key in section}
+    assert cfgmod.TEXT_KEYS | cfgmod.COUNT_KEYS <= keys
+    assert {key for section in KEYS.values()
+            for key, row in section.items()
+            if row and "choices" in row[1]} <= cfgmod.TEXT_KEYS
+
+
+def _keys_read_by(getters):
+    """The keys config's source passes to ``getters``; an f-string key
+    such as f"{prefix}_re" stands for every known key it can form."""
+    keys = {key for section in KEYS.values() for key in section}
+    read = set()
+    for node in ast.walk(ast.parse(Path(cfgmod.__file__).read_text())):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in getters):
+            continue
+        key = node.args[2]
+        if isinstance(key, ast.Constant):
+            read.add(key.value)
+        elif isinstance(key, ast.JoinedStr):
+            pattern = "".join(re.escape(part.value)
+                              if isinstance(part, ast.Constant) else r"\w+"
+                              for part in key.values)
+            read |= {k for k in keys if re.fullmatch(pattern, k)}
+    return read
+
+
+def test_layering_parses_each_key_as_the_builders_read_it():
+    # a count left out of COUNT_KEYS would let an unread 2.5 pass, and a
+    # number put in TEXT_KEYS an unread abc
+    keys = {key for section in KEYS.values() for key in section}
+    assert _keys_read_by({"_get_int"}) == cfgmod.COUNT_KEYS
+    assert (_keys_read_by({"_get_float", "_get_optional_float"})
+            == keys - cfgmod.TEXT_KEYS - cfgmod.COUNT_KEYS)
 
 
 def test_layering_later_wins():
@@ -928,6 +969,36 @@ def test_amplify_non_finite_member_exits_2(tmp_path, capsys):
     assert "must be finite" in err and "singular" not in err
 
 
+def test_amplify_excluded_member_warns_on_one_line(tmp_path):
+    # the member at Omega = omega sits on a lossless resonance; its warning
+    # names no source path.  In a subprocess, since the suite turns an
+    # in-process warning into an exception
+    conf = _write(tmp_path, """\
+        [model]
+        gamma = 0.1
+
+        [drive]
+        omega = 1.0
+
+        [medium]
+        number_density = 1.0
+        path_length = 1.0
+        members = 1.0:0.5, 2.0:0.5
+        """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = [subprocess.run(
+        [sys.executable, *flags, "-m", "rotospin.cli", "amplify",
+         "--config", conf, "--out", str(tmp_path / "g.csv")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=60) for flags in ([], ["-W", "ignore"])]
+    assert [proc.returncode for proc in runs] == [0, 0]
+    assert runs[0].stderr == ("warning: excluded 1 singular ensemble "
+                              "member(s) at indices (0,)\n")
+    assert runs[1].stderr == ""
+    assert runs[0].stdout == runs[1].stdout
+    assert "\nexcluded_members = 1\n" in runs[0].stdout
+
+
 # ---------------------------------------------------------------------------
 # CLI: output paths
 
@@ -1205,6 +1276,17 @@ _AMPLIFY_FLAGS = ["amplify", "--gamma=0.1", "--omega=1"]
     # [point] key Omega is unknown to [model]
     (["scan", "--preset=fig2"], "[DEFAULT]\nOmega = 0.2\n[model]\n"
      "gamma = 0.1\n", "config error: [model] Omega: unknown key"),
+    # with no other section, [DEFAULT] keys land nowhere: the file loaded
+    # as empty and its misspelt gama passed
+    (["scan", "--preset=fig2"], "[DEFAULT]\ngamma = 0.5\ngama = 3\n",
+     "config error: [DEFAULT]: no other section for its keys to land in"),
+    # a malformed value of a known key this run does not read
+    (["scan", "--preset=fig2", "--radius=abc"], "",
+     "config error: [model] radius: not a number: 'abc'"),
+    (["scan", "--preset=fig2"], "[model]\nradius = abc\n",
+     "config error: [model] radius: not a number: 'abc'"),
+    (["scan", "--preset=fig2"], "[spinup]\nsamples = abc\n",
+     "config error: [spinup] samples: not an integer: 'abc'"),
 ], ids=["spinup-samples-1", "spinup-samples-0", "spinup-samples-negative",
         "amplify-samples-1", "amplify-samples-0", "amplify-samples-negative",
         "Omega-init-at-target", "Omega-init-beyond-target",
@@ -1216,7 +1298,9 @@ _AMPLIFY_FLAGS = ["amplify", "--gamma=0.1", "--omega=1"]
         "tau-file-empty", "mode-unknown",
         "body-missing", "shape-unknown", "thermal-missing", "medium-missing",
         "members-missing", "members-empty", "members-zero-weight",
-        "key-unknown", "section-unknown", "default-key-unknown"])
+        "key-unknown", "section-unknown", "default-key-unknown",
+        "default-only", "unread-flag-not-a-number", "unread-key-not-a-number",
+        "unread-count-not-an-integer"])
 def test_bad_numeric_input_exits_2(tmp_path, capsys, argv, ini, err):
     out = tmp_path / "x.csv"
     argv = argv + ["--config", _write(tmp_path, ini)]

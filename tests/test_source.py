@@ -67,21 +67,12 @@ def _borrowed_private_names(tree):
 
 def test_modules_import_no_private_names_of_each_other():
     # a module that borrows another's private helper keeps a second copy
-    # of its rule; dynamics may test for arrays as the kernel does.  The
-    # CLI's borrowings await public per-subcommand builders: this list may
-    # only shrink.
+    # of its rule; dynamics may test for arrays as the kernel does
     borrowed = sorted(
         (path.stem, module, name) for path in SRC.glob("*.py")
         for module, name in _borrowed_private_names(
             ast.parse(path.read_text())))
-    assert borrowed == [
-        ("cli", "config", "_get_float"),
-        ("cli", "config", "_get_int"),
-        ("cli", "config", "_get_optional_float"),
-        ("cli", "config", "_section_errors"),
-        ("cli", "dynamics", "_absorbed_power"),
-        ("dynamics", "response", "_is_array"),
-    ]
+    assert borrowed == [("dynamics", "response", "_is_array")]
 
 
 def _powers(tree):
