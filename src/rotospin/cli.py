@@ -3,8 +3,9 @@
 Subcommands: point, scan, spectrum, spinup, thermal, amplify, validate.
 Parameters come from presets, then an optional --config file, then
 flags, each layer overriding the previous.  Exit codes: 0 success,
-2 configuration error, 3 singular lossless resonance, 4 validation or
-self-check failure.
+2 configuration error (an input too large to evaluate, a lattice too
+large for memory or an unwritable output among them), 3 singular
+lossless resonance, 4 validation or self-check failure.
 """
 
 from __future__ import annotations
@@ -247,6 +248,11 @@ def main(argv=None) -> int:
             # the output writers report the path they were asked to write
             print(f"error: cannot write {exc.filename}: {exc.strerror}",
                   file=sys.stderr)
+            return EXIT_CONFIG
+        except MemoryError as exc:
+            # numpy names the array it could not allocate
+            detail = f": {exc}" if exc.args else ""
+            print(f"error: not enough memory{detail}", file=sys.stderr)
             return EXIT_CONFIG
 
 

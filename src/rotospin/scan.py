@@ -188,9 +188,9 @@ def _atomic_open(path):
 
 
 #: rows formatted per block.  Writing a block of 9-column scan rows peaks
-#: near 2 MB of arrays, however long the table, and a block is long
-#: enough that the formatter's fixed cost per call (about 60 numpy calls)
-#: stays small beside its cost per value.
+#: near 1.5 MB of arrays, however long the table, and a block is long
+#: enough that the formatter's fixed cost per call (about 100 numpy
+#: calls) stays small beside its cost per value.
 _BLOCK_ROWS = 1024
 #: rows parsed per block.  Small blocks keep peak memory independent of
 #: the table, and let each block's objects reuse freed heap space, so a
@@ -205,7 +205,11 @@ _PARSE_ROWS = 256
 # |x| times the low part, within 1e-13 of the exact y.  So N is exact
 # unless y is within _TIE of a rounding tie.  Such values, non-finite
 # ones and |x| outside [1/_FAST_LIMIT, _FAST_LIMIT], where a split could
-# overflow or underflow, are formatted by Python instead.
+# overflow or underflow, are formatted by Python instead.  A value takes
+# _WORDS little-endian words: word 0 the sign, the "0." prefix of -4 <= X
+# < 0 (up to "0.000"), the first digit and a slot for a point after it;
+# words 1-2 the other 16 digits, a byte each; word 3 the exponent suffix
+# ("e-123") and the ",".  NULs pad the 32 bytes and are deleted on write.
 
 #: the range of |x| on the numpy path, and the distance from a tie below
 #: which the numpy rounding is not trusted
@@ -216,147 +220,152 @@ _TIE = 1e-6
 _X_LIMIT = 290
 #: Veltkamp's splitter of a double into two 26-bit halves, 2**27 + 1
 _SPLIT = 134217729.0
-#: bytes per formatted value: six little-endian words.  Word 0 holds the
-#: sign, the "0." prefix of -4 <= X < 0 (up to "0.000"), the first digit
-#: and its dot slot; words 1-4 four digits each, each with a dot slot;
-#: word 5 the exponent suffix ("e+17", "e-123") and the ",".  Unused
-#: bytes are NUL and are deleted when a block is written.
-_FIELD = 48
+_WORDS = 4
 _WORD = np.dtype("<u8")
 
 
 def _pow10(k):
     """The double nearest 10**k, as Veltkamp halves (head, tail), and the
     double nearest the remainder: 10**k within a relative 2**-106."""
-    if k >= 0:
-        exact = 10**k
-        hi = float(exact)
-        lo = float(exact - int(hi))
-    else:
-        den = 10**-k
-        hi = 1 / den
-        num, pow2 = hi.as_integer_ratio()
-        lo = (pow2 - num * den) / (pow2 * den)
+    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+    hi = num / den
+    hi_num, hi_den = hi.as_integer_ratio()
     c = _SPLIT * hi
     head = c - (c - hi)
-    return head, hi - head, lo
+    return head, hi - head, (num * hi_den - hi_num * den) / (den * hi_den)
 
 
-@functools.cache
-def _scale_table():
-    """Rows (head, tail, lo) of 10**(16 - X) by column X + _X_LIMIT; NaN
-    until a value of exponent X is first formatted."""
-    return np.full((3, 2 * _X_LIMIT + 1), np.nan)
-
-
-def _scaled(a, a_head, a_tail, X):
-    """y = a * 10**(16 - X) as p + s: the rounded product p and the rest
-    s, for a in the fast range split as a_head + a_tail."""
-    table = _scale_table()
+def _rounded(a, X):
+    """y = a * 10**(16 - X) as N + d, for a in the fast range: the
+    nearest integer N and the rest d, |d| <= 1/2."""
+    table = _format_tables()[3]
     col = X + _X_LIMIT
-    head = table[0][col]
-    new = np.isnan(head)
-    if new.any():
-        for j in set(col[new].tolist()):
+    head, tail, lo = table.take(col, axis=1)
+    if np.isnan(head.sum()):                # a new exponent among them
+        for j in set(col[np.isnan(head)].tolist()):
             table[:, j] = _pow10(16 + _X_LIMIT - j)
-        head = table[0][col]
-    tail, lo = table[1][col], table[2][col]
-    p = a * (head + tail)
-    err = (((a_head * head - p) + a_head * tail + a_tail * head)
-           + a_tail * tail)
-    return p, err + a * lo
-
-
-def _decimal(x):
-    """(N, X, slow) for a 1-D array of doubles: the 17 significant digits
-    and the decimal exponent of each value (both 0 for a zero), and the
-    mask of the values Python formats."""
-    a = np.abs(x)
-    zero = a == 0
-    fast = (a >= 1 / _FAST_LIMIT) & (a <= _FAST_LIMIT)      # False at NaN
-    a = np.where(fast, a, 1.0)
+        head, tail, lo = table.take(col, axis=1)
     c = _SPLIT * a
     a_head = c - (c - a)
     a_tail = a - a_head
+    p = a * (head + tail)
+    s = ((((a_head * head - p) + a_head * tail + a_tail * head)
+          + a_tail * tail) + a * lo)
+    r = np.rint(s)            # p > 2**53 is an integer: y rounds where s does
+    return p.astype(np.int64) + r.astype(np.int64), s - r
+
+
+def _decimal(x):
+    """(N, X, slow) of a 1-D array of doubles: 17 significant digits and
+    decimal exponent of each (0, 0 for a zero), and the mask Python formats."""
+    a = np.abs(x)
+    nonzero = a != 0
+    fast = (a >= 1 / _FAST_LIMIT) & (a <= _FAST_LIMIT)      # False at NaN
+    a = np.where(fast, a, 2.0)         # N inside (10**16, 10**17)
     X = np.floor(np.log10(a)).astype(np.int64)
-    p, s = _scaled(a, a_head, a_tail, X)
-    # log10 may miss X by one beside a power of ten.  p - 1e16 and
-    # p - 1e17 are exact wherever the sign of y - 1e16 or y - 1e17 is close
-    low, high = (p - 1e16) + s < 0, (p - 1e17) + s >= 0
-    off = np.flatnonzero(low | high)
+    N, d = _rounded(a, X)
+    # beside a power of ten log10 may miss X by one, and y leaves [1e16, 1e17)
+    off = np.flatnonzero((N <= 10**16) | (N >= 10**17))
     if off.size:
-        X[off] += high[off].astype(np.int64) - low[off]
-        p[off], s[off] = _scaled(a[off], a_head[off], a_tail[off], X[off])
-    # p > 2**53 is an integer: y rounds where s does
-    whole = np.floor(s)
-    frac = s - whole
-    N = p.astype(np.int64) + (whole + (frac >= 0.5)).astype(np.int64)
-    carry = N == 10**17
-    N[carry] = 10**16
-    X[carry] += 1
-    # Python formats the rest: values off the fast range, near-ties, and,
-    # as a guard, any value that one correction of X did not place
-    slow = ((~fast & ~zero) | (np.abs(frac - 0.5) < _TIE)
-            | (N < 10**16) | (N > 10**17))
-    N[zero] = 0
-    X[zero | slow] = 0
-    return N, X, slow
+        m = N[off] + (d[off] >= 0)
+        X[off] += (m > 10**17).astype(np.int64) - (m <= 10**16)
+        N[off], d[off] = _rounded(a[off], X[off])
+        carry = off[N[off] == 10**17]         # 17 nines rounded up
+        N[carry], X[carry] = 10**16, X[carry] + 1
+    # Python formats values off the fast range, near-ties and, as a guard,
+    # any N that one correction of X did not place
+    slow = (nonzero > fast) | (np.abs(d) > 0.5 - _TIE)
+    slow[off] |= (N[off] - 10**16).view(np.uint64) >= 9 * 10**16
+    return N * nonzero, X, slow
 
 
 @functools.cache
-def _digit_tables():
-    """Per 4-digit group 0..9999: a word of its ASCII digits, each with an
-    empty dot slot, and its trailing zeros (unused for 0).  Per count
-    0..4 of kept digits: a group word's mask.  Per exponent: words 0 and
-    5 without the sign and the first digit."""
+def _format_tables():
+    """``digits``, per 4-digit group: its ASCII and, in byte 4, trailing
+    zeros (16 for 0).  ``by_x``, in row X + _X_LIMIT: words 0 and 3 less
+    sign and digits, and between them the most digits dropped (none up to
+    a fixed point) and the trailing zeros below which a point is shifted
+    in.  ``masks``, by digits dropped: the bytes kept in words 0-2.  Rows
+    (head, tail, lo) of 10**(16 - X) by column X + _X_LIMIT, NaN until a
+    value of exponent X is first formatted."""
     d = np.arange(100, dtype=_WORD)
-    pairs = (d // 10 + 48) | (d % 10 + 48) << 16
-    digits = (pairs[:, None] | pairs << 32).ravel()
-    zeros = np.zeros(10000, np.int8)
-    for k in (10, 100, 1000):
-        zeros[::k] += 1
-    masks = np.array([(1 << 16 * j) - 1 for j in range(5)], _WORD)
-    exponents = range(-_X_LIMIT, _X_LIMIT + 1)
-    prefixes = [b"0." + b"0" * (-X - 1) if -4 <= X < 0 else b""
-                for X in exponents]
-    suffixes = [b"" if -4 <= X < 17 else b"e%+03d" % X for X in exponents]
-    words = np.frombuffer(b"".join(
-        [(b"\0" + p).ljust(8, b"\0") for p in prefixes]
-        + [x.ljust(7, b"\0") + b"," for x in suffixes]), _WORD).reshape(2, -1)
-    return digits, zeros, masks, words
+    pairs = (d // 10 + 48) | (d % 10 + 48) << 8
+    zeros = (d % 10 == 0) + 13 * (d == 0)   # 14 for 00, so 16 for 0000
+    digits = (pairs[:, None] | pairs << 16 | np.where(
+        d == 0, 2 + zeros[:, None], zeros).astype(_WORD) << 32).ravel()
+    exponents = np.arange(-_X_LIMIT, _X_LIMIT + 1)
+    # the point follows digit X of fixed notation, is in the prefix below
+    # X = 0, and follows the first digit, in the slot, everywhere else
+    words = [(b"\0" + (b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b"")
+              ).ljust(7, b"\0") + (b"\0" if -4 <= x < 0 or 0 < x < 17
+                                   else b".") for x in exponents.tolist()]
+    words += [(b"" if -4 <= x < 17 else b"e%+03d" % x).ljust(7, b"\0") + b","
+              for x in exponents.tolist()]
+    head, tail = np.frombuffer(b"".join(words), _WORD).reshape(2, -1)
+    point = (exponents * ((exponents >= 0) & (exponents < 17))).astype(_WORD)
+    by_x = np.stack([head, 16 - point, (16 - point) * (point > 0), tail], 1)
+    kept = range(16, -1, -1)
+    masks = np.frombuffer(b"".join((b"\xff" * k).ljust(8, b"\0") for k in [
+        7 + (n > 0) for n in kept] + [min(n, 8) for n in kept] + [
+        max(n - 8, 0) for n in kept]), _WORD).reshape(3, -1)
+    return digits, by_x, masks, np.full((3, 2 * _X_LIMIT + 1), np.nan)
 
 
 def _fields(x):
-    """``"%.17g," % v`` for each double v of ``x``, NUL-padded to _FIELD
-    bytes: a uint8 array of shape ``x.shape + (_FIELD,)``."""
-    x = np.asarray(x, dtype=float)
-    flat = x.ravel()
+    """``"%.17g," % v`` for each double v of ``x``, NUL-padded: an array
+    of shape (x.size, _WORDS)."""
+    flat = np.asarray(x, dtype=float).ravel()
     N, X, slow = _decimal(flat)
-    digits, zeros, masks, words = _digit_tables()
-    first, rest = np.divmod(N, 10**16)
-    groups = [rest // 10**k % 10**4 for k in (12, 8, 4, 0)]
-    # the last nonzero digit after the first, 0 if there is none
-    last = np.zeros_like(N)
-    for k, g in enumerate(groups):
-        last = np.where(g != 0, 4 * k + 4 - zeros[g], last)
-    # the digit the point follows: X in fixed notation, where -4 <= X < 17
-    # (below 0, the prefix holds the point), and 0 in exponent notation
-    point = np.where((X < -4) | (X >= 17), 0, X)
-    keep = np.maximum(last, point)
-    out = np.empty((flat.size, _FIELD // 8), _WORD)
-    out[:, 0] = (words[0][X + _X_LIMIT] | np.signbit(flat) * _WORD.type(45)
-                 | (first.astype(_WORD) + 48) << 48)
-    for k, g in enumerate(groups):
-        out[:, 1 + k] = digits[g] & masks[np.clip(keep - 4 * k, 0, 4)]
-    out[:, 5] = words[1][X + _X_LIMIT]
-    dotted = np.flatnonzero((point >= 0) & (last > point))
-    out.view(np.uint8).reshape(-1)[
-        dotted * _FIELD + 7 + 2 * point[dotted]] = ord(".")
+    digits, by_x, masks, _ = _format_tables()
+    # words 0 and 3, and in words 1 and 2 until the digits, X's limits
+    out = by_x.take(X + _X_LIMIT, axis=0)
+    top = N // 10**8
+    first = top // 10**8
+    high, low = top - first * 10**8, N - top * 10**8
+    g0, g2 = high // 10**4, low // 10**4
+    groups = [digits.take(g) for g in (g0, high - g0 * 10**4,
+                                       g2, low - g2 * 10**4)]
+    # the last nonzero group's trailing zeros, plus 4 per zero group after it
+    zeros = np.minimum(np.minimum(groups[0] + (12 << 32),
+                                  groups[1] + (8 << 32)),
+                       np.minimum(groups[2] + (4 << 32), groups[3])) >> 32
+    shift = np.flatnonzero(zeros < out[:, 2])
+    drop = np.minimum(zeros, out[:, 1]).view(np.int64)
+    out[:, 0] &= masks[0].take(drop)
+    out[:, 0] |= ((flat.view(np.uint64) >> 63) * 45
+                  | ((first + 48) << 48).view(np.uint64))
+    np.bitwise_and(groups[0] & 0xFFFFFFFF | groups[1] << 32,
+                   masks[1].take(drop), out=out[:, 1])
+    np.bitwise_and(groups[2] & 0xFFFFFFFF | groups[3] << 32,
+                   masks[2].take(drop), out=out[:, 2])
+    if shift.size:
+        # a point after digit p, at bit b = 8p, moves the digits behind it
+        # up a byte, the last into word 3 (shifts by 64 or more give 0)
+        _, w1, w2, w3 = out.T
+        b = X[shift].view(np.uint64) << 3
+        move1 = w1[shift] & 2**64 - 1 << b
+        move2 = w2[shift] & 2**64 - 1 << np.maximum(b, 64) - 64
+        w1[shift] ^= move1 ^ move1 << 8 ^ 46 << b
+        w2[shift] ^= move2 ^ move2 << 8 ^ move1 >> 56 ^ 46 << b - 64
+        w3[shift] |= move2 >> 56
     if slow.any():
         out[slow] = np.frombuffer(b"".join(
-            [(b"%.17g" % v).ljust(_FIELD - 1, b"\0") + b","
-             for v in flat[slow].tolist()]), _WORD).reshape(-1, _FIELD // 8)
-    return out.view(np.uint8).reshape(x.shape + (_FIELD,))
+            [(b"%.17g" % v).ljust(8 * _WORDS - 1, b"\0") + b","
+             for v in flat[slow].tolist()]), _WORD).reshape(-1, _WORDS)
+    return out
+
+
+def _write_rows(path, header, count, block):
+    """Write the CSV ``header`` and ``count`` rows, the words of rows
+    start..stop from ``block(start, stop)``, replacing ``path`` atomically.
+    A row's last byte, a "," or a free slot, becomes its "\n"."""
+    with _atomic_open(path) as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, count, _BLOCK_ROWS):
+            rows = block(start, min(start + _BLOCK_ROWS, count)).astype(
+                _WORD, copy=False)
+            rows.view(np.uint8)[:, -1] = ord("\n")
+            fh.write(rows.tobytes().translate(None, b"\0"))
 
 
 def write_columns(path, header, *columns):
@@ -364,20 +373,17 @@ def write_columns(path, header, *columns):
     replacing ``path`` atomically.
 
     Each value is exactly ``"%.17g" % x``, the bytes ``np.savetxt`` wrote.
-    A block of rows is formatted in numpy by one call for all columns;
-    Python formats only the values of the fallback: NaN, +-inf, |x| below
-    1e-280 or above 1e280, and the values within 1e-6 of a rounding tie at
-    the 17th digit.  Those are about 2e-6 of random doubles, more where
-    doubles have few fraction bits (every x.5 in [1e15, 1e16) is a tie),
-    and up to 1.5e-5 of the values of a fig2 or figSI2 map.
+    A block of rows is formatted in numpy by one call for all columns, a
+    32-byte field a value.  Python formats only the values of the
+    fallback: NaN, +-inf, |x| below 1e-280 or above 1e280, and the values
+    within 1e-6 of a rounding tie at the 17th digit.  Those are about 2e-6
+    of random doubles, more where doubles have few fraction bits (every
+    x.5 in [1e15, 1e16) is a tie), and up to 1.5e-5 of a fig2 or figSI2
+    map's values.
     """
-    with _atomic_open(path) as fh:
-        fh.write((",".join(header) + "\n").encode())
-        for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            rows = _fields(np.column_stack(
-                [c[start:start + _BLOCK_ROWS] for c in columns]))
-            rows[:, -1, -1] = ord("\n")
-            fh.write(rows.tobytes().translate(None, b"\0"))
+    _write_rows(path, header, len(columns[0]), lambda start, stop: _fields(
+        np.column_stack([c[start:stop] for c in columns])
+    ).reshape(stop - start, -1))
 
 
 def write_grid_csv(grid: ScanGrid, path) -> str:
@@ -386,30 +392,24 @@ def write_grid_csv(grid: ScanGrid, path) -> str:
 
     Rows are emitted row-major, the Omega axis outermost.  Values are
     ``"%.17g" % x``, as in :func:`write_columns`, so a re-parse reproduces
-    the doubles bit-exactly: the six value columns of a block in one
-    numpy call, each axis value once for the whole grid.  Python formats
-    the fallback of :func:`write_columns`, the singular cells' NaN among
-    it.  The singular flag is written as 1 or 0.  Each file is replaced
-    atomically.
+    the doubles bit-exactly: the six value columns of a block in one call,
+    each axis value once for the whole grid, and the singular cells' NaN
+    by Python.  The singular flag is written as 1 or 0, in a word after
+    the eight fields.  Each file is replaced atomically.
     """
     sidecar_path = f"{path}.meta"
-    n = len(grid.omega)
     omega, Omega = _fields(grid.omega), _fields(grid.Omega)
     values = [grid.values[name].ravel() for name in CSV_HEADER[2:-1]]
     flags = grid.singular.ravel()
-    with _atomic_open(path) as fh:
-        fh.write((",".join(CSV_HEADER) + "\n").encode())
-        for start in range(0, flags.size, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, flags.size)
-            cells = _fields(np.column_stack([v[start:stop] for v in values]))
-            cell = np.arange(start, stop)
-            rows = np.empty((cell.size, 8 * _FIELD + 2), np.uint8)
-            rows[:, :_FIELD] = omega[cell % n]
-            rows[:, _FIELD:2 * _FIELD] = Omega[cell // n]
-            rows[:, 2 * _FIELD:-2] = cells.reshape(cell.size, -1)
-            rows[:, -2] = np.where(flags[start:stop], ord("1"), ord("0"))
-            rows[:, -1] = ord("\n")
-            fh.write(rows.tobytes().translate(None, b"\0"))
+
+    def block(start, stop):
+        row, col = np.divmod(np.arange(start, stop), len(omega))
+        cells = _fields(np.column_stack([v[start:stop] for v in values]))
+        return np.column_stack([omega.take(col, 0), Omega.take(row, 0),
+                                cells.reshape(stop - start, -1),
+                                flags[start:stop] + _WORD.type(ord("0"))])
+
+    _write_rows(path, CSV_HEADER, flags.size, block)
     with _atomic_open(sidecar_path) as fh:
         fh.write("".join(f"{key} = {grid.metadata[key]}\n"
                          for key in sorted(grid.metadata)).encode())

@@ -544,6 +544,29 @@ def test_overflowing_map_exits_2(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("message, err", [
+    ("Unable to allocate 128. TiB for an array with shape (4194304, "
+     "4194304) and data type float64",
+     "error: not enough memory: Unable to allocate 128. TiB for an array "
+     "with shape (4194304, 4194304) and data type float64\n"),
+    (None, "error: not enough memory\n"),
+], ids=["numpy", "bare"])
+def test_oversized_grid_exits_2(tmp_path, capsys, monkeypatch, message, err):
+    # what numpy raises for a 2**22 x 2**22 lattice, without asking the OS
+    # for 128 TiB
+    def refuse(req):
+        assert (req.omega_count, req.Omega_count) == (2**22, 2**22)
+        raise MemoryError(message) if message else MemoryError()
+
+    monkeypatch.setattr(cli.scan, "grid_scan", refuse)
+    rc = cli.main(["scan", "--preset", "fig2", "--omega-count", "4194304",
+                   "--Omega-count", "4194304",
+                   "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == err
+    assert list(tmp_path.iterdir()) == []
+
+
 _DRUDE_SCAN = ["--units", "fig2", "--omega-min", "0", "--omega-max", "1",
                "--omega-count", "3", "--Omega-min", "0", "--Omega-max", "1",
                "--Omega-count", "3"]
@@ -1482,9 +1505,8 @@ try:
     cli.main(["--help"])
 except SystemExit as exc:
     assert exc.code == 0
-built = (scan._digit_tables.cache_info().currsize,
-         scan._scale_table.cache_info().currsize)
-assert built == (0, 0), f"import and --help built formatter tables: {{built}}"
+built = scan._format_tables.cache_info().currsize
+assert built == 0, "import and --help built the formatter tables"
 
 # the spin-up and amplifier CSVs build the scales of their own exponents
 # alone: each within one of a written value's estimate, or 0, where
@@ -1495,7 +1517,7 @@ written = np.concatenate([np.loadtxt(argv[-1], delimiter=",", skiprows=1)
                           .ravel() for argv in {writers!r}])
 estimate = np.floor(np.log10(np.abs(written[written != 0]))).astype(int)
 allowed = {{0}} | {{int(x) + d for x in estimate for d in (-1, 0, 1)}}
-scales = scan._scale_table()[0]
+scales = scan._format_tables()[3][0]
 built = set((np.flatnonzero(~np.isnan(scales)) - scan._X_LIMIT).tolist())
 assert built and built <= allowed, sorted(built - allowed)
 

@@ -1,6 +1,7 @@
 """Grid evaluation, unit conversion, CSV export, and the re-parse check."""
 
 import dataclasses
+import decimal
 import io
 import math
 import struct
@@ -319,6 +320,36 @@ def test_write_columns_formats_every_power_of_ten(tmp_path):
     values = np.concatenate([np.nextafter(powers, 0), powers,
                              np.nextafter(powers, np.inf)])
     path = tmp_path / "powers.csv"
+    write_columns(path, ("x", "minus_x"), values, -values)
+    assert path.read_text().splitlines() == ["x,minus_x"] + [
+        "%.17g,%.17g" % (x, -x) for x in values.tolist()]
+
+
+def _digits_and_exponent(text):
+    """The count of significant digits and the decimal exponent of a
+    number's text, trailing zeros not counted."""
+    value = decimal.Decimal(text).normalize()
+    return len(value.as_tuple().digits), value.adjusted()
+
+
+def _fixed_notation_value(X, k):
+    """The first double from k-digit decimals 1234...e(X - k + 1) up whose
+    ``"%.17g"`` shows k significant digits and the exponent X."""
+    for n in range(int("12345678912345678"[:k]), 10**k):
+        value = float(f"{n}e{X - k + 1}")
+        if _digits_and_exponent("%.17g" % value) == (k, X):
+            return value
+    raise AssertionError(f"no double shows {k} digits at exponent {X}")
+
+
+def test_write_columns_places_every_fixed_point(tmp_path):
+    # every fixed-notation exponent -4 <= X <= 16 with 1 to 17 significant
+    # digits, so the point falls in the prefix, after the first digit or
+    # after digit X of the other 16: after digit 8 at the boundary of
+    # words 1 and 2, and after digits 1..15 with the 16th moved into word 3
+    values = np.array([_fixed_notation_value(X, k) for X in range(-4, 17)
+                       for k in range(1, 18)])
+    path = tmp_path / "fixed.csv"
     write_columns(path, ("x", "minus_x"), values, -values)
     assert path.read_text().splitlines() == ["x,minus_x"] + [
         "%.17g,%.17g" % (x, -x) for x in values.tolist()]
