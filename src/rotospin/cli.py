@@ -6,11 +6,15 @@ flags, each layer overriding the previous.  Exit codes: 0 success,
 2 configuration error (an input too large to evaluate, a lattice too
 large for memory or an unwritable output among them), 3 singular
 lossless resonance, 4 validation or self-check failure.
+
+``main(argv)`` is the in-process entry; ``run()`` is the process entry
+of the ``rotospin`` command and of ``python -m rotospin.cli``.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import warnings
 
@@ -256,5 +260,20 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
 
 
+def run() -> int:
+    """Process entry: ``main()``, then ``gc.freeze()`` however ``main``
+    ends (a return, ``SystemExit`` from ``--help`` or a usage error, or a
+    traceback).  The interpreter's exit then runs no full collection over
+    the objects numpy and the package made at import, which would free
+    nothing the OS does not take back: about 17 ms a run.  Atexit
+    handlers, stream flushes and module teardown still run; only the
+    finalizers of objects in reference cycles do not, and every file a
+    command writes is closed before ``main`` returns."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

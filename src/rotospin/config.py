@@ -144,7 +144,7 @@ PRESETS = {
 
 
 def load_config(path) -> Sections:
-    """Parse an INI file into plain nested dicts.
+    """Parse a UTF-8 INI file into plain nested dicts.
 
     Parse failures surface as ConfigError carrying configparser's
     line-numbered message, and a section or key missing from KEYS as one
@@ -154,10 +154,12 @@ def load_config(path) -> Sections:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str    # keys are case-sensitive (Omega vs omega)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh, source=str(path))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config: {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
     if parser.defaults() and not parser.sections():

@@ -275,16 +275,24 @@ def check_amplifier(rng) -> CheckResult:
                     for om in (0.8, 1.3, 2.0, 2.6))
     spec = medium.MediumSpec(1e-3, 50.0, members)
     g = medium.gain_coefficient(spec, d)
+    # the doubling length below is exact for any g, so g itself is checked
+    # against the members' extinctions taken from the full cross-section set
+    g_ref = -spec.number_density * sum(
+        mem.weight * cross_section_set(mem.model, d, mem.rotation).extinction
+        for mem in members)
+    off = abs(g - g_ref) / abs(g_ref)
     doubling = np.log(2.0) / g
     doubled = medium.propagate_intensity(1.0, g, doubling)
     split = (medium.propagate_intensity(
         medium.propagate_intensity(2.0, g, 11.0), g, 19.0)
         - medium.propagate_intensity(2.0, g, 30.0))
-    ok = (g > 0.0 and abs(doubled - 2.0) <= 1e-12
+    ok = (g > 0.0 and off <= CONSISTENCY_TOL
+          and abs(doubled - 2.0) <= 1e-12
           and abs(split) <= 1e-12 * medium.propagate_intensity(2.0, g, 30.0))
     return CheckResult("amplifier", ok,
-                       f"gain {g:.3e} per cm, doubling length exact, "
-                       "propagation multiplicative")
+                       f"gain {g:.3e} per cm, {off:.1e} off the members' "
+                       "sum, doubling length exact, propagation "
+                       "multiplicative")
 
 
 def ridge_offset_along_ray(model, angle):

@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import csv
+import gc
 import importlib
 import io
 import os
@@ -38,6 +39,11 @@ from rotospin.scan import reparse_balance_check
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
+def _subprocess_env():
+    """Environment for a child interpreter that imports this tree."""
+    return {**os.environ, "PYTHONPATH": str(BENCH.parent / "src")}
+
+
 def _write(tmp_path, text, name="conf.ini"):
     path = tmp_path / name
     path.write_text(textwrap.dedent(text))
@@ -71,6 +77,21 @@ def test_keys_are_case_sensitive(tmp_path):
 def test_missing_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "nope.ini")
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # read as UTF-8 whatever the locale; the error names the file
+    path = tmp_path / "latin.ini"
+    path.write_bytes(b"\xff\xfe[model]\n")
+    assert cli.main(["point", "--config", str(path)]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: cannot read config: {path}: ")
+    assert "can't decode byte 0xff in position 0" in err
+    assert err.count("\n") == 1
+    utf8 = tmp_path / "utf8.ini"
+    utf8.write_bytes("[model]\n# ω₀ = 1\ngamma = 0.1\n".encode())
+    assert load_config(utf8) == {"model": {"gamma": "0.1"}}
 
 
 def test_parse_error_carries_line_info(tmp_path):
@@ -1008,11 +1029,10 @@ def test_amplify_excluded_member_warns_on_one_line(tmp_path):
         path_length = 1.0
         members = 1.0:0.5, 2.0:0.5
         """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
     runs = [subprocess.run(
         [sys.executable, *flags, "-m", "rotospin.cli", "amplify",
          "--config", conf, "--out", str(tmp_path / "g.csv")],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        env=_subprocess_env(), capture_output=True,
         text=True, timeout=60) for flags in ([], ["-W", "ignore"])]
     assert [proc.returncode for proc in runs] == [0, 0]
     assert runs[0].stderr == ("warning: excluded 1 singular ensemble "
@@ -1587,14 +1607,139 @@ def test_every_command_imports_no_scipy(tmp_path):
          "--out", str(tmp_path / "spectrum.csv")],
         ["thermal", "--config", _write(tmp_path, _THERMAL_INI, "t.ini")],
         ["validate"]]
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
     proc = subprocess.run([sys.executable, "-c",
                            _COLD_START.format(writers=writers, runs=runs)],
-                          env={**os.environ, "PYTHONPATH": src},
+                          env=_subprocess_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert [line for line in proc.stdout.splitlines()
             if line.startswith("outcome = ")] == [
                 f"outcome = {end}" for end in spinups]
     assert "\n16/16 checks passed\n" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# CLI: process entry
+
+
+def test_run_leaves_the_heap_frozen():
+    script = textwrap.dedent("""\
+        import gc, sys
+        import rotospin.cli as cli
+        sys.argv = ["rotospin", "point", "--gamma", "0.1", "--omega", "0.5",
+                    "--Omega", "0.2"]
+        code = cli.run()
+        print("frozen", code, gc.get_freeze_count())
+        """)
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=_subprocess_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    tag, code, frozen = proc.stdout.splitlines()[-1].split()
+    assert (tag, code) == ("frozen", "0")
+    assert int(frozen) > 0
+
+
+def _exit_4():
+    return 4
+
+
+def _usage_error():
+    raise SystemExit(2)
+
+
+def _traceback():
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("main, outcome", [
+    (_exit_4, 4), (_usage_error, SystemExit), (_traceback, RuntimeError)],
+    ids=["return", "SystemExit", "traceback"])
+def test_run_freezes_however_main_ends(monkeypatch, main, outcome):
+    # gc.freeze stubbed: freezing the test process would keep every later
+    # test's garbage from being collected
+    calls = []
+
+    def recorded():
+        calls.append("main")
+        return main()
+
+    monkeypatch.setattr(cli, "main", recorded)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    if isinstance(outcome, int):
+        assert cli.run() == outcome
+    else:
+        with pytest.raises(outcome):
+            cli.run()
+    assert calls == ["main", "freeze"]
+
+
+def test_main_leaves_the_heap_unfrozen(capsys):
+    # tests and library callers run main in-process and need a
+    # collectable heap
+    before = gc.get_freeze_count()
+    assert cli.main(["point", "--gamma", "0.1", "--omega", "0.5",
+                     "--Omega", "0.2"]) == 0
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    assert gc.get_freeze_count() == before
+
+
+def _in_process(argv):
+    """(exit code, stdout, stderr) of ``cli.main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _as_process(argv):
+    proc = subprocess.run([sys.executable, "-m", "rotospin.cli", *argv],
+                          env=_subprocess_env(), capture_output=True,
+                          text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("argv, ini, code", [
+    (["--help"], None, 0),
+    (["point", "--pol", "bogus"], None, 2),
+    (["point", "--config", "{tmp}/missing.ini"], None, 2),
+    (["point"], _POINT_INI, 0),
+    (["thermal"], _THERMAL_INI, 0),
+    (["validate", "--seed", "0"], None, 0),
+], ids=["help", "usage-error", "missing-config", "point", "thermal",
+        "validate"])
+def test_process_entry_prints_as_main_does(tmp_path, monkeypatch, argv, ini,
+                                           code):
+    monkeypatch.setenv("COLUMNS", "80")     # argparse's help width
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if ini is not None:
+        argv += ["--config", _write(tmp_path, ini)]
+    in_process = _in_process(argv)
+    assert in_process[0] == code
+    assert _as_process(argv) == in_process
+
+
+@pytest.mark.parametrize("argv, ini", [
+    (["scan", "--preset", "fig2"], None),
+    (["spectrum", "--preset", "fig3a"], None),
+    (["spinup"], _SPINUP_INI),
+    (["amplify"], _AMPLIFY_INI),
+], ids=["scan", "spectrum", "spinup", "amplify"])
+def test_process_entry_writes_as_main_does(tmp_path, argv, ini):
+    if ini is not None:
+        argv = argv + ["--config", _write(tmp_path, ini)]
+    runs, files = [], []
+    for route, entry in (("main", _in_process), ("process", _as_process)):
+        out_dir = tmp_path / route
+        out_dir.mkdir()
+        code, out, err = entry(argv + ["--out", str(out_dir / "x.csv")])
+        runs.append((code, out.replace(str(out_dir), "<out>"), err))
+        files.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][2] == ""
+    assert files[0] == files[1]
+    assert "x.csv" in files[0]

@@ -160,3 +160,32 @@ def test_benchmark_names_resolve():
               if isinstance(c, ast.Constant) and isinstance(c.value, str)
               and "checks passed" in c.value]
     assert passed == [f"{len(checks)}/{len(checks)} checks passed"]
+
+
+def test_processes_enter_by_run_and_only_cli_touches_the_collector():
+    # run() freezes the heap for a process about to end; main and the
+    # library leave the collector alone for in-process callers
+    import tomllib
+
+    pyproject = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text())
+    assert pyproject["project"]["scripts"] == {"rotospin": "rotospin.cli:run"}
+
+    cli = ast.parse((SRC / "cli.py").read_text())
+    guard, = [node for node in cli.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert ast.unparse(guard.body[0]) == "sys.exit(run())"
+
+    importers = []
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 10
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "gc" in names:
+                importers.append(path.stem)
+    assert importers == ["cli"]

@@ -88,3 +88,14 @@ def test_mapping_consistency_gates_the_relative_difference(monkeypatch):
     result = _mapping_check_with_coupling_off_by(monkeypatch, 5e-9)
     assert result.detail.startswith("max relative difference 5.000e-09")
     assert not result.passed
+
+
+@pytest.mark.parametrize("factor", [2.0, 1.0 + 1e-6])
+def test_amplifier_check_catches_a_scaled_gain(monkeypatch, factor):
+    # a doubling length derived from the g under test is exact for any g;
+    # the members' own extinctions give the reference
+    gain = validation.medium.gain_coefficient
+    assert validation.check_amplifier(None).passed
+    monkeypatch.setattr(validation.medium, "gain_coefficient",
+                        lambda *a: factor * gain(*a))
+    assert not validation.check_amplifier(None).passed
