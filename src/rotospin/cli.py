@@ -32,12 +32,15 @@ EXIT_VALIDATION = 4
 
 def _add_flags(p, section):
     """Declare the flags of ``section`` in ``config.KEYS`` on ``p``, each
-    with dest "section.key"; argparse keeps each value as typed."""
+    with dest "section.key".  Argparse keeps each value as typed, except
+    that a text choice is lower-cased, as the builders do a file's."""
     for key, row in cfgmod.KEYS[section].items():
         if row is None:
             continue
         flag, options = row
-        if "choices" not in options:
+        if "choices" in options:
+            options = {"type": str.lower, **options}
+        else:
             # the metavar argparse would derive from the flag itself
             options = {"metavar": flag[2:].replace("-", "_").upper(),
                        **options}
@@ -176,7 +179,12 @@ def cmd_validate(seed) -> int:
     return EXIT_OK if n_pass == len(results) else EXIT_VALIDATION
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The ``rotospin`` parser.  Every subcommand is registered with its
+    summary, so the top-level help and usage errors do not depend on
+    ``command``; given one, only that subcommand declares its flags, as
+    a process parses one command line and the others' would only slow
+    its start.  With no ``command`` every subcommand declares them."""
     parser = argparse.ArgumentParser(
         prog="rotospin",
         description="Optical response and rotation dynamics of spinning "
@@ -185,6 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, func, summary, sections, preset=False):
         p = sub.add_parser(name, help=summary)
+        if command not in (None, name):
+            return
         p.add_argument("--config", metavar="PATH",
                        help="INI-style key-value config file")
         if preset:
@@ -220,14 +230,17 @@ def build_parser() -> argparse.ArgumentParser:
         ("medium", "output"))
 
     p = sub.add_parser("validate", help="run the physics self-check suite")
-    p.add_argument("--seed", type=_seed, default=20260822)
-    p.set_defaults(func=lambda a: cmd_validate(a.seed))
+    if command in (None, "validate"):
+        p.add_argument("--seed", type=_seed, default=20260822)
+        p.set_defaults(func=lambda a: cmd_validate(a.seed))
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     with warnings.catch_warnings():
         # one line, without the source path and line of the caller
         warnings.showwarning = lambda message, *_: print(

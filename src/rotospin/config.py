@@ -22,7 +22,6 @@ overriding the last.  Layering checks that every number parses, and the
 
 from __future__ import annotations
 
-import configparser
 import contextlib
 import math
 
@@ -151,6 +150,8 @@ def load_config(path) -> Sections:
     naming it.  A ``[DEFAULT]`` key is checked in every section it lands
     in, and a file with no other section is rejected.
     """
+    # imported here: a run without a file does not load configparser
+    import configparser
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str    # keys are case-sensitive (Omega vs omega)
     try:
@@ -363,7 +364,7 @@ def build_scan_request(cfg: Sections, model: OscillatorModel,
             omega_max=_get_float(cfg, section, "omega_max"),
             omega_count=_get_int(cfg, section, "omega_count"),
             Omega_min=Om_min, Omega_max=Om_max, Omega_count=Om_count,
-            units=_section(cfg, section).get("units", "physical"),
+            units=_section(cfg, section).get("units", "physical").lower(),
             polarization_label=label)
 
 

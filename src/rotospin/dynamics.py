@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,8 +153,7 @@ class ThermalParams:
             raise ValueError("radiative_coefficient must be positive")
 
 
-@dataclass(frozen=True)
-class SpinUpTrajectory:
+class SpinUpTrajectory(NamedTuple):
     """Sampled (t, Omega) history plus how the run ended."""
 
     times: np.ndarray

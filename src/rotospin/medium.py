@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +60,7 @@ class MediumSpec:
             raise ValueError(f"member weights sum to {total!r}, expected 1")
 
 
-@dataclass(frozen=True)
-class EnsembleExtinction:
+class EnsembleExtinction(NamedTuple):
     """Weighted mean extinction plus the indices of excluded members."""
 
     value: float

@@ -48,6 +48,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -276,8 +277,7 @@ def _excited(model, drive, Omega, point):
     return omega, Omega, excited, _denominators(model, Omega, excited)
 
 
-@dataclass(frozen=True)
-class CrossSectionSet:
+class CrossSectionSet(NamedTuple):
     """The six areas at one (w, Omega) point (cm^2 in physical units)."""
 
     mechanical: float
@@ -551,8 +551,7 @@ def radial_ode_residual(model, drive, Omega, t):
     return abs(residual) / scale
 
 
-@dataclass(frozen=True)
-class SpectralLine:
+class SpectralLine(NamedTuple):
     """One emission line: frequency plus the complex (x, y) dipole
     amplitude, convention p(t) = p_tilde e^{-i nu t} + c.c."""
 
@@ -565,8 +564,7 @@ class SpectralLine:
         return abs(self.amplitude_x) ** 2 + abs(self.amplitude_y) ** 2
 
 
-@dataclass(frozen=True)
-class DipoleSpectrum:
+class DipoleSpectrum(NamedTuple):
     """Induced-dipole spectrum: carrier plus the two rotational sidebands."""
 
     carrier: SpectralLine        # at w

@@ -23,6 +23,7 @@ import functools
 import itertools
 import os
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,8 +109,7 @@ class ScanRequest:
         return out
 
 
-@dataclass(frozen=True)
-class ScanGrid:
+class ScanGrid(NamedTuple):
     """Evaluated lattice: axes, six value arrays, singular mask, metadata.
 
     Value arrays have shape (Omega_count, omega_count) and are stored in

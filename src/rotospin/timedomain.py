@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +39,7 @@ _STEP = 0.25
 _MAX_DENOMINATOR = 1000
 
 
-@dataclass(frozen=True)
-class TimeDomainAverages:
+class TimeDomainAverages(NamedTuple):
     """Period-averaged observables from direct integration."""
 
     torque: float            # erg
@@ -63,6 +61,8 @@ def _averaging_window(omega, Omega):
         raise ValueError("static drive: nothing to average over")
     if Omega == 0:
         return np.pi / abs(omega), -1.0
+    # imported here: only the oracle loads fractions and its decimal
+    from fractions import Fraction
     ratio = Fraction(abs(omega) / abs(Omega)).limit_denominator(
         _MAX_DENOMINATOR)
     approx = float(ratio) * abs(Omega)

@@ -13,7 +13,7 @@ import math
 import os
 import random
 import tempfile
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,10 +35,12 @@ CONSISTENCY_TOL = 1e-12
 MAPPING_TOL = 1e-14
 #: steps of the spin-up reference per estimated time to the target
 _RK4_STEPS = 64
+#: (density, radius, surface tension) of the spheres whose burst
+#: frequency is checked: a unit sphere, a water droplet and a gold grain
+_BURST_SPHERES = ((1.0, 1.0, 1.0), (1.0, 5e-4, 72.0), (19.3, 2e-5, 1.1e3))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -250,8 +252,19 @@ def check_quadrature_equivalence(rng, n=5) -> CheckResult:
         t_ode = ode_spin_up_time(m, d, body, target)
         t_quad = dynamics.time_to_target_by_quadrature(m, d, body, target)
         worst = max(worst, abs(t_ode - t_quad) / t_quad)
-    return CheckResult("spin-up-quadrature", worst <= QUADRATURE_TOL,
-                       f"max relative deviation {worst:.3e} over {n} runs")
+    # the burst estimate against its closed form draws nothing from rng
+    burst_off = 0.0
+    for rho, radius, sigma in _BURST_SPHERES:
+        body = dynamics.RigidBodyParams.solid_sphere(
+            rho, radius, surface_tension=sigma)
+        exact = math.sqrt(15.0 * sigma / (rho * radius**3))
+        burst_off = max(burst_off, abs(
+            dynamics.centrifugal_burst_frequency(body) - exact) / exact)
+    return CheckResult("spin-up-quadrature", worst <= QUADRATURE_TOL
+                       and burst_off <= CONSISTENCY_TOL,
+                       f"max relative deviation {worst:.3e} over {n} runs, "
+                       f"burst frequency {burst_off:.1e} off "
+                       "sqrt(15 sigma / rho R^3)")
 
 
 def check_thermal_law(rng) -> CheckResult:

@@ -280,6 +280,64 @@ def test_flag_writes_only_its_own_section():
         assert {sec: keys for sec, keys in cfg.items() if keys} == expected
 
 
+# (argv, exit code) of command lines that end in argparse
+_PARSE_EXITS = [
+    *(([command, "--help"], 0)
+      for command in (*_CONFIG_SUBCOMMANDS, "validate")),
+    (["bogus"], 2), ([], 2), (["-h", "point"], 0), (["--help"], 0),
+    (["point", "--pol", "bogus"], 2), (["validate", "--seed", "-1"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", _PARSE_EXITS,
+                         ids=[" ".join(argv) or "bare"
+                              for argv, _ in _PARSE_EXITS])
+def test_main_parses_as_the_all_flags_parser(monkeypatch, argv, code):
+    # main declares only the flags of the subcommand it is given
+    monkeypatch.setenv("COLUMNS", "80")     # argparse's help width
+    declared = _in_process(argv)
+    assert declared[0] == code
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command: build_parser())
+    assert _in_process(argv) == declared
+
+
+_POINT_ARGV = ["point", "--gamma", "0.1", "--omega", "0.5", "--Omega", "0.2"]
+_SCAN_ARGV = ["scan", "--preset", "fig2", "--omega-count", "4",
+              "--Omega-count", "3"]
+_SPECTRUM_ARGV = ["spectrum", "--preset", "fig3a", "--omega-count", "5"]
+
+
+@pytest.mark.parametrize("argv, ini", [
+    (_POINT_ARGV + ["--pol", "{LCP}"], None),
+    (_POINT_ARGV + ["--source", "{DIRECT}"], None),
+    (_SCAN_ARGV + ["--units", "{FIG2}"], None),
+    (_SPECTRUM_ARGV + ["--units", "{FIG2}"], None),
+    (_SCAN_ARGV, "[scan]\nunits = {FIG2}\n"),
+    (_SPECTRUM_ARGV, "[spectrum]\nunits = {FIG2}\n"),
+    (_POINT_ARGV, "[drive]\npolarization = {LCP}\n"),
+], ids=["pol-flag", "source-flag", "scan-units-flag", "spectrum-units-flag",
+        "scan-units-file", "spectrum-units-file", "pol-file"])
+def test_text_choices_ignore_case(tmp_path, argv, ini):
+    # a flag and a file take a text choice in any case, as lower case
+    runs = []
+    for case in (str.lower, str.upper):
+        out_dir = tmp_path / case.__name__
+        out_dir.mkdir()
+        words = {w: case(w) for w in ("LCP", "DIRECT", "FIG2")}
+        run = [a.format(**words) for a in argv]
+        if ini is not None:
+            run += ["--config", _write(out_dir, ini.format(**words))]
+        if run[0] != "point":
+            run += ["--out", str(out_dir / "x.csv")]
+        code, out, err = _in_process(run)
+        files = {p.name: p.read_bytes() for p in out_dir.iterdir()
+                 if p.suffix != ".ini"}
+        runs.append((code, out.replace(str(out_dir), "<out>"), err, files))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][2] == ""
+
+
 # ---------------------------------------------------------------------------
 # builders
 
@@ -1527,6 +1585,11 @@ except SystemExit as exc:
     assert exc.code == 0
 built = scan._format_tables.cache_info().currsize
 assert built == 0, "import and --help built the formatter tables"
+# validate's time-domain oracle loads fractions (and decimal), and a
+# --config file configparser, each on first use
+loaded = [m for m in ("fractions", "decimal", "configparser")
+          if m in sys.modules]
+assert not loaded, f"loaded by import rotospin.cli and --help: {{loaded}}"
 
 # the spin-up and amplifier CSVs build the scales of their own exponents
 # alone: each within one of a written value's estimate, or 0, where

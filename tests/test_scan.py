@@ -1,6 +1,5 @@
 """Grid evaluation, unit conversion, CSV export, and the re-parse check."""
 
-import dataclasses
 import decimal
 import io
 import math
@@ -118,8 +117,7 @@ def _assert_cells_match_direct(lattice, any_singular):
                     continue
                 assert not grid.singular[i, j]
                 cell = [grid.values[name][i, j] for name in CSV_HEADER[2:-1]]
-                assert_allclose(cell, dataclasses.astuple(direct), rtol=1e-14,
-                                atol=0.0)
+                assert_allclose(cell, tuple(direct), rtol=1e-14, atol=0.0)
         assert grid.singular.any() == any_singular
 
 

@@ -189,3 +189,32 @@ def test_processes_enter_by_run_and_only_cli_touches_the_collector():
             if "gc" in names:
                 importers.append(path.stem)
     assert importers == ["cli"]
+
+
+#: the validated inputs: they check themselves in ``__post_init__``, and
+#: callers build variants with ``dataclasses.replace``
+_INPUT_CLASSES = {"OscillatorModel", "DriveField", "RigidBodyParams",
+                  "ThermalParams", "DrudeSphere", "DrudeEllipsoid",
+                  "MediumMember", "MediumSpec", "ScanRequest"}
+
+
+def test_only_the_inputs_are_dataclasses():
+    # result records are NamedTuples: a dataclass generates and compiles
+    # its methods when the package is imported
+    import rotospin
+    from rotospin.validation import CheckResult
+
+    decorated = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d)
+                    for d in node.decorator_list):
+                decorated.add(node.name)
+    assert decorated == _INPUT_CLASSES
+    records = [getattr(rotospin, name) for name in (
+        "CrossSectionSet", "SpectralLine", "DipoleSpectrum",
+        "SpinUpTrajectory", "EnsembleExtinction", "ScanGrid",
+        "TimeDomainAverages")] + [CheckResult]
+    for record in records:
+        assert issubclass(record, tuple) and record._fields, record

@@ -3,6 +3,7 @@ ridge search over many rays at once, and FAIL lines that report what
 they found."""
 
 import dataclasses
+import random
 import re
 
 import numpy as np
@@ -99,3 +100,26 @@ def test_amplifier_check_catches_a_scaled_gain(monkeypatch, factor):
     monkeypatch.setattr(validation.medium, "gain_coefficient",
                         lambda *a: factor * gain(*a))
     assert not validation.check_amplifier(None).passed
+
+
+@pytest.mark.parametrize("factor", [2.0, 1.0 + 1e-6])
+def test_quadrature_check_catches_a_scaled_burst_frequency(monkeypatch,
+                                                           factor):
+    # the spin-up runs of this check never reach a burst, so the check
+    # holds the burst estimate against its solid-sphere closed form
+    burst = validation.dynamics.centrifugal_burst_frequency
+    assert validation.check_quadrature_equivalence(random.Random(0)).passed
+    monkeypatch.setattr(validation.dynamics, "centrifugal_burst_frequency",
+                        lambda body: factor * burst(body))
+    assert not validation.check_quadrature_equivalence(
+        random.Random(0)).passed
+
+
+def test_quadrature_check_draws_only_its_spin_up_runs():
+    # positivity, which draws after this check, keeps its points
+    rng, reference = random.Random(5), random.Random(5)
+    validation.check_quadrature_equivalence(rng)
+    for _ in range(5):
+        for _ in range(4):
+            reference.random()
+    assert rng.getstate() == reference.getstate()
