@@ -14,6 +14,7 @@ Omega^2 = 4 pi R^2 sigma_surf, an order-of-magnitude convention.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -36,11 +37,6 @@ _SAMPLES = 257
 #: may split the span into
 _EPSREL = 1e-10
 _MAX_PANELS = 200
-#: half widths of a panel, its first half and its second half, over the
-#: panel's width
-_PART_HALF_WIDTHS = np.array([0.5, 0.25, 0.25])
-#: starts of a panel's halves, over the panel's width
-_HALVES = np.array([0.0, 0.5])
 #: table points of a panel of a sampled trajectory, on [-1, 1], and
 #: their distances from the panel's start in half widths
 _GRID = np.linspace(-1.0, 1.0, _SAMPLES)
@@ -64,6 +60,24 @@ def _rule():
     integrate = legendre.legval(_GRID, legendre.legint(
         np.eye(nodes.size), lbnd=-1)).T @ to_legendre
     return weights, parts, interpolate, integrate
+
+
+def _linspace(start, stop, num):
+    """np.linspace(start, stop, num) for float ends and num >= 2, bit for
+    bit, its tiny-step branch included, without its dispatch cost."""
+    div = num - 1
+    delta = stop - start
+    y = np.arange(num, dtype=float)
+    step = delta / div
+    if step == 0:
+        # a step that underflows: scale by the width after the division
+        y /= div
+        y *= delta
+    else:
+        y *= step
+    y += start
+    y[-1] = stop
+    return y
 
 
 def _first_crossing(f, x, y):
@@ -170,7 +184,9 @@ class SpinUpTrajectory(NamedTuple):
 
 
 def equilibrium_temperature(thermal: ThermalParams, absorbed_power):
-    """T_eq = (T0^6 + P/C_rad)^(1/6); exactly T0 at zero power.
+    """T_eq = (T0^6 + P/C_rad)^(1/6); exactly T0 at zero power, and never
+    below T0: a power too small to move T0^6 must not round the sixth
+    root under it.
 
     Takes a point (a Python or numpy scalar, or a 0-d array), which
     returns a float, or an array, which returns an array.  Raises
@@ -187,7 +203,7 @@ def equilibrium_temperature(thermal: ThermalParams, absorbed_power):
         if p > 0.0 and ratio < math.inf:
             # libm's pow: numpy's pow of an array may round the last bit
             # apart from it
-            return float((t0**6 + ratio) ** (1.0 / 6.0))
+            return float(max((t0**6 + ratio) ** (1.0 / 6.0), t0))
         # a negative or NaN power raises, and an overflowing ratio takes
         # the array route's branch
         return float(equilibrium_temperature(thermal, np.array([p]))[0])
@@ -197,7 +213,8 @@ def equilibrium_temperature(thermal: ThermalParams, absorbed_power):
     with np.errstate(over="ignore"):
         ratio = p / c_rad
     # zero-power shortcut: (T0^6)^(1/6) would lose the last bit
-    out = np.where(p == 0.0, t0, (t0**6 + ratio) ** (1.0 / 6.0))
+    out = np.where(p == 0.0, t0, np.maximum((t0**6 + ratio) ** (1.0 / 6.0),
+                                            t0))
     huge = np.isinf(ratio)
     if huge.any():
         # P/C_rad beyond a double: T = r (1 + (T0/r)^6)^(1/6) with
@@ -271,7 +288,7 @@ def spin_up_trajectory(model: OscillatorModel, drive: DriveField,
             return equilibrium_temperature(thermal, absorbed_power(
                 absorption_cross_section(model, drive, Om), intensity)
             ) - body.melting_temperature
-        samples = np.linspace(Omega_init, Omega_end, _SAMPLES)
+        samples = _linspace(Omega_init, Omega_end, _SAMPLES)
         melt_at = _first_crossing(overheat, samples, overheat(samples))
         if melt_at is not None and melt_at < Omega_end:
             Omega_end, outcome = melt_at, "melt"
@@ -303,7 +320,7 @@ def spin_up_trajectory(model: OscillatorModel, drive: DriveField,
     slope[:-1].reshape(rows)[...] = (dt_dOmega @ interpolate.T)[:, :-1]
     slope[-1] = dt_dOmega[-1] @ interpolate[-1]
     np.divide(1.0, slope, out=slope)
-    times = np.linspace(0.0, t_stop, n_samples)
+    times = _linspace(0.0, t_stop, n_samples)
     # knots[0] is 0.0, integrate's first row being zeros, so only a time
     # at t_end needs the cap
     i = np.minimum(np.searchsorted(knots, times, "right") - 1, n - 2)
@@ -347,17 +364,19 @@ def _time_table(model, drive, body, Omega_end, Omega_init, Omega_target):
 
     Each round evaluates every open panel and its two halves in one
     broadcast torque call, the first one also the stall search's
-    samples.  The halves are done when their sum agrees with the whole
-    within _EPSREL relative; otherwise they are the next round's open
-    panels.  The done halves are put in order of their distance from
-    Omega_init, except in a table accepted in one round, whose two halves
-    are in order already.
+    samples, and their Gauss sums in one matmul.  The halves are done
+    when their sum agrees with the whole within _EPSREL relative;
+    otherwise they are the next round's open panels.  That bookkeeping,
+    the panel count and the running time sum run on Python floats, and
+    the arrays are built once, at the end.  The done halves are put in
+    order of their distance from Omega_init, except in a table accepted
+    in one round, whose two halves are in order already.
     """
     if not (math.isfinite(Omega_end) and math.isfinite(Omega_init)):
         raise ValueError("Omega_target and Omega_init must be finite")
     weights, parts, _, _ = _rule()
     lo, width = float(Omega_init), float(Omega_end - Omega_init)
-    samples = np.linspace(Omega_init, Omega_end, _SAMPLES)
+    samples = _linspace(Omega_init, Omega_end, _SAMPLES)
     M = torque(model, drive, np.concatenate((samples,
                                              (lo + width * parts).ravel())))
     direction = 1.0 if width > 0 else -1.0
@@ -372,45 +391,54 @@ def _time_table(model, drive, body, Omega_end, Omega_init, Omega_target):
             f"the torque stalls the rotation at Omega = {stall:.6g}, short "
             f"of Omega_target = {Omega_target:.6g}")
     M = M[_SAMPLES:].reshape(1, *parts.shape)
-    lo, width = np.array([lo]), np.array([width])
-    done_parts, n_done = [], 0
+    # the open panels as (start, width); the done halves' starts, widths
+    # and times; each round's I/M with the rows of its done panels
+    opened = [(lo, width)]
+    starts, halves, q, rounds = [], [], [], []
     while True:
         with np.errstate(all="ignore"):
             f = body.moment_of_inertia / M
-            q = (f @ weights) * (width[:, None] * _PART_HALF_WIDTHS)
+            sums = (f @ weights).tolist()
+        split, done = [], []
+        for k, ((lo, width), (whole, first, second)) in enumerate(
+                zip(opened, sums)):
+            quarter = width * 0.25
+            first, second = first * quarter, second * quarter
             # a panel whose time is not finite is done too, and the range
             # check below rejects the sum
-            split = (np.abs(q[:, 0] - q[:, 1] - q[:, 2])
-                     > _EPSREL * np.abs(q[:, 1] + q[:, 2]))
-        more = split.any()
-        # a round with no panel to split is taken whole, without gathers
-        done = ~split if more else slice(None)
-        done_parts.append((
-            (lo[done, None] + width[done, None] * _HALVES).ravel(),
-            np.repeat(0.5 * width[done], 2),
-            f[done, 1:].reshape(-1, weights.size), q[done, 1:].ravel()))
-        if not more:
+            if (abs(whole * (width * 0.5) - first - second)
+                    > _EPSREL * abs(first + second)):
+                split.append((lo, 0.5 * width))
+            else:
+                done.append(k)
+                # + width * 0.0: a start at -0.0 reads +0.0 on the way up
+                # and -0.0 on the way down
+                starts += lo + width * 0.0, lo + width * 0.5
+                halves += 0.5 * width, 0.5 * width
+                q += first, second
+        rounds.append((f, done))
+        if not split:
             break
-        n_done += 2 * np.count_nonzero(done)
-        lo, width = lo[split], 0.5 * width[split]
-        lo, width = np.concatenate((lo, lo + width)), np.tile(width, 2)
-        if n_done + lo.size > _MAX_PANELS:
+        opened = split + [(lo + width, width) for lo, width in split]
+        if len(q) + len(opened) > _MAX_PANELS:
             raise RuntimeError(
                 f"spin-up quadrature failed: {_MAX_PANELS} panels do not "
                 f"reach a relative error of {_EPSREL:g}")
+        lo, width = np.array(opened).T
         M = torque(model, drive,
                    lo[:, None, None] + width[:, None, None] * parts)
-    if len(done_parts) == 1:
+    start, width = np.array(starts), np.array(halves)
+    if len(rounds) == 1:
         # the first round's two halves, in order already
-        start, width, f, q = done_parts[0]
+        f = f[:, 1:].reshape(-1, weights.size)
     else:
-        start, width, f, q = (np.concatenate(p) for p in zip(*done_parts))
+        f = np.concatenate([f[done, 1:] for f, done in rounds if done])
         order = np.argsort(np.abs(start - Omega_init))
-        start, width, f, q = start[order], width[order], f[order], q[order]
-    t = np.empty(q.size + 1)
-    t[0] = 0.0
-    np.cumsum(q, out=t[1:])
-    if not 0 < t[-1] < np.inf:
+        start, width = start[order], width[order]
+        f = f.reshape(-1, weights.size)[order]
+        q = np.array(q)[order].tolist()
+    t = [0.0, *itertools.accumulate(q)]
+    if not 0 < t[-1] < math.inf:
         raise RuntimeError("spin-up quadrature failed: time out of double "
                            "range")
-    return start, width, f, t
+    return start, width, f, np.array(t)

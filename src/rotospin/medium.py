@@ -104,13 +104,19 @@ def gain_coefficient(medium: MediumSpec, drive: DriveField) -> float:
 
 
 def propagate_intensity(intensity_in, gain, z):
-    """Beer-Lambert closure I(z) = I0 * exp(g z); raises OverflowError
-    where I(z) is not finite (an infinite gain gives NaN at z = 0)."""
-    if np.any(np.asarray(intensity_in) < 0):
+    """Beer-Lambert closure I(z) = I0 * exp(g z) of a point intensity I0
+    and gain g, at a point or an array z.  Raises ValueError where I0 is
+    negative or an input is NaN, and OverflowError where I(z) is not
+    finite otherwise (an infinite gain gives NaN at z = 0)."""
+    if intensity_in < 0:
         raise ValueError("intensity must be non-negative")
     with np.errstate(over="ignore", invalid="ignore"):
         out = intensity_in * np.exp(gain * np.asarray(z, dtype=float))
     if not np.isfinite(out).all():
+        for name, value in (("intensity", intensity_in), ("gain", gain),
+                            ("z", z)):
+            if np.isnan(value).any():
+                raise ValueError(f"{name} must not be NaN")
         raise OverflowError("the propagated intensity I0 exp(g z) "
                             "overflows a double")
     return float(out) if np.ndim(out) == 0 else out

@@ -332,7 +332,8 @@ def _weights(model, drive, Omega, point=False):
     omega, Omega, excited, parts = _excited(model, drive, Omega, point)
     helicities = []
     for (plus, _, w, w2), (a, b) in zip(excited, parts):
-        # an overflowing |d|^2 is inf, and its weight 0
+        # an overflowing |d|^2 is inf, and its weight 0: _evaluate
+        # rescales it
         d2 = a * a + b * b
         share = shares[0] if plus else shares[1]
         helicities.append((plus, w, w2, math.inf if point and d2 == 0.0
@@ -342,25 +343,70 @@ def _weights(model, drive, Omega, point=False):
 
 def _evaluate(formula, model, drive, Omega):
     """``formula(model, omega, Omega, helicities)`` over the terms of
-    ``_weights``.  A point raises at a singular point and where a result,
-    or an element of a result tuple, is not finite.  Arrays run without
-    warnings; a singular helicity's weight becomes NaN, not inf, so every
-    downstream product is NaN at singular cells."""
+    ``_weights``, and again by ``_rescaled`` where a weight is 0.0.  A
+    point raises at a singular point and where a result, or an element of
+    a result tuple, is not finite.  Arrays run without warnings; a
+    singular helicity's weight becomes NaN, not inf, so every downstream
+    product is NaN at singular cells."""
     if _is_array(drive.frequency) or _is_array(Omega):
         with np.errstate(all="ignore"):
             omega, Omega, hs = _weights(model, drive, Omega)
             hs = [(plus, w, w2, np.where(np.isinf(t), np.nan, t))
                   for plus, w, w2, t in hs]
-            return formula(model, omega, Omega, hs)
+            out = formula(model, omega, Omega, hs)
+            for *_, t in hs:
+                if np.count_nonzero(t) < t.size:
+                    return _rescaled(formula, model, drive, Omega, out,
+                                     False)
+            return out
     omega, Omega, hs = _weights(model, drive, Omega, point=True)
     for h in hs:
         if h[3] == math.inf:
             raise SingularResonanceError(_SINGULAR_MSG)
     out = formula(model, omega, Omega, hs)
+    for h in hs:
+        if h[3] == 0.0:
+            with np.errstate(all="ignore"):
+                out = _rescaled(formula, model, drive, Omega, out, True)
+            break
     if not (math.isfinite(out) if type(out) is float
             else all(map(math.isfinite, out))):
         raise OverflowError(_OVERFLOW_MSG)
     return out
+
+
+def _each(fn, *results):
+    """fn over formula results, element by element where they are tuples."""
+    if type(results[0]) is tuple:
+        return tuple(map(fn, *results))
+    return fn(*results)
+
+
+def _rescaled(formula, model, drive, Omega, out, point):
+    """``out``, the formula's result, evaluated again where an excited
+    helicity's |d|^2 = A*A + B*B overflows a double though A and B do
+    not: its weight share / |d|^2 underflows there, while a result that
+    goes as 1/tau need not.  There each helicity's terms are taken on
+    their own, A and B scaled by 2^-k to put the larger in [1/2, 1), the
+    weight so times 2^k, and the result times 2^-k.  Points and arrays do
+    the same numpy operations; a point's result is floats."""
+    omega, Omega, excited, parts = _excited(model, drive, Omega, point)
+    scaled = huge = None
+    for (plus, _, w, w2), (a, b) in zip(excited, parts):
+        big = np.maximum(np.abs(a), np.abs(b))
+        k = np.where(np.isinf(a * a + b * b) & np.isfinite(big),
+                     np.frexp(big)[1], 0)
+        a, b = np.ldexp(a, -k), np.ldexp(b, -k)
+        t = np.ldexp(drive.shares[0 if plus else 1] / (a * a + b * b), -k)
+        part = _each(lambda x: np.ldexp(x, -k),
+                     formula(model, omega, Omega, [(plus, w, w2, t)]))
+        if scaled is None:
+            scaled, huge = part, k
+        else:
+            scaled, huge = _each(np.add, scaled, part), np.maximum(huge, k)
+    if point:
+        return _each(float, scaled) if huge else out
+    return _each(lambda x, y: np.where(huge > 0, x, y), scaled, out)
 
 
 def _brake(model, hs):

@@ -978,7 +978,8 @@ def test_thermal_from_config(tmp_path, capsys):
 
 def test_thermal_evaluates_only_the_absorption(tmp_path, capsys):
     # at omega = 1e80 the elastic channel's omega**4 overflows a double,
-    # but sigma_abs is 0 and T_eq is the ambient temperature
+    # but sigma_abs is gamma pi w^2 * 2/(tau w^3)^2 = 6.3e-315 and T_eq
+    # is the ambient temperature
     conf = _write(tmp_path, """\
         [thermal]
         ambient_temperature = 300
@@ -988,7 +989,8 @@ def test_thermal_evaluates_only_the_absorption(tmp_path, capsys):
                    "1e-3", "--omega", "1e80", "--Omega", "0.5"])
     assert rc == 0
     kv = _kv(capsys.readouterr().out)
-    assert float(kv["sigma_abs"]) == 0.0
+    assert float(kv["sigma_abs"]) == pytest.approx(0.2 * np.pi * 1e-314,
+                                                   rel=1e-8, abs=0.0)
     assert float(kv["T_eq"]) == 300.0
 
 

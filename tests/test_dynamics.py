@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -109,6 +109,16 @@ def test_equilibrium_temperature_power_ratio_beyond_doubles():
     assert equilibrium_temperature(th, 0.25) == temps[3]
 
 
+@pytest.mark.parametrize("kind", [float, lambda p: np.array([p])],
+                         ids=["point", "array"])
+def test_equilibrium_temperature_tiny_power_is_not_below_ambient(kind):
+    # P/C_rad = 1e-293 leaves T0^6 as it is, and (300^6)^(1/6) rounds to
+    # one ulp below 300
+    th = ThermalParams(300.0, 1e-22)
+    assert (300.0**6) ** (1.0 / 6.0) < 300.0
+    assert np.all(equilibrium_temperature(th, kind(1e-315)) == 300.0)
+
+
 def test_equilibrium_temperature_rejects_negative_power():
     with pytest.raises(ValueError):
         equilibrium_temperature(ThermalParams(300.0, 1.0), -1.0)
@@ -134,15 +144,16 @@ def _check_point(th, power):
     """equilibrium_temperature at a point, given as each kind of scalar,
     is a float.  At zero power and where P/C_rad overflows it has the bits
     of the array route's element.  Elsewhere it is libm's sixth root, as
-    the point always was, within an ulp of the array route, whose numpy
-    pow may be vectorized and round the last bit otherwise."""
+    the point always was, or T0 where that root rounds below T0, within
+    an ulp of the array route, whose numpy pow may be vectorized and
+    round the last bit otherwise."""
     element = equilibrium_temperature(th, np.array([power]))[0]
     t0, c_rad = th.ambient_temperature, th.radiative_coefficient
     ratio = power / c_rad
     if power == 0.0 or ratio == np.inf:
         expected = element
     else:
-        expected = (t0**6 + ratio) ** (1.0 / 6.0)
+        expected = max((t0**6 + ratio) ** (1.0 / 6.0), t0)
         assert abs(expected - element) <= np.spacing(element)
     for kind in _POINT_KINDS:
         got = equilibrium_temperature(th, kind(power))
@@ -411,6 +422,38 @@ def test_trajectory_near_the_stall_stays_below_the_target():
     for t, Om in zip(traj.times, traj.rotation):
         assert time_to_target_by_quadrature(MODEL, DRIVE, body, Om) == \
             pytest.approx(t, rel=1e-8)
+
+
+def test_near_stall_table_is_ordered():
+    # 14 rounds of splits: the done halves come out of order and are
+    # sorted, and the last edge's time is the quadrature's
+    body = RigidBodyParams(1.0)
+    start, width, dt_dOmega, t = dynamics._time_table(
+        MODEL, DRIVE, body, 0.49999, 0.0, 0.49999)
+    assert start.size == width.size == dt_dOmega.shape[0] == t.size - 1 > 2
+    assert start[0] == 0.0 and np.all(width > 0)
+    assert_allclose(start[1:], start[:-1] + width[:-1], rtol=1e-15)
+    assert_allclose(start[-1] + width[-1], 0.49999, rtol=1e-15)
+    assert t[0] == 0.0 and np.all(np.diff(t) > 0)
+    assert t[-1] == time_to_target_by_quadrature(MODEL, DRIVE, body, 0.49999)
+
+
+# ends of either sign, and ends a few subnormals apart, where the step
+# underflows to 0
+_ENDS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  st.integers(-40, 40).map(lambda k: k * 5e-324))
+
+
+@settings(max_examples=500, deadline=None)
+@given(start=_ENDS, stop=_ENDS, num=st.integers(2, 2000))
+@example(start=0.0, stop=1e-322, num=100)
+@example(start=-1.7e308, stop=1.7e308, num=3)
+def test_linspace_gives_numpys_bits(start, stop, num):
+    with np.errstate(all="ignore"):
+        expected = np.linspace(start, stop, num)
+        got = dynamics._linspace(start, stop, num)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("Omega_target, Omega_init", [

@@ -128,6 +128,20 @@ def test_negative_intensity_rejected():
         propagate_intensity(-1.0, 0.1, 1.0)
 
 
+@pytest.mark.parametrize("intensity, gain, z, name", [
+    (np.nan, 0.1, 1.0, "intensity"),
+    (np.nan, 0.1, np.array([0.0, 1.0]), "intensity"),
+    (1.0, np.nan, 1.0, "gain"),
+    (1.0, 0.1, np.nan, "z"),
+    (1.0, 0.1, np.array([0.0, np.nan]), "z"),
+], ids=["intensity", "intensity-profile", "gain", "z", "z-profile"])
+def test_nan_input_is_no_overflow(intensity, gain, z, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must not be NaN$"):
+            propagate_intensity(intensity, gain, z)
+
+
 @pytest.mark.parametrize("gain, z", [
     (1e3, 1e3),                         # exp(g z) overflows
     (12.4, np.linspace(0.0, 1e6, 5)),

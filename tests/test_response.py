@@ -365,13 +365,18 @@ def test_negative_extinction_fast_rotor():
 
 def test_each_view_guards_only_its_own_channel():
     # at omega = 1e80 only the scattering channels overflow (omega**4);
-    # under LCP light the other views are exactly 0.0 and must not raise,
-    # while the set, which holds the scattering channels, does
+    # under LCP light the other views are finite and must not raise,
+    # while the set, which holds the scattering channels, does.  |d|^2
+    # ~ (tau w^3)^2 overflows, so each is 2/(tau w^3) = 2e-237 times its
+    # factor: 1/2 in the torque, pi Omega in sigma_mech, pi omega in
+    # sigma_ext and pi gamma w^2/(tau w^3) in sigma_abs
     m = OscillatorModel.normalized(0.1, 1e-3)
     d = DriveField.lcp(1e80)
-    for view in (mechanical_cross_section, absorption_cross_section,
-                 extinction_cross_section, torque):
-        assert view(m, d, 0.5) == 0.0
+    for view, expected in ((mechanical_cross_section, 0.5 * np.pi * 2e-237),
+                           (absorption_cross_section, 0.2 * np.pi * 1e-314),
+                           (extinction_cross_section, 2.0 * np.pi * 1e-157),
+                           (torque, 1e-237)):
+        assert view(m, d, 0.5) == pytest.approx(expected, rel=1e-8, abs=0.0)
     with pytest.raises(OverflowError):
         cross_section_set(m, d, 0.5)
 
@@ -739,7 +744,7 @@ def test_pinned_point_values(name):
 
 def test_pinned_point_errors():
     huge = OscillatorModel.normalized(0.1, 1e-3), DriveField.lcp(1e80), 0.5
-    assert repr(torque(*huge)) == "0.0"
+    assert repr(torque(*huge)) == "9.999999999999999e-238"
     with pytest.raises(OverflowError) as info:
         cross_section_set(*huge)
     assert str(info.value) == "a response value overflows a double"
@@ -851,6 +856,9 @@ def _two_helicity_reference(model, drive, Omega):
         if e:
             a, b = spring - w * w, w * gamma + tau * w * (w * w + 3.0 * osq)
             d2 = a * a + b * b
+            # NaN where |d|^2 overflows: these formulas' weight underflows
+            # there, and the kernel's is rescaled
+            d2 = np.where(np.isinf(d2), np.nan, d2)
             share = share / d2 if np.ndim(d2) or d2 else math.inf
         weights.append(share)
     tp, tm = weights
@@ -1253,6 +1261,31 @@ def test_equal_frequencies_below_resonance_are_regular():
     cs = cross_section_set(m, DriveField.lcp(0.7), 0.7)
     assert cs.mechanical == 0.0
     assert np.isfinite(cs.extinction)
+
+
+@pytest.mark.parametrize("tau", [1e156, 1e300])
+def test_huge_radiative_time_keeps_the_one_over_tau_channels(tau):
+    # B ~ tau w^3 is finite, but |d|^2 = A*A + B*B overflows once |B|
+    # passes 1.3e154: the weight share / |d|^2 underflows, while the
+    # channels that go as 1/tau are far above the underflow limit.  At
+    # tau = 1e150 |d|^2 is finite, and the rest of d is 1e-150 of B.
+    drive, Omega = DriveField.lcp(0.5), 0.2
+    near = OscillatorModel.normalized(0.1, 1e150)
+    model = OscillatorModel.normalized(0.1, tau)
+    expected = [v * 1e150 for v in _values(cross_section_set(
+        near, drive, Omega))] + [torque(near, drive, Omega) * 1e150]
+    cell = DriveField(np.array([0.5]), drive.amplitude_x, drive.amplitude_y)
+    point = [*_values(cross_section_set(model, drive, Omega)),
+             torque(model, drive, Omega)]
+    array = [*_cell(cross_section_set(model, cell, Omega)),
+             *_cell(torque(model, cell, Omega))]
+    assert [v.hex() for v in point] == [v.hex() for v in array]
+    names = [*CrossSectionSet._fields, "torque"]
+    for name, got, want in zip(names, point, expected):
+        if name in ("absorption", "inelastic_plus"):    # 1/tau^2, and 0
+            continue
+        assert got != 0.0
+        assert got * tau == pytest.approx(want, rel=1e-14, abs=0.0), name
 
 
 def test_overflow_far_from_resonance_is_not_singular():

@@ -75,9 +75,10 @@ def test_modules_import_no_private_names_of_each_other():
     assert borrowed == [("dynamics", "response", "_is_array")]
 
 
-def _powers(tree):
-    """Qualified names of the functions that hold a ``**``, one entry per
-    power; a module-level power reads as ``<module>``."""
+def _scopes(tree, match):
+    """Qualified names of the functions that hold a node for which
+    ``match(node)`` is true, one entry per node; a module-level one reads
+    as ``<module>``."""
     found = []
 
     def visit(node, scope):
@@ -85,13 +86,17 @@ def _powers(tree):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(
-                    child.op, ast.Pow):
+            if match(child):
                 found.append(".".join(scope) or "<module>")
             visit(child, scope)
 
     visit(tree, [])
     return found
+
+
+def _is_power(node):
+    return isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+        node.op, ast.Pow)
 
 
 def test_response_takes_its_powers_by_multiplication():
@@ -100,9 +105,24 @@ def test_response_takes_its_powers_by_multiplication():
     # is slow at a negative base.  Outside the kernel these keep ``**``.
     allowed = {"OscillatorModel.physical", "DriveField.__post_init__",
                "SpectralLine.norm_sq", "_static_denominator"}
-    found = _powers(ast.parse((SRC / "response.py").read_text()))
+    found = _scopes(ast.parse((SRC / "response.py").read_text()), _is_power)
     assert found
     assert sorted(set(found) - allowed) == []
+
+
+def _is_linspace_call(node):
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "linspace"
+            and getattr(node.func.value, "id", None) == "np")
+
+
+def test_dynamics_calls_no_linspace():
+    # np.linspace's dispatch costs a few microseconds a call, as much as
+    # a spin-up's bookkeeping; dynamics._linspace gives its bits
+    found = _scopes(ast.parse((SRC / "dynamics.py").read_text()),
+                    _is_linspace_call)
+    assert found == ["<module>"]
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
