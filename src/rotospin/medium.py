@@ -104,11 +104,13 @@ def gain_coefficient(medium: MediumSpec, drive: DriveField) -> float:
 
 
 def propagate_intensity(intensity_in, gain, z):
-    """Beer-Lambert closure I(z) = I0 * exp(g z) of a point intensity I0
-    and gain g, at a point or an array z.  Raises ValueError where I0 is
-    negative or an input is NaN, and OverflowError where I(z) is not
-    finite otherwise (an infinite gain gives NaN at z = 0)."""
-    if intensity_in < 0:
+    """Beer-Lambert closure I(z) = I0 * exp(g z) of a gain g, at a point
+    or an array I0 and z.  Raises ValueError where I0 is negative or an
+    input is NaN, and OverflowError where I(z) is not finite otherwise
+    (an infinite gain gives NaN at z = 0)."""
+    # a float I0 is checked in Python, anything else through numpy
+    if (intensity_in < 0 if type(intensity_in) is float
+            else np.any(np.asarray(intensity_in) < 0)):
         raise ValueError("intensity must be non-negative")
     with np.errstate(over="ignore", invalid="ignore"):
         out = intensity_in * np.exp(gain * np.asarray(z, dtype=float))

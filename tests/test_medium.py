@@ -124,8 +124,19 @@ def test_propagation_is_multiplicative(i0, g, z1, z2):
 
 
 def test_negative_intensity_rejected():
-    with pytest.raises(ValueError):
-        propagate_intensity(-1.0, 0.1, 1.0)
+    for intensity in (-1.0, np.float64(-1.0), np.array([1.0, -1.0])):
+        with pytest.raises(ValueError, match="^intensity must be non-neg"):
+            propagate_intensity(intensity, 0.1, 1.0)
+
+
+def test_array_intensity_broadcasts():
+    # a float I0 is checked in Python; an array one still broadcasts
+    i0 = np.array([0.0, 1.0, 2.5])
+    got = propagate_intensity(i0, 0.1, 2.0)
+    assert [v.hex() for v in got] == [
+        propagate_intensity(float(v), 0.1, 2.0).hex() for v in i0]
+    with pytest.raises(ValueError, match="^intensity must not be NaN$"):
+        propagate_intensity(np.array([1.0, np.nan]), 0.1, 2.0)
 
 
 @pytest.mark.parametrize("intensity, gain, z, name", [

@@ -856,9 +856,12 @@ def _two_helicity_reference(model, drive, Omega):
         if e:
             a, b = spring - w * w, w * gamma + tau * w * (w * w + 3.0 * osq)
             d2 = a * a + b * b
-            # NaN where |d|^2 overflows: these formulas' weight underflows
-            # there, and the kernel's is rescaled
-            d2 = np.where(np.isinf(d2), np.nan, d2)
+            # NaN where |d|^2 overflows though A and B do not: these
+            # formulas' weight underflows there, and the kernel's is
+            # rescaled
+            d2 = np.where(np.isinf(d2)
+                          & np.isfinite(np.maximum(abs(a), abs(b))),
+                          np.nan, d2)
             share = share / d2 if np.ndim(d2) or d2 else math.inf
         weights.append(share)
     tp, tm = weights
@@ -1263,13 +1266,19 @@ def test_equal_frequencies_below_resonance_are_regular():
     assert np.isfinite(cs.extinction)
 
 
-@pytest.mark.parametrize("tau", [1e156, 1e300])
-def test_huge_radiative_time_keeps_the_one_over_tau_channels(tau):
+@pytest.mark.parametrize("drive", [
+    DriveField.lcp(0.5), DriveField.rcp(0.5), DriveField.linear(0.5)],
+    ids=["lcp", "rcp", "linear"])
+@pytest.mark.parametrize("Omega", [0.2, -0.2])
+@pytest.mark.parametrize("tau", [1e155, 1e156, 1e300])
+def test_huge_radiative_time_keeps_the_one_over_tau_channels(tau, Omega,
+                                                             drive):
     # B ~ tau w^3 is finite, but |d|^2 = A*A + B*B overflows once |B|
     # passes 1.3e154: the weight share / |d|^2 underflows, while the
     # channels that go as 1/tau are far above the underflow limit.  At
+    # tau = 1e155 that is so only in the helicity at |w +/- Omega| = 0.7,
+    # the first or the second, and from tau = 1e156 in both.  At
     # tau = 1e150 |d|^2 is finite, and the rest of d is 1e-150 of B.
-    drive, Omega = DriveField.lcp(0.5), 0.2
     near = OscillatorModel.normalized(0.1, 1e150)
     model = OscillatorModel.normalized(0.1, tau)
     expected = [v * 1e150 for v in _values(cross_section_set(
@@ -1282,7 +1291,7 @@ def test_huge_radiative_time_keeps_the_one_over_tau_channels(tau):
     assert [v.hex() for v in point] == [v.hex() for v in array]
     names = [*CrossSectionSet._fields, "torque"]
     for name, got, want in zip(names, point, expected):
-        if name in ("absorption", "inelastic_plus"):    # 1/tau^2, and 0
+        if name == "absorption" or want == 0.0:     # 1/tau^2, or unexcited
             continue
         assert got != 0.0
         assert got * tau == pytest.approx(want, rel=1e-14, abs=0.0), name
