@@ -32,19 +32,15 @@ EXIT_VALIDATION = 4
 
 def _add_flags(p, section):
     """Declare the flags of ``section`` in ``config.KEYS`` on ``p``, each
-    with dest "section.key".  Argparse keeps each value as typed, except
-    that a text choice is lower-cased, as the builders do a file's."""
-    for key, row in cfgmod.KEYS[section].items():
-        if row is None:
-            continue
-        flag, options = row
-        if "choices" in options:
-            options = {"type": str.lower, **options}
-        else:
-            # the metavar argparse would derive from the flag itself
-            options = {"metavar": flag[2:].replace("-", "_").upper(),
-                       **options}
-        p.add_argument(flag, dest=f"{section}.{key}", **options)
+    with dest "section.key".  Argparse keeps each value as typed, and
+    config parses it as it does a file's."""
+    for key, (kind, flag, options) in cfgmod.KEYS[section].items():
+        if flag:
+            # the metavar argparse would show for choices or for the flag
+            metavar = ("{" + ",".join(kind) + "}" if isinstance(kind, tuple)
+                       else flag[2:].replace("-", "_").upper())
+            p.add_argument(flag, dest=f"{section}.{key}",
+                           **{"metavar": metavar, **options})
 
 
 def _seed(text):
@@ -108,7 +104,7 @@ def cmd_point(cfg) -> int:
 def _export_grid(cfg, section):
     """Scan the grid of ``section`` and write it to CSV: the request, the
     grid, the CSV's path and its sidecar's."""
-    req = cfgmod.build_scan_request(cfg, cfgmod.build_model(cfg), section)
+    req = cfgmod.build_scan_request(cfg, section)
     grid = scan.grid_scan(req)
     out = cfgmod.build_output(cfg, f"{section}.csv")
     return req, grid, out, scan.write_grid_csv(grid, out)

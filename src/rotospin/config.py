@@ -14,18 +14,17 @@ Configs are INI-style key-value text read with :mod:`configparser`:
     [point]
     Omega = 0.2
 
-Every section and key is listed in :data:`KEYS`.  Presets, then files,
-then command-line flags layer into one dictionary of text, each layer
-overriding the last.  Layering checks that every number parses, and the
-``_get_*`` helpers parse each value a builder reads.
+Every section and key is listed in :data:`KEYS` with its kind: a number,
+a count, a choice, the ``members`` pairs or plain text.  Presets, then
+files, then command-line flags layer into one dictionary, each layer
+overriding the last, and layering parses each value once, by its kind,
+whether or not the run reads it.  The builders read the parsed values.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-
-import numpy as np
 
 from .dynamics import RigidBodyParams, ThermalParams, UnreachableTargetError
 from .materials import (DrudeEllipsoid, DrudeSphere, from_drude_ellipsoid,
@@ -40,73 +39,79 @@ class ConfigError(ValueError):
     """Bad or missing configuration; the CLI maps this to exit code 2."""
 
 
-#: layered configuration: section -> key -> string value
+#: configuration: section -> key -> text, or its parsed value once layered
 Sections = dict
 
-#: Every config key, by section: the flag that sets it and its argparse
-#: options, or None for a key only a file sets.  A file may hold the
-#: sections of several subcommands; any other section or key is rejected.
+_NUMBER = (float, None, {})     # a number only a file sets
+
+#: Every config key, by section: its kind, the flag that sets it (None
+#: for a key only a file sets) and that flag's argparse options.  The
+#: kind turns the key's text into its value (see ``_parse``).  A file may
+#: hold the sections of several subcommands; any other key is rejected.
 KEYS = {
     "model": {
-        "mode": None,   # the CLI's --normalized / --physical pair
-        "source": ("--source",
-                   {"choices": ["direct", "drude-sphere", "drude-ellipsoid"]}),
-        "gamma": ("--gamma", {"help": "friction rate (rad/s)"}),
-        "tau": ("--tau", {"help": "radiative time (s)"}),
-        "omega0": ("--omega0", {"help": "natural frequency (rad/s)"}),
-        "coupling": ("--coupling", {"help": "Q^2/m (cm^3/s^2)"}),
-        "light_speed": ("--light-speed", {}),
-        "plasma_frequency": ("--plasma-frequency", {}),
-        "damping": ("--damping", {"help": "Drude damping (rad/s)"}),
-        "radius": ("--radius", {"help": "sphere radius (cm)"}),
-        "volume": ("--volume", {"help": "ellipsoid volume (cm^3)"}),
-        "depolarization_factor": ("--depolarization-factor", {}),
+        # set by the CLI's --normalized / --physical pair
+        "mode": (("normalized", "physical"), None, {}),
+        "source": (("direct", "drude-sphere", "drude-ellipsoid"),
+                   "--source", {}),
+        "gamma": (float, "--gamma", {"help": "friction rate (rad/s)"}),
+        "tau": (float, "--tau", {"help": "radiative time (s)"}),
+        "omega0": (float, "--omega0", {"help": "natural frequency (rad/s)"}),
+        "coupling": (float, "--coupling", {"help": "Q^2/m (cm^3/s^2)"}),
+        "light_speed": (float, "--light-speed", {}),
+        "plasma_frequency": (float, "--plasma-frequency", {}),
+        "damping": (float, "--damping", {"help": "Drude damping (rad/s)"}),
+        "radius": (float, "--radius", {"help": "sphere radius (cm)"}),
+        "volume": (float, "--volume", {"help": "ellipsoid volume (cm^3)"}),
+        "depolarization_factor": (float, "--depolarization-factor", {}),
     },
     "drive": {
-        "polarization": ("--pol", {
-            "choices": ["lcp", "rcp", "linear", "explicit"],
+        "polarization": (("lcp", "rcp", "linear", "explicit"), "--pol", {
             "help": "polarization (LCP means E_x + i E_y = 0)"}),
-        "omega": ("--omega", {"help": "drive frequency (rad/s)"}),
-        "amplitude": ("--amplitude", {"help": "|E| (statvolt/cm)"}),
-        "angle": ("--angle",
+        "omega": (float, "--omega", {"help": "drive frequency (rad/s)"}),
+        "amplitude": (float, "--amplitude", {"help": "|E| (statvolt/cm)"}),
+        "angle": (float, "--angle",
                   {"help": "linear-polarization angle from x (rad)"}),
-        "intensity": ("--intensity", {
+        "intensity": (float, "--intensity", {
             "help": "beam intensity (erg/s/cm^2); overrides --amplitude"}),
-        **dict.fromkeys(("ex_re", "ex_im", "ey_re", "ey_im")),
+        **dict.fromkeys(("ex_re", "ex_im", "ey_re", "ey_im"), _NUMBER),
     },
-    "point": {"Omega": ("--Omega", {"help": "rotation frequency (rad/s)"})},
+    "point": {"Omega": (float, "--Omega",
+                        {"help": "rotation frequency (rad/s)"})},
     "scan": {
-        "omega_min": ("--omega-min", {}), "omega_max": ("--omega-max", {}),
-        "Omega_min": ("--Omega-min", {}), "Omega_max": ("--Omega-max", {}),
-        "omega_count": ("--omega-count", {}),
-        "Omega_count": ("--Omega-count", {}),
-        "units": ("--units", {"choices": ["physical", "fig2"]}),
+        "omega_min": (float, "--omega-min", {}),
+        "omega_max": (float, "--omega-max", {}),
+        "Omega_min": (float, "--Omega-min", {}),
+        "Omega_max": (float, "--Omega-max", {}),
+        "omega_count": (int, "--omega-count", {}),
+        "Omega_count": (int, "--Omega-count", {}),
+        "units": (("physical", "fig2"), "--units", {}),
     },
     "spectrum": {
-        "Omega": ("--Omega", {}), "omega_min": ("--omega-min", {}),
-        "omega_max": ("--omega-max", {}), "omega_count": ("--omega-count", {}),
-        "units": ("--units", {"choices": ["physical", "fig2"]}),
+        "Omega": (float, "--Omega", {}),
+        "omega_min": (float, "--omega-min", {}),
+        "omega_max": (float, "--omega-max", {}),
+        "omega_count": (int, "--omega-count", {}),
+        "units": (("physical", "fig2"), "--units", {}),
     },
     "spinup": {
-        "Omega_init": ("--Omega-init", {}),
-        "Omega_target": ("--Omega-target", {}),
-        "max_time": ("--max-time", {}), "samples": ("--samples", {}),
+        "Omega_init": (float, "--Omega-init", {}),
+        "Omega_target": (float, "--Omega-target", {}),
+        "max_time": (float, "--max-time", {}),
+        "samples": (int, "--samples", {}),
     },
-    "body": dict.fromkeys((
-        "shape", "moment_of_inertia", "radius", "density", "mass", "length",
-        "melting_temperature", "surface_tension")),
-    "thermal": {"Omega": ("--Omega", {}), "ambient_temperature": None,
-                "radiative_coefficient": None},
-    "medium": {"members": None, "number_density": None, "path_length": None,
-               "samples": ("--samples", {})},
-    "output": {"path": ("--out", {"metavar": "PATH"})},
+    "body": {
+        "shape": (("direct", "sphere", "rod"), None, {}),
+        **dict.fromkeys(("moment_of_inertia", "radius", "density", "mass",
+                         "length", "melting_temperature", "surface_tension"),
+                        _NUMBER)},
+    "thermal": {"Omega": (float, "--Omega", {}),
+                "ambient_temperature": _NUMBER,
+                "radiative_coefficient": _NUMBER},
+    "medium": {"members": (list, None, {}), "number_density": _NUMBER,
+               "path_length": _NUMBER, "samples": (int, "--samples", {})},
+    "output": {"path": (str, "--out", {"metavar": "PATH"})},
 }
-
-#: the keys that hold text; every other key holds a number, and a count
-#: if it is in COUNT_KEYS
-TEXT_KEYS = frozenset(("mode", "source", "polarization", "units", "shape",
-                       "members", "path"))
-COUNT_KEYS = frozenset(("omega_count", "Omega_count", "samples"))
 
 PRESETS = {
     # resonance maps of a dissipative rod under LCP light
@@ -177,19 +182,63 @@ def load_config(path) -> Sections:
 
 
 def layer_configs(*layers) -> Sections:
-    """Merge section dicts; later layers win key-by-key.  Every number in
-    the result is parsed here, whether or not the run reads it."""
+    """Merge section dicts of text, later layers winning key by key, and
+    parse each value by its key's kind in KEYS, whether or not the run
+    reads it."""
     out: Sections = {}
     for layer in layers:
         for section, values in layer.items():
             out.setdefault(section, {}).update(
                 {k: v for k, v in values.items() if v is not None})
     for section, values in out.items():
-        for key in values:
-            if key not in TEXT_KEYS:
-                parse = _get_int if key in COUNT_KEYS else _get_optional_float
-                parse(out, section, key)
+        for key, text in values.items():
+            values[key] = _parse(KEYS[section][key][0], text,
+                                 f"[{section}] {key}")
     return out
+
+
+def _parse(kind, text, where):
+    """``text`` as a value of ``kind``: a finite float, an int, the text
+    itself (str), one of a tuple of choices, matched in lower case, or
+    (list) the ``members`` pairs.  ``where`` names the key in errors."""
+    if kind is str:
+        return text
+    if kind is list:
+        return _members(text, where)
+    if isinstance(kind, tuple):
+        value = text.lower()
+        if value not in kind:
+            *rest, last = kind
+            raise ConfigError(f"{where} must be {', '.join(rest)} or {last}, "
+                              f"got {value!r}")
+        return value
+    try:
+        value = kind(text)
+    except ValueError:
+        noun = "a number" if kind is float else "an integer"
+        raise ConfigError(f"{where}: not {noun}: {text!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{where}: must be finite, got {text!r}")
+    return value
+
+
+def _members(text, where):
+    """Comma-separated ``Omega:weight`` pairs as (Omega, weight) tuples; a
+    bare Omega weighs 1, and an empty value holds no pairs."""
+    members = []
+    for item in filter(None, map(str.strip, text.split(","))):
+        rotation, sep, weight = item.partition(":")
+        try:
+            member = (float(rotation), float(weight) if sep else 1.0)
+        except ValueError:
+            raise ConfigError(f"{where}: bad entry {item!r}; expected "
+                              "Omega:weight") from None
+        if not all(map(math.isfinite, member)):
+            raise ConfigError(f"{where}: entry {item!r} must be finite")
+        members.append(member)
+    if text and not members:
+        raise ConfigError(f"{where} is empty")
+    return tuple(members)
 
 
 @contextlib.contextmanager
@@ -213,63 +262,43 @@ def _section(cfg: Sections, name) -> dict:
     return cfg.get(name, {})
 
 
+# Readers of a parsed value: each applies its default or reports it missing
+
 def _get_float(cfg, section, key, default=None):
-    value = _get_optional_float(cfg, section, key)
+    value = _section(cfg, section).get(key, default)
     if value is None:
-        if default is None:
-            raise ConfigError(f"missing [{section}] {key}")
-        return default
+        raise ConfigError(f"missing [{section}] {key}")
     return value
 
 
 def _get_int(cfg, section, key, default=None, minimum=None):
-    raw = _section(cfg, section).get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"missing [{section}] {key}")
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") from None
+    value = _get_float(cfg, section, key, default)
     if minimum is not None and value < minimum:
         raise ConfigError(f"[{section}] {key}: must be at least {minimum}, "
-                          f"got {raw!r}")
+                          f"got '{value}'")
     return value
 
 
 def _get_optional_float(cfg, section, key):
-    raw = _section(cfg, section).get(key)
-    if raw is None:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key}: must be finite, got {raw!r}")
-    return value
+    return _section(cfg, section).get(key)
 
 
 def build_model(cfg: Sections) -> OscillatorModel:
-    mode = _section(cfg, "model").get("mode", "normalized").lower()
-    if mode not in ("normalized", "physical"):
-        raise ConfigError(f"[model] mode must be normalized or physical, "
-                          f"got {mode!r}")
-    source = _section(cfg, "model").get("source", "direct").lower()
+    sec = _section(cfg, "model")
+    source = sec.get("source", "direct")
     with section_errors("model"):
+        if source == "direct" and sec.get("mode") != "physical":
+            return OscillatorModel.normalized(
+                damping_rate=_get_float(cfg, "model", "gamma"),
+                radiative_time=_get_float(cfg, "model", "tau", 0.0),
+                natural_frequency=_get_float(cfg, "model", "omega0", 1.0),
+                coupling=_get_float(cfg, "model", "coupling", 1.0),
+                light_speed=_get_float(cfg, "model", "light_speed", 1.0))
+        c = _get_float(cfg, "model", "light_speed", SPEED_OF_LIGHT)
         if source == "direct":
-            if mode == "normalized":
-                return OscillatorModel.normalized(
-                    damping_rate=_get_float(cfg, "model", "gamma"),
-                    radiative_time=_get_float(cfg, "model", "tau", 0.0),
-                    natural_frequency=_get_float(cfg, "model", "omega0", 1.0),
-                    coupling=_get_float(cfg, "model", "coupling", 1.0),
-                    light_speed=_get_float(cfg, "model", "light_speed", 1.0))
             coupling = _get_float(cfg, "model", "coupling")
             omega0 = _get_float(cfg, "model", "omega0")
             gamma = _get_float(cfg, "model", "gamma")
-            c = _get_float(cfg, "model", "light_speed", SPEED_OF_LIGHT)
             tau = _get_optional_float(cfg, "model", "tau")
             if tau is None:
                 return OscillatorModel.physical(coupling, omega0, gamma, c)
@@ -279,19 +308,14 @@ def build_model(cfg: Sections) -> OscillatorModel:
                 plasma_frequency=_get_float(cfg, "model", "plasma_frequency"),
                 damping=_get_float(cfg, "model", "damping"),
                 radius=_get_float(cfg, "model", "radius"))
-            c = _get_float(cfg, "model", "light_speed", SPEED_OF_LIGHT)
             return from_drude_sphere(sphere, c)
-        if source == "drude-ellipsoid":
-            ell = DrudeEllipsoid(
-                plasma_frequency=_get_float(cfg, "model", "plasma_frequency"),
-                damping=_get_float(cfg, "model", "damping"),
-                volume=_get_float(cfg, "model", "volume"),
-                depolarization_factor=_get_float(cfg, "model",
-                                                 "depolarization_factor"))
-            c = _get_float(cfg, "model", "light_speed", SPEED_OF_LIGHT)
-            return from_drude_ellipsoid(ell, c)
-    raise ConfigError(f"[model] source must be direct, drude-sphere or "
-                      f"drude-ellipsoid, got {source!r}")
+        ell = DrudeEllipsoid(
+            plasma_frequency=_get_float(cfg, "model", "plasma_frequency"),
+            damping=_get_float(cfg, "model", "damping"),
+            volume=_get_float(cfg, "model", "volume"),
+            depolarization_factor=_get_float(cfg, "model",
+                                             "depolarization_factor"))
+        return from_drude_ellipsoid(ell, c)
 
 
 def drive_amplitudes(cfg: Sections, model: OscillatorModel):
@@ -301,29 +325,27 @@ def drive_amplitudes(cfg: Sections, model: OscillatorModel):
     DriveField constructor of that name; explicit reads the ``ex_*`` and
     ``ey_*`` keys.
     """
-    sec = _section(cfg, "drive")
-    kind = sec.get("polarization", "lcp").lower()
+    kind = _section(cfg, "drive").get("polarization", "lcp")
     amplitude = _get_float(cfg, "drive", "amplitude", 1.0)
     intensity = _get_optional_float(cfg, "drive", "intensity")
     if intensity is not None:
         if intensity < 0:
             raise ConfigError("[drive] intensity must be non-negative")
-        amplitude = float(np.sqrt(2.0 * np.pi * intensity / model.light_speed))
+        amplitude = math.sqrt(2.0 * math.pi * intensity / model.light_speed)
         if not math.isfinite(amplitude):
             raise ConfigError("[drive] intensity is too large: the field "
                               "amplitude sqrt(2 pi I / c) overflows a double")
     angle = _get_float(cfg, "drive", "angle", 0.0)
     if kind == "explicit":
-        d = DriveField(0.0, _parse_complex(cfg, "ex"),
-                       _parse_complex(cfg, "ey"))
+        parts = [_get_float(cfg, "drive", key, 0.0)
+                 for key in ("ex_re", "ex_im", "ey_re", "ey_im")]
+        d = DriveField(0.0, complex(*parts[:2]), complex(*parts[2:]))
     elif kind == "lcp":
         d = DriveField.lcp(0.0, amplitude)
     elif kind == "rcp":
         d = DriveField.rcp(0.0, amplitude)
-    elif kind == "linear":
-        d = DriveField.linear(0.0, amplitude, angle)
     else:
-        raise ConfigError(f"[drive]: unknown polarization '{kind}'")
+        d = DriveField.linear(0.0, amplitude, angle)
     ex, ey = d.amplitude_x, d.amplitude_y
     if ex == 0 and ey == 0:
         raise ConfigError("[drive] the field has zero amplitude (Ex = Ey = 0)")
@@ -334,12 +356,6 @@ def drive_amplitudes(cfg: Sections, model: OscillatorModel):
     return ex, ey, kind
 
 
-def _parse_complex(cfg: Sections, prefix):
-    re = _get_float(cfg, "drive", f"{prefix}_re", 0.0)
-    im = _get_float(cfg, "drive", f"{prefix}_im", 0.0)
-    return complex(re, im)
-
-
 def _model_and_drive(cfg: Sections):
     model = build_model(cfg)
     ex, ey, _ = drive_amplitudes(cfg, model)
@@ -347,8 +363,9 @@ def _model_and_drive(cfg: Sections):
     return model, DriveField(omega, ex, ey)
 
 
-def build_scan_request(cfg: Sections, model: OscillatorModel,
-                       section="scan") -> ScanRequest:
+def build_scan_request(cfg: Sections, section="scan") -> ScanRequest:
+    """The lattice of [scan] or [spectrum], with its [model] and [drive]."""
+    model = build_model(cfg)
     ex, ey, label = drive_amplitudes(cfg, model)
     if section == "spectrum":
         Om = _get_float(cfg, "spectrum", "Omega")
@@ -364,7 +381,7 @@ def build_scan_request(cfg: Sections, model: OscillatorModel,
             omega_max=_get_float(cfg, section, "omega_max"),
             omega_count=_get_int(cfg, section, "omega_count"),
             Omega_min=Om_min, Omega_max=Om_max, Omega_count=Om_count,
-            units=_section(cfg, section).get("units", "physical").lower(),
+            units=_section(cfg, section).get("units", "physical"),
             polarization_label=label)
 
 
@@ -372,7 +389,7 @@ def build_body(cfg: Sections) -> RigidBodyParams:
     sec = _section(cfg, "body")
     if not sec:
         raise ConfigError("missing [body] section")
-    shape = sec.get("shape", "direct").lower()
+    shape = sec.get("shape", "direct")
     melt = _get_optional_float(cfg, "body", "melting_temperature")
     surface = _get_optional_float(cfg, "body", "surface_tension")
     with section_errors("body"):
@@ -386,13 +403,10 @@ def build_body(cfg: Sections) -> RigidBodyParams:
                 mass_density=_get_float(cfg, "body", "density"),
                 radius=_get_float(cfg, "body", "radius"),
                 melting_temperature=melt, surface_tension=surface)
-        if shape == "rod":
-            return RigidBodyParams.thin_rod(
-                mass=_get_float(cfg, "body", "mass"),
-                length=_get_float(cfg, "body", "length"),
-                melting_temperature=melt, surface_tension=surface)
-    raise ConfigError(f"[body] shape must be direct, sphere or rod, "
-                      f"got {shape!r}")
+        return RigidBodyParams.thin_rod(
+            mass=_get_float(cfg, "body", "mass"),
+            length=_get_float(cfg, "body", "length"),
+            melting_temperature=melt, surface_tension=surface)
 
 
 def build_thermal(cfg: Sections) -> ThermalParams:
@@ -415,27 +429,15 @@ def build_medium(cfg: Sections, model: OscillatorModel) -> MediumSpec:
     sec = _section(cfg, "medium")
     if not sec:
         raise ConfigError("missing [medium] section")
-    raw = sec.get("members")
-    if not raw:
-        raise ConfigError("missing [medium] members")
-    members = []
-    for item in raw.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        rotation, sep, weight = item.partition(":")
-        try:
-            member = (float(rotation), float(weight) if sep else 1.0)
-        except ValueError:
-            raise ConfigError(f"[medium] members: bad entry {item!r}; "
-                              "expected Omega:weight") from None
-        if not all(map(math.isfinite, member)):
-            raise ConfigError(f"[medium] members: entry {item!r} must be "
-                              "finite")
-        members.append(member)
+    members = sec.get("members")
     if not members:
-        raise ConfigError("[medium] members is empty")
-    total = sum(w for _, w in members)
+        raise ConfigError("missing [medium] members")
+    weights = [w for _, w in members]
+    if math.isinf(sum(weights)):
+        # the sum overflows a double: scale by the largest weight first
+        largest = max(weights)
+        weights = [w / largest for w in weights]
+    total = sum(weights)
     if total <= 0:
         raise ConfigError("[medium] members: weights must sum to > 0")
     with section_errors("medium"):
@@ -443,7 +445,7 @@ def build_medium(cfg: Sections, model: OscillatorModel) -> MediumSpec:
             number_density=_get_float(cfg, "medium", "number_density"),
             path_length=_get_float(cfg, "medium", "path_length"),
             members=tuple(MediumMember(model, om, w / total)
-                          for om, w in members))
+                          for (om, _), w in zip(members, weights)))
 
 
 def build_output(cfg: Sections, default) -> str:
