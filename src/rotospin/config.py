@@ -435,7 +435,7 @@ def build_medium(cfg: Sections, model: OscillatorModel) -> MediumSpec:
     weights = [w for _, w in members]
     if math.isinf(sum(weights)):
         # the sum overflows a double: scale by the largest weight first
-        largest = max(weights)
+        largest = max(map(abs, weights))
         weights = [w / largest for w in weights]
     total = sum(weights)
     if total <= 0:

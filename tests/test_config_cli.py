@@ -1353,6 +1353,11 @@ _AMPLIFY_FLAGS = ["amplify", "--gamma=0.1", "--omega=1"]
      "config error: [medium] members is empty"),
     (_AMPLIFY_FLAGS, "[medium]\nmembers = 1:0\n",
      "config error: [medium] members: weights must sum to > 0"),
+    # negative weights whose sum overflows stay negative once scaled
+    (_AMPLIFY_FLAGS, "[medium]\nmembers = 2.0:-1e308, 2.2:-1e308\n",
+     "config error: [medium] members: weights must sum to > 0"),
+    (_AMPLIFY_FLAGS, "[medium]\nmembers = 2.0:-1e308, 2.2:-1e308, 2.4:0\n",
+     "config error: [medium] members: weights must sum to > 0"),
     # keys and sections that config.KEYS does not list: a misspelt tau
     # used to run at tau = 0 and exit 0
     (["scan", "--preset=fig2"], "[model]\ngamma = 0.1\ntua = 0.5\n",
@@ -1396,6 +1401,7 @@ _AMPLIFY_FLAGS = ["amplify", "--gamma=0.1", "--omega=1"]
         "tau-file-empty", "mode-unknown",
         "body-missing", "shape-unknown", "thermal-missing", "medium-missing",
         "members-missing", "members-empty", "members-zero-weight",
+        "members-negative-overflow", "members-negative-overflow-zero",
         "key-unknown", "section-unknown", "default-key-unknown",
         "default-only", "unread-flag-not-a-number", "unread-key-not-a-number",
         "unread-count-not-an-integer", "unread-shape-unknown",
