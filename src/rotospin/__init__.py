@@ -5,9 +5,8 @@ from .dynamics import (RigidBodyParams, SpinUpTrajectory, ThermalParams,
                        UnreachableTargetError, centrifugal_burst_frequency,
                        equilibrium_temperature, spin_up_trajectory,
                        time_to_target_by_quadrature)
-from .materials import (DrudeEllipsoid, DrudeSphere,
-                        dipole_torque_low_rotation, from_drude_ellipsoid,
-                        from_drude_sphere, optical_theorem_residual)
+from .materials import (DrudeEllipsoid, DrudeSphere, from_drude_ellipsoid,
+                        from_drude_sphere)
 from .medium import (EnsembleExtinction, MediumMember, MediumSpec,
                      ensemble_extinction, gain_coefficient,
                      intensity_profile, propagate_intensity,
@@ -17,8 +16,7 @@ from .response import (SPEED_OF_LIGHT, CrossSectionSet, DipoleSpectrum,
                        SpectralLine, absorption_cross_section,
                        cross_section_set, extinction_cross_section,
                        induced_dipole_spectrum, mechanical_cross_section,
-                       radial_ode_residual, resonance_locus,
-                       static_polarizability, torque)
+                       radial_ode_residual, torque)
 from .scan import (ScanGrid, ScanRequest, grid_scan, reparse_balance_check,
                    write_grid_csv)
 from .timedomain import TimeDomainAverages, force_law_averages
@@ -31,10 +29,8 @@ __all__ = [
     "absorption_cross_section", "mechanical_cross_section",
     "extinction_cross_section", "cross_section_set",
     "radial_ode_residual", "induced_dipole_spectrum",
-    "static_polarizability", "resonance_locus",
     "DrudeSphere", "DrudeEllipsoid",
     "from_drude_sphere", "from_drude_ellipsoid",
-    "dipole_torque_low_rotation", "optical_theorem_residual",
     "RigidBodyParams", "ThermalParams", "SpinUpTrajectory",
     "UnreachableTargetError", "spin_up_trajectory",
     "time_to_target_by_quadrature", "equilibrium_temperature",

@@ -7,10 +7,6 @@ Q^2/m = omega0^2 R^3; the general ellipsoid with depolarization factor
 L maps to omega0 = wp*sqrt(L) and coupling wp^2 V / 4pi.  The radiative
 time is always tied to the coupling, tau = 2(Q^2/m)/3c^3, since these
 are physical particles.
-
-Also provides the slow-rotation torque formula written directly in terms
-of the rod's two polarizabilities, used as an independent cross-check of
-the full rotating-frame result at Omega = 0.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .response import SPEED_OF_LIGHT, OscillatorModel, static_polarizability
+from .response import SPEED_OF_LIGHT, OscillatorModel
 
 
 @dataclass(frozen=True)
@@ -94,33 +90,3 @@ def from_drude_ellipsoid(ellipsoid: DrudeEllipsoid,
     coupling = _finite_coupling(coupling, "plasma_frequency^2 volume / 4 pi")
     return OscillatorModel.physical(coupling, omega0, ellipsoid.damping,
                                     light_speed)
-
-
-def dipole_torque_low_rotation(a_par, a_perp, omega, field_norm_sq,
-                               light_speed=SPEED_OF_LIGHT):
-    """Torque of LCP light on a slowly rotating anisotropic particle with
-    complex polarizabilities ``a_par`` along and ``a_perp`` across the rod
-    axis (cm^3).
-
-    M / |E|^2 = Im(a_par + a_perp) - (4 w^3 / 3 c^3) Re(a_par * conj(a_perp)).
-    """
-    if not omega > 0:
-        raise ValueError("omega must be positive")
-    a_par, a_perp = complex(a_par), complex(a_perp)
-    per_field = ((a_par + a_perp).imag
-                 - 4.0 * omega**3 / (3.0 * light_speed**3)
-                 * (a_par * a_perp.conjugate()).real)
-    return field_norm_sq * per_field
-
-
-def optical_theorem_residual(model: OscillatorModel, omega):
-    """Im{-1/alpha} minus its lossless plus friction parts.
-
-    Zero (to rounding) whenever the radiative time is physically linked
-    to the coupling; a normalized model with a free tau will show the
-    mismatch tau*w^3 - 2w^3/3c^3 instead.
-    """
-    alpha = static_polarizability(model, omega)
-    return ((-1.0 / alpha).imag
-            - 2.0 * omega**3 / (3.0 * model.light_speed**3)
-            - model.damping_rate * omega / model.coupling)

@@ -35,10 +35,9 @@ exactly (see that class for when this happens), and
 where either operand is an array broadcasts the two in numpy, a scalar
 operand included, without warnings: singular cells carry NaN and
 overflowing cells inf or NaN, and grid code is expected to mask them.
-:func:`static_polarizability` takes a point or an array of drive
-frequencies in the same way.  :func:`induced_dipole_spectrum` and
-:func:`radial_ode_residual` take one point only: an array drive frequency
-or ``Omega`` raises numpy's :class:`TypeError`.
+:func:`induced_dipole_spectrum` and :func:`radial_ode_residual` take one
+point only: an array drive frequency or ``Omega`` raises numpy's
+:class:`TypeError`.  :func:`radial_ode_residual` takes one time too.
 """
 
 from __future__ import annotations
@@ -558,10 +557,9 @@ def radial_ode_residual(model, drive, Omega, t):
     algebra of the closed form, not an integrator.  The residual is
     normalized by the sum of the magnitudes of all contributions, making
     10^-16-level output the signature of a correct steady state; Q/m
-    multiplies every term and cancels from it.  ``t`` may be an array,
-    which returns an array, or a scalar, which runs in Python floats and
-    complexes and returns a float; the drive frequency and ``Omega`` are
-    one point (an array raises numpy's TypeError).
+    multiplies every term and cancels from it.  Takes one time ``t`` and
+    one point (an array drive frequency or ``Omega`` raises numpy's
+    TypeError), runs in Python floats and complexes and returns a float.
     """
     _, Omega, hs = _helicity_amplitudes(model, drive, Omega)
     w0 = model.natural_frequency
@@ -569,31 +567,28 @@ def radial_ode_residual(model, drive, Omega, t):
     gamma = model.damping_rate
     tau = model.radiative_time
 
-    if _is_array(t):
-        t, exp = np.asarray(t, dtype=float), np.exp
-    else:
-        t, exp = float(t), cmath.exp
+    t = float(t)
     residual = scale = 0.0
     for _, e, w, _, a in hs:
         # each derivative is the previous one times -i*w, and each
         # magnitude the previous one times |w|: a term overflows only
         # where its own value does, never through a power of w alone
         iw = -1j * w
-        ph = exp(iw * t)
+        ph = cmath.exp(iw * t)
         rho = a * ph
         rho1 = rho * iw
         rho2 = rho1 * iw
         rho3 = rho2 * iw
-        residual = residual + (w0sq * rho.real - osq * rho.real + rho2.real
-                               + gamma * rho1.real - tau * rho3.real
-                               + 3.0 * tau * osq * rho1.real - (e * ph).real)
+        residual += (w0sq * rho.real - osq * rho.real + rho2.real
+                     + gamma * rho1.real - tau * rho3.real
+                     + 3.0 * tau * osq * rho1.real - (e * ph).real)
         aw = abs(w)
         m1 = abs(a) * aw
         m2 = m1 * aw
-        scale = scale + ((w0sq + osq) * abs(a) + m2 + gamma * m1
-                         + tau * (m2 * aw + 3.0 * osq * m1) + abs(e))
+        scale += ((w0sq + osq) * abs(a) + m2 + gamma * m1
+                  + tau * (m2 * aw + 3.0 * osq * m1) + abs(e))
     if scale == 0:
-        return 0.0 if type(t) is float else np.zeros_like(t)
+        return 0.0
     return abs(residual) / scale
 
 
@@ -644,45 +639,3 @@ def induced_dipole_spectrum(model, drive, Omega) -> DipoleSpectrum:
             lines[plus] = SpectralLine(w2, 0j, 0j)
     carrier = SpectralLine(omega, q * total, -1j * q * diff)
     return DipoleSpectrum(carrier, lines[True], lines[False])
-
-
-def static_polarizability(model, omega) -> complex:
-    """Complex polarizability of the non-rotating particle,
-    alpha = (Q^2/m) / (omega0^2 - w(w + i*gamma) - i*tau*w^3).
-
-    Arrays run without warnings: an overflowing cell is not finite.  A
-    point, numpy scalars included, runs in Python floats and raises
-    OverflowError where the denominator overflows."""
-    if _is_array(omega):
-        with np.errstate(all="ignore"):
-            return model.coupling / _static_denominator(model, omega)
-    d = _static_denominator(model, float(omega))
-    if d == 0:
-        raise SingularResonanceError(
-            "lossless model driven exactly at its natural frequency")
-    return model.coupling / d
-
-
-def _static_denominator(model, omega):
-    return (model.natural_frequency**2
-            - omega * (omega + 1j * model.damping_rate)
-            - 1j * model.radiative_time * omega**3)
-
-
-def resonance_locus(omega0, branch="lower", n_points=256) -> np.ndarray:
-    """Points (w, Omega) of the resonance ellipse
-    Omega^2 + (w +/- Omega)^2 = omega0^2.
-
-    ``branch`` picks the sign: "upper" for +, "lower" for - (the branch
-    excited by LCP light).  Returns an (n_points, 2) array sampled
-    uniformly in the ellipse parameter.
-    """
-    if branch not in ("upper", "lower"):
-        raise ValueError("branch must be 'upper' or 'lower'")
-    if n_points < 2:
-        raise ValueError("n_points must be at least 2")
-    theta = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
-    Omega = omega0 * np.sin(theta)
-    shift = Omega if branch == "lower" else -Omega
-    omega = omega0 * np.cos(theta) + shift
-    return np.column_stack([omega, Omega])

@@ -123,3 +123,20 @@ def test_quadrature_check_draws_only_its_spin_up_runs():
         for _ in range(4):
             reference.random()
     assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("name, factor, check", [
+    ("static_polarizability", 1.0 + 1e-6, validation.check_optical_theorem),
+    ("static_polarizability", 1.0 + 1e-6,
+     validation.check_static_torque_consistency),
+    ("torque", 1.0 + 1e-8, validation.check_static_torque_consistency),
+], ids=["polarizability-optical-theorem", "polarizability-static-torque",
+        "torque-static-torque"])
+def test_reference_checks_catch_a_scaled_formula(monkeypatch, name, factor,
+                                                 check):
+    # the particle at rest: its polarizability and the rotating-frame
+    # torque are held against the dipole torque and the optical theorem
+    assert check(random.Random(0)).passed
+    scaled = getattr(validation, name)
+    monkeypatch.setattr(validation, name, lambda *a: factor * scaled(*a))
+    assert not check(random.Random(0)).passed
