@@ -16,10 +16,9 @@ from .response import (SPEED_OF_LIGHT, CrossSectionSet, DipoleSpectrum,
                        SpectralLine, absorption_cross_section,
                        cross_section_set, extinction_cross_section,
                        induced_dipole_spectrum, mechanical_cross_section,
-                       radial_ode_residual, torque)
+                       torque)
 from .scan import (ScanGrid, ScanRequest, grid_scan, reparse_balance_check,
                    write_grid_csv)
-from .timedomain import TimeDomainAverages, force_law_averages
 
 __version__ = "0.1.0"
 
@@ -28,7 +27,7 @@ __all__ = [
     "SpectralLine", "DipoleSpectrum", "SingularResonanceError", "torque",
     "absorption_cross_section", "mechanical_cross_section",
     "extinction_cross_section", "cross_section_set",
-    "radial_ode_residual", "induced_dipole_spectrum",
+    "induced_dipole_spectrum",
     "DrudeSphere", "DrudeEllipsoid",
     "from_drude_sphere", "from_drude_ellipsoid",
     "RigidBodyParams", "ThermalParams", "SpinUpTrajectory",
@@ -40,5 +39,4 @@ __all__ = [
     "MediumMember", "MediumSpec", "EnsembleExtinction",
     "ensemble_extinction", "gain_coefficient", "propagate_intensity",
     "intensity_profile", "sustaining_power",
-    "TimeDomainAverages", "force_law_averages",
 ]

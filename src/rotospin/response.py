@@ -35,9 +35,8 @@ exactly (see that class for when this happens), and
 where either operand is an array broadcasts the two in numpy, a scalar
 operand included, without warnings: singular cells carry NaN and
 overflowing cells inf or NaN, and grid code is expected to mask them.
-:func:`induced_dipole_spectrum` and :func:`radial_ode_residual` take one
-point only: an array drive frequency or ``Omega`` raises numpy's
-:class:`TypeError`.  :func:`radial_ode_residual` takes one time too.
+:func:`induced_dipole_spectrum` takes one point only: an array drive
+frequency or ``Omega`` raises numpy's :class:`TypeError`.
 """
 
 from __future__ import annotations
@@ -525,73 +524,6 @@ def cross_section_set(model, drive, Omega) -> CrossSectionSet:
     return CrossSectionSet(*_evaluate(_all_channels, model, drive, Omega))
 
 
-def _helicity_amplitudes(model, drive, Omega):
-    """(omega, Omega, helicities) at one point: ``_excited``'s frequencies
-    and, for each of its helicity tuples (plus, e, w, w2), that tuple and
-    the complex amplitude E_pm/d_pm (Q/m = 1).  Raises
-    SingularResonanceError where d_pm is zero, or so small that E_pm/d_pm
-    is not finite, and OverflowError where d_pm is not finite."""
-    omega, Omega, excited, parts = _excited(model, drive, Omega, point=True)
-    helicities = []
-    for (plus, e, w, w2), (a, b) in zip(excited, parts):
-        # 0.0 - B keeps the complex product's +0.0 where B is -0.0
-        d = complex(a, 0.0 - b)
-        if d == 0 or not cmath.isfinite(e / d):
-            if not cmath.isfinite(d):
-                raise OverflowError("a response denominator overflows a "
-                                    "double")
-            raise SingularResonanceError(_SINGULAR_MSG)
-        helicities.append((plus, e, w, w2, e / d))
-    return omega, Omega, helicities
-
-
-def radial_ode_residual(model, drive, Omega, t):
-    """Relative residual of the closed-form displacement in the radial
-    equation of motion
-
-        omega0^2 rho - Omega^2 rho + rho'' + gamma rho'
-            - tau rho''' + 3 tau Omega^2 rho'  =  (Q/m) E . rho_hat.
-
-    Derivatives are taken analytically term by term (each helicity
-    component is a single complex exponential), so this checks the
-    algebra of the closed form, not an integrator.  The residual is
-    normalized by the sum of the magnitudes of all contributions, making
-    10^-16-level output the signature of a correct steady state; Q/m
-    multiplies every term and cancels from it.  Takes one time ``t`` and
-    one point (an array drive frequency or ``Omega`` raises numpy's
-    TypeError), runs in Python floats and complexes and returns a float.
-    """
-    _, Omega, hs = _helicity_amplitudes(model, drive, Omega)
-    w0 = model.natural_frequency
-    w0sq, osq = w0 * w0, Omega * Omega
-    gamma = model.damping_rate
-    tau = model.radiative_time
-
-    t = float(t)
-    residual = scale = 0.0
-    for _, e, w, _, a in hs:
-        # each derivative is the previous one times -i*w, and each
-        # magnitude the previous one times |w|: a term overflows only
-        # where its own value does, never through a power of w alone
-        iw = -1j * w
-        ph = cmath.exp(iw * t)
-        rho = a * ph
-        rho1 = rho * iw
-        rho2 = rho1 * iw
-        rho3 = rho2 * iw
-        residual += (w0sq * rho.real - osq * rho.real + rho2.real
-                     + gamma * rho1.real - tau * rho3.real
-                     + 3.0 * tau * osq * rho1.real - (e * ph).real)
-        aw = abs(w)
-        m1 = abs(a) * aw
-        m2 = m1 * aw
-        scale += ((w0sq + osq) * abs(a) + m2 + gamma * m1
-                  + tau * (m2 * aw + 3.0 * osq * m1) + abs(e))
-    if scale == 0:
-        return 0.0
-    return abs(residual) / scale
-
-
 class SpectralLine(NamedTuple):
     """One emission line: frequency plus the complex (x, y) dipole
     amplitude, convention p(t) = p_tilde e^{-i nu t} + c.c."""
@@ -622,17 +554,29 @@ def induced_dipole_spectrum(model, drive, Omega) -> DipoleSpectrum:
     Rotation splits the response into a carrier at the drive frequency
     and two sidebands shifted by +/- 2*Omega; each sideband is fed by a
     single circular component of the drive, and is a line of amplitude 0
-    where that component is not excited.  Takes one (w, Omega) point: an
-    array operand raises numpy's TypeError.
+    where that component is not excited.  Each excited sideband's x
+    amplitude is (Q^2/m)/4 times the rotating-frame amplitude E_pm/d_pm
+    (Q/m = 1).  Takes one (w, Omega) point: an array operand raises
+    numpy's TypeError.  Raises SingularResonanceError where an excited
+    d_pm is zero, or so small that E_pm/d_pm is not finite, and
+    OverflowError where d_pm is not finite.
     """
-    omega, Omega, hs = _helicity_amplitudes(model, drive, Omega)
+    omega, Omega, excited, parts = _excited(model, drive, Omega, point=True)
     q = model.coupling / 4.0
     lines = {}
     total = diff = 0j
-    for plus, _, _, w2, a in hs:
+    for (plus, e, _, w2), (a, b) in zip(excited, parts):
+        # 0.0 - B keeps the complex product's +0.0 where B is -0.0
+        d = complex(a, 0.0 - b)
+        if d == 0 or not cmath.isfinite(e / d):
+            if not cmath.isfinite(d):
+                raise OverflowError("a response denominator overflows a "
+                                    "double")
+            raise SingularResonanceError(_SINGULAR_MSG)
+        amp = e / d
         spin = 1j if plus else -1j
-        lines[plus] = SpectralLine(w2, q * a, spin * q * a)
-        total, diff = total + a, (diff + a if plus else diff - a)
+        lines[plus] = SpectralLine(w2, q * amp, spin * q * amp)
+        total, diff = total + amp, (diff + amp if plus else diff - amp)
     twice = 2.0 * Omega
     for plus, w2 in ((True, omega + twice), (False, omega - twice)):
         if plus not in lines:

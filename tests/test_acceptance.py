@@ -23,16 +23,16 @@ from rotospin import (
     cross_section_set,
     equilibrium_temperature,
     extinction_cross_section,
-    force_law_averages,
     from_drude_sphere,
     gain_coefficient,
     propagate_intensity,
-    radial_ode_residual,
     time_to_target_by_quadrature,
     torque,
 )
 from rotospin.scan import reparse_balance_check
-from rotospin.validation import ridge_offset_along_ray, static_polarizability
+from rotospin.timedomain import force_law_averages
+from rotospin.validation import (radial_ode_residual, ridge_offset_along_ray,
+                                 static_polarizability)
 
 SEED = 20260822
 

@@ -1,17 +1,18 @@
 """Tests for the closed-form response: denominators, torque, the six
-cross sections, the energy balance, the helicity amplitudes and the
-dipole spectrum, and the singular-resonance handling."""
+cross sections, the energy balance, the dipole spectrum and the
+equation-of-motion residual that ``validate`` reads off it, the
+singular-resonance handling, and the mutants that ``validate`` catches."""
 
 import cmath
 import dataclasses
 import math
-import random
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import rotospin
 from rotospin import (
     SPEED_OF_LIGHT,
     CrossSectionSet,
@@ -23,11 +24,11 @@ from rotospin import (
     extinction_cross_section,
     induced_dipole_spectrum,
     mechanical_cross_section,
-    radial_ode_residual,
     torque,
 )
 from rotospin import response, validation
-from rotospin.response import _excited, _helicity_amplitudes, _weights
+from rotospin.response import _excited, _weights
+from rotospin.validation import radial_ode_residual
 
 # reference point used throughout: omega = 0.5, Omega = 0.2, gamma = 0.1,
 # tau = 0, LCP drive with |E| = 1 (normalized units)
@@ -613,8 +614,7 @@ def _d_ref(model, omega, Omega):
 
 def _by_helicity(terms):
     """[plus's, minus's] last element of each helicity tuple of
-    ``_weights`` or ``_helicity_amplitudes``: None for a helicity that was
-    not evaluated."""
+    ``_weights``: None for a helicity that was not evaluated."""
     pair = [None, None]
     for h in terms[2]:
         pair[0 if h[0] else 1] = h[-1]
@@ -672,16 +672,17 @@ def test_real_parts_keep_the_complex_formula_bits(point, pol, lossless, exr,
                                 + cell_d.imag * cell_d.imag)
         assert cell_t.tobytes() == expected.tobytes()
     try:
-        amplitudes = _by_helicity(_helicity_amplitudes(model, drive, Omega))
+        sp = induced_dipole_spectrum(model, drive, Omega)
     except (SingularResonanceError, OverflowError) as exc:
         assert any(e != 0 and (d == 0 or not cmath.isfinite(e / d))
                    for e, d in zip(fields, refs)), exc
         return
-    for e, d, a in zip(fields, refs, amplitudes):
+    q = model.coupling / 4.0
+    for e, d, line in zip(fields, refs, (sp.upshifted, sp.downshifted)):
         if e == 0:
-            assert a is None
+            assert _hex(line.amplitude_x) == _hex(0j)
         else:
-            assert _hex(a) == _hex(e / d)
+            assert _hex(line.amplitude_x) == _hex(q * (e / d))
 
 
 # repr of the torque and the six cross sections at six points, each power
@@ -1005,21 +1006,6 @@ def test_ode_residual_overflowing_amplitude_is_singular():
         radial_ode_residual(m, d, 0.0, 0.0)
 
 
-def test_ode_check_catches_amplitude_error(monkeypatch):
-    # the closed form solves the radial equation to about 1e-16, so every
-    # excited helicity's amplitude off by a uniform 1e-12 fails the check
-    rng = random.Random(0)
-    assert validation.check_ode_residual(rng).passed
-
-    def scaled(*args):
-        omega, Omega, hs = _helicity_amplitudes(*args)
-        return omega, Omega, [(plus, e, w, w2, a * (1 + 1e-12))
-                              for plus, e, w, w2, a in hs]
-
-    monkeypatch.setattr(response, "_helicity_amplitudes", scaled)
-    assert not validation.check_ode_residual(rng).passed
-
-
 def _rotation_even(formula, eps=1e-8):
     """``formula`` of the kernel times 1 + eps*Omega**2: exact at rest."""
     if formula is response._denominators:   # B, which both routes share
@@ -1048,50 +1034,108 @@ def _rotation_even(formula, eps=1e-8):
     return perturbed
 
 
-@pytest.mark.parametrize("name, caught_by", [
-    ("_brake", {"balance-identity", "time-domain-oracle", "scan-roundtrip"}),
-    ("_elastic", {"balance-identity", "scan-roundtrip"}),
-    ("_inelastic", {"balance-identity", "mirror-symmetry"}),
-    ("_absorption", {"balance-identity", "time-domain-oracle",
-                     "scan-roundtrip"}),
-    ("_torque", {"time-domain-oracle"}),
-    ("_denominators", {"closed-form-solves-ode", "time-domain-oracle"}),
-    # the Larmor powers of the lines come from the amplitudes route
-    ("_weights", {"balance-identity", "time-domain-oracle"}),
+def _sidebands_times(factor):
+    """A mutant of the spectrum: both sidebands' amplitudes times
+    ``factor``."""
+    def mutant(spectrum):
+        def scaled(*args):
+            carrier, *sidebands = spectrum(*args)
+            return response.DipoleSpectrum(carrier, *(
+                line._replace(amplitude_x=factor * line.amplitude_x,
+                              amplitude_y=factor * line.amplitude_y)
+                for line in sidebands))
+        return scaled
+    return mutant
+
+
+def _singular_cells_weighted(weights):
+    """A mutant of ``_weights``: an array's singular weights are 1e300,
+    not inf, so its singular cells come out finite instead of NaN."""
+    def finite(*args, point=False):
+        omega, Omega, helicities = weights(*args, point=point)
+        if point:
+            return omega, Omega, helicities
+        return omega, Omega, [(plus, w, w2, np.where(np.isinf(t), 1e300, t))
+                              for plus, w, w2, t in helicities]
+    return finite
+
+
+def _tau_doubled(model_class):
+    """A mutant of the model class that both Drude mappings build: the
+    radiative time of ``physical`` doubled."""
+    class Doubled:
+        @staticmethod
+        def physical(*args):
+            m = model_class.physical(*args)
+            return dataclasses.replace(m,
+                                       radiative_time=2 * m.radiative_time)
+    return Doubled
+
+
+@pytest.mark.parametrize("target, mutant, caught_by", [
+    ("response._brake", _rotation_even,
+     {"balance-identity", "time-domain-oracle", "scan-roundtrip"}),
+    ("response._elastic", _rotation_even,
+     {"balance-identity", "scan-roundtrip"}),
+    ("response._inelastic", _rotation_even,
+     {"balance-identity", "mirror-symmetry"}),
+    ("response._absorption", _rotation_even,
+     {"balance-identity", "time-domain-oracle", "scan-roundtrip"}),
+    ("response._torque", _rotation_even, {"time-domain-oracle"}),
+    ("response._denominators", _rotation_even,
+     {"closed-form-solves-ode", "time-domain-oracle"}),
+    # the Larmor powers of the lines come from the spectrum
+    ("response._weights", _rotation_even,
+     {"balance-identity", "time-domain-oracle"}),
+    # the equation of motion reads the sidebands that users get; a phase
+    # leaves the Larmor powers |p|^2 as they are
+    ("validation.induced_dipole_spectrum", _sidebands_times(cmath.exp(0.1j)),
+     {"closed-form-solves-ode"}),
+    ("validation.induced_dipole_spectrum", _sidebands_times(1 + 1e-12),
+     {"closed-form-solves-ode", "balance-identity"}),
+    ("response._weights", _singular_cells_weighted, {"resonance-locus"}),
+    # a defect that both Drude mappings share
+    ("materials._finite_coupling", lambda f: lambda *a: 2.0 * f(*a),
+     {"drude-mapping-consistency"}),
+    ("materials.OscillatorModel", _tau_doubled,
+     {"drude-mapping-consistency"}),
 ], ids=["brake", "elastic", "inelastic", "absorption", "torque",
-        "denominator-B", "weights-norm"])
-def test_validate_catches_rotation_dependent_formula_error(monkeypatch, name,
-                                                           caught_by):
-    # one channel formula off by a relative 1e-8 * Omega**2, which vanishes
-    # at rest: the checks named must fail, whatever the others read
-    monkeypatch.setattr(response, name,
-                        _rotation_even(getattr(response, name)))
+        "denominator-B", "weights-norm", "sideband-phase",
+        "sideband-amplitude", "singular-cells-finite", "drude-coupling",
+        "drude-tau"])
+def test_validate_catches_rotation_dependent_formula_error(
+        monkeypatch, target, mutant, caught_by):
+    # one formula off, most by a relative 1e-8 * Omega**2, which vanishes
+    # at rest: the checks named must fail, and every other check pass
+    module, name = target.split(".")
+    original = getattr(getattr(rotospin, module), name)
+    monkeypatch.setattr(f"rotospin.{target}", mutant(original))
     failed = {r.name for r in validation.run_all(20260822) if not r.passed}
-    assert caught_by <= failed
+    assert failed == caught_by
 
 
 def test_helicity_amplitudes_take_one_point():
     m = OscillatorModel.normalized(0.1, 1e-3)
     with pytest.raises(TypeError):
-        _helicity_amplitudes(m, DriveField.lcp(np.array([0.5, 1e155])), 0.2)
+        induced_dipole_spectrum(m, DriveField.lcp(np.array([0.5, 1e155])),
+                                0.2)
     with pytest.raises(TypeError):
         induced_dipole_spectrum(m, DriveField.lcp(0.5), np.array([0.2, 0.3]))
     # a huge scalar Omega, numpy's included, overflows like the kernel's
     # points: OverflowError, not a numpy RuntimeWarning
     for Omega in (1e155, np.float64(1e155)):
-        for route in (induced_dipole_spectrum, _helicity_amplitudes):
-            with pytest.raises(OverflowError):
-                route(m, DriveField.lcp(0.5), Omega)
-            # co-rotating: w_minus = 0, but Omega*Omega is inf
-            with pytest.raises(OverflowError):
-                route(m, DriveField.lcp(Omega), Omega)
-    # a numpy point comes back as Python floats, and E_plus under LCP
-    # light has no tuple
-    omega, Omega, hs = _helicity_amplitudes(
-        m, DriveField.lcp(np.float64(0.5)), np.array(0.2))
-    (plus, _, w, w2, a), = hs
-    assert all(type(v) is float for v in (omega, Omega, w, w2))
-    assert plus is False and type(a) is complex
+        with pytest.raises(OverflowError):
+            induced_dipole_spectrum(m, DriveField.lcp(0.5), Omega)
+        # co-rotating: w_minus = 0, but Omega*Omega is inf
+        with pytest.raises(OverflowError):
+            induced_dipole_spectrum(m, DriveField.lcp(Omega), Omega)
+    # a numpy point comes back as Python floats and complexes, and
+    # E_plus under LCP light gives a line of amplitude 0
+    sp = induced_dipole_spectrum(m, DriveField.lcp(np.float64(0.5)),
+                                 np.array(0.2))
+    assert all(type(line.frequency) is float for line in sp.lines())
+    assert all(type(a) is complex for line in sp.lines() for a in line[1:])
+    assert sp.upshifted[1:] == (0j, 0j) and sp.downshifted.norm_sq > 0
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,7 @@ def test_only_the_inputs_are_dataclasses():
     # result records are NamedTuples: a dataclass generates and compiles
     # its methods when the package is imported
     import rotospin
+    from rotospin.timedomain import TimeDomainAverages
     from rotospin.validation import CheckResult
 
     decorated = set()
@@ -235,7 +236,7 @@ def test_only_the_inputs_are_dataclasses():
     assert decorated == _INPUT_CLASSES
     records = [getattr(rotospin, name) for name in (
         "CrossSectionSet", "SpectralLine", "DipoleSpectrum",
-        "SpinUpTrajectory", "EnsembleExtinction", "ScanGrid",
-        "TimeDomainAverages")] + [CheckResult]
+        "SpinUpTrajectory", "EnsembleExtinction", "ScanGrid")] + [
+        TimeDomainAverages, CheckResult]
     for record in records:
         assert issubclass(record, tuple) and record._fields, record

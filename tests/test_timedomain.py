@@ -12,10 +12,10 @@ from rotospin import (
     DriveField,
     OscillatorModel,
     cross_section_set,
-    force_law_averages,
     torque,
 )
 from rotospin import timedomain, validation
+from rotospin.timedomain import force_law_averages
 
 
 def test_reference_point_matches_closed_forms():
