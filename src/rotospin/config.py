@@ -24,6 +24,7 @@ whether or not the run reads it.  The builders read the parsed values.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import math
 
 from .dynamics import RigidBodyParams, ThermalParams, UnreachableTargetError
@@ -403,10 +404,12 @@ def build_body(cfg: Sections) -> RigidBodyParams:
                 mass_density=_get_float(cfg, "body", "density"),
                 radius=_get_float(cfg, "body", "radius"),
                 melting_temperature=melt, surface_tension=surface)
-        return RigidBodyParams.thin_rod(
+        # a rod has no radius: its surface tension raises, as a direct
+        # body's does without one
+        return dataclasses.replace(RigidBodyParams.thin_rod(
             mass=_get_float(cfg, "body", "mass"),
             length=_get_float(cfg, "body", "length"),
-            melting_temperature=melt, surface_tension=surface)
+            melting_temperature=melt), surface_tension=surface)
 
 
 def build_thermal(cfg: Sections) -> ThermalParams:

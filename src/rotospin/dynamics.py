@@ -119,9 +119,9 @@ def _first_crossing(f, x, y):
 class RigidBodyParams:
     """Mechanical data of the spinning particle.
 
-    Only the moment of inertia is required; the radius and surface
-    tension switch on the burst termination check, and the melting
-    temperature the melt check, when present.
+    Only the moment of inertia is required; the surface tension, which
+    needs the radius, switches on the burst termination check, and the
+    melting temperature the melt check, when present.
     """
 
     moment_of_inertia: float            # g cm^2
@@ -136,6 +136,9 @@ class RigidBodyParams:
             v = getattr(self, name)
             if v is not None and not v > 0:
                 raise ValueError(f"{name} must be positive when given")
+        if self.surface_tension is not None and self.radius is None:
+            raise ValueError("surface_tension needs a radius: the burst "
+                             "estimate uses both")
 
     @classmethod
     def solid_sphere(cls, mass_density, radius, melting_temperature=None,
@@ -145,12 +148,10 @@ class RigidBodyParams:
         return cls(i_mom, radius, melting_temperature, surface_tension)
 
     @classmethod
-    def thin_rod(cls, mass, length, melting_temperature=None,
-                 surface_tension=None):
+    def thin_rod(cls, mass, length, melting_temperature=None):
         """Thin rod about its center, I = m L^2 / 12."""
         return cls(mass * length**2 / 12.0,
-                   melting_temperature=melting_temperature,
-                   surface_tension=surface_tension)
+                   melting_temperature=melting_temperature)
 
 
 @dataclass(frozen=True)
@@ -246,7 +247,7 @@ def centrifugal_burst_frequency(body: RigidBodyParams):
     (1/2) I Omega^2 = 4 pi R^2 sigma; for the solid-sphere inertia this
     is sqrt(15 sigma / (rho R^3)).  Order-of-magnitude by construction.
     """
-    if body.surface_tension is None or body.radius is None:
+    if body.surface_tension is None:     # a body with it has a radius
         raise ValueError("burst estimate needs radius and surface_tension")
     surface_energy = 4.0 * np.pi * body.radius**2 * body.surface_tension
     return math.sqrt(2.0 * surface_energy / body.moment_of_inertia)
@@ -277,7 +278,7 @@ def spin_up_trajectory(model: OscillatorModel, drive: DriveField,
         raise ValueError("n_samples must be at least 2")
 
     Omega_end, outcome = Omega_target, "target"
-    if body.surface_tension is not None and body.radius is not None:
+    if body.surface_tension is not None:
         burst_at = max(centrifugal_burst_frequency(body), Omega_init)
         if burst_at < Omega_end:
             Omega_end, outcome = burst_at, "burst"

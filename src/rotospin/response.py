@@ -227,36 +227,19 @@ class DriveField:
         return dataclasses.replace(self, amplitude_y=-self.amplitude_y)
 
 
-def _denominators(model, Omega, excited):
-    """Parts (A, B) of d = A - i*B = omega0^2 - Omega^2 - w(w + i*gamma)
-    - i*tau*w(w^2 + 3*Omega^2) (rad^2/s^2) at the shifted frequency w of
-    each helicity tuple (plus, e, w, w2) in ``excited``: w = omega + Omega
-    gives d_plus, omega - Omega d_minus.
-    The operations are the complex product's, whose other terms are exact
-    zeros: complex(A, 0.0 - B) is that product bit for bit wherever it is
-    finite."""
-    # every power in the kernel is a product: numpy's pow is slow at a
-    # negative base and rounds apart from libm's, and a point must give
-    # its array cell's bits, the spring its exact 0
-    osq = Omega * Omega
-    w0 = model.natural_frequency
-    spring = w0 * w0 - osq
-    osq3 = 3.0 * osq
-    gamma = model.damping_rate
-    tau = model.radiative_time
-    return [(spring - w * w, w * gamma + tau * w * (w * w + osq3))
-            for _, _, w, _ in excited]
-
-
 def _excited(model, drive, Omega, point):
-    """(omega, Omega, helicities, parts): the drive and rotation
-    frequencies, a tuple (plus, e, w, w2) per helicity in the drive's
-    ``excited``, with its E_pm and shifted frequencies w = omega +/- Omega
-    and w2 = omega +/- 2*Omega, and the (A, B) of each from
-    ``_denominators``.  At a ``point`` omega and Omega are Python floats,
-    and so is every result: a non-finite Omega raises ValueError, an array
-    numpy's TypeError.  Otherwise both are numpy arrays, and numpy's
-    warnings must be off."""
+    """(omega, Omega, helicities): the drive and rotation frequencies and
+    one record (plus, e, w, w2, a, b) per helicity in the drive's
+    ``excited``: its E_pm, its shifted frequencies w = omega +/- Omega and
+    w2 = omega +/- 2*Omega, and the parts (A, B) of its denominator d =
+    A - i*B = omega0^2 - Omega^2 - w(w + i*gamma) - i*tau*w(w^2 +
+    3*Omega^2) (rad^2/s^2), d_plus at w = omega + Omega and d_minus at
+    omega - Omega.  The operations are the complex product's, whose other
+    terms are exact zeros: complex(A, 0.0 - B) is that product bit for
+    bit wherever it is finite.  At a ``point`` omega and Omega are Python
+    floats, and so is every result: a non-finite Omega raises ValueError,
+    an array numpy's TypeError.  Otherwise both are numpy arrays, and
+    numpy's warnings must be off."""
     omega = drive.frequency
     if point:
         omega, Omega = float(omega), float(Omega)
@@ -266,13 +249,22 @@ def _excited(model, drive, Omega, point):
         # a scalar operand too: the formulas read the broadcast shape
         omega, Omega = np.asarray(omega, float), np.asarray(Omega, float)
     twice = 2.0 * Omega
-    excited = []
+    # every power in the kernel is a product: numpy's pow is slow at a
+    # negative base and rounds apart from libm's, and a point must give
+    # its array cell's bits, the spring its exact 0
+    osq = Omega * Omega
+    w0 = model.natural_frequency
+    spring = w0 * w0 - osq
+    osq3 = 3.0 * osq
+    gamma = model.damping_rate
+    tau = model.radiative_time
+    helicities = []
     for plus, e in drive.excited:
-        if plus:
-            excited.append((plus, e, omega + Omega, omega + twice))
-        else:
-            excited.append((plus, e, omega - Omega, omega - twice))
-    return omega, Omega, excited, _denominators(model, Omega, excited)
+        w, w2 = ((omega + Omega, omega + twice) if plus
+                 else (omega - Omega, omega - twice))
+        helicities.append((plus, e, w, w2, spring - w * w,
+                           w * gamma + tau * w * (w * w + osq3)))
+    return omega, Omega, helicities
 
 
 class CrossSectionSet(NamedTuple):
@@ -327,9 +319,9 @@ def _weights(model, drive, Omega, point=False):
         if drive.field_norm_sq == 0:
             raise ValueError("drive field has zero amplitude")
         raise OverflowError(_FIELD_OVERFLOW_MSG)
-    omega, Omega, excited, parts = _excited(model, drive, Omega, point)
+    omega, Omega, excited = _excited(model, drive, Omega, point)
     helicities = []
-    for (plus, _, w, w2), (a, b) in zip(excited, parts):
+    for plus, _, w, w2, a, b in excited:
         # an overflowing |d|^2 is inf, and its weight 0: _evaluate
         # rescales it
         d2 = a * a + b * b
@@ -388,9 +380,9 @@ def _rescaled(formula, model, drive, Omega, out, point):
     their own, A and B scaled by 2^-k to put the larger in [1/2, 1), the
     weight so times 2^k, and the result times 2^-k.  Points and arrays do
     the same numpy operations; a point's result is floats."""
-    omega, Omega, excited, parts = _excited(model, drive, Omega, point)
+    omega, Omega, excited = _excited(model, drive, Omega, point)
     scaled = huge = None
-    for (plus, _, w, w2), (a, b) in zip(excited, parts):
+    for plus, _, w, w2, a, b in excited:
         big = np.maximum(np.abs(a), np.abs(b))
         k = np.where(np.isinf(a * a + b * b) & np.isfinite(big),
                      np.frexp(big)[1], 0)
@@ -497,7 +489,7 @@ def torque(model: OscillatorModel, drive: DriveField, Omega):
     e2 = drive.field_norm_sq
     if e2 == 0:     # no field, no torque
         with np.errstate(all="ignore"):
-            omega, Omega, *_ = _excited(model, drive, Omega, not (
+            omega, Omega, _ = _excited(model, drive, Omega, not (
                 _is_array(drive.frequency) or _is_array(Omega)))
         return _zero(omega, Omega)
     return _evaluate(functools.partial(_torque, e2=e2), model, drive, Omega)
@@ -544,9 +536,6 @@ class DipoleSpectrum(NamedTuple):
     upshifted: SpectralLine      # at w + 2*Omega
     downshifted: SpectralLine    # at w - 2*Omega
 
-    def lines(self):
-        return self.carrier, self.upshifted, self.downshifted
-
 
 def induced_dipole_spectrum(model, drive, Omega) -> DipoleSpectrum:
     """Spectral decomposition of the induced dipole Q*rho*rho_hat.
@@ -559,13 +548,16 @@ def induced_dipole_spectrum(model, drive, Omega) -> DipoleSpectrum:
     (Q/m = 1).  Takes one (w, Omega) point: an array operand raises
     numpy's TypeError.  Raises SingularResonanceError where an excited
     d_pm is zero, or so small that E_pm/d_pm is not finite, and
-    OverflowError where d_pm is not finite.
+    OverflowError where d_pm or a line's amplitude is not finite.
     """
-    omega, Omega, excited, parts = _excited(model, drive, Omega, point=True)
+    omega, Omega, excited = _excited(model, drive, Omega, point=True)
     q = model.coupling / 4.0
-    lines = {}
+    twice = 2.0 * Omega
+    # the sidebands, at w + 2*Omega and w - 2*Omega: 0 unless excited
+    lines = [SpectralLine(omega + twice, 0j, 0j),
+             SpectralLine(omega - twice, 0j, 0j)]
     total = diff = 0j
-    for (plus, e, _, w2), (a, b) in zip(excited, parts):
+    for plus, e, _, w2, a, b in excited:
         # 0.0 - B keeps the complex product's +0.0 where B is -0.0
         d = complex(a, 0.0 - b)
         if d == 0 or not cmath.isfinite(e / d):
@@ -575,11 +567,10 @@ def induced_dipole_spectrum(model, drive, Omega) -> DipoleSpectrum:
             raise SingularResonanceError(_SINGULAR_MSG)
         amp = e / d
         spin = 1j if plus else -1j
-        lines[plus] = SpectralLine(w2, q * amp, spin * q * amp)
+        lines[not plus] = SpectralLine(w2, q * amp, spin * q * amp)
         total, diff = total + amp, (diff + amp if plus else diff - amp)
-    twice = 2.0 * Omega
-    for plus, w2 in ((True, omega + twice), (False, omega - twice)):
-        if plus not in lines:
-            lines[plus] = SpectralLine(w2, 0j, 0j)
-    carrier = SpectralLine(omega, q * total, -1j * q * diff)
-    return DipoleSpectrum(carrier, lines[True], lines[False])
+    spectrum = DipoleSpectrum(
+        SpectralLine(omega, q * total, -1j * q * diff), *lines)
+    if not all(cmath.isfinite(a) for line in spectrum for a in line[1:]):
+        raise OverflowError(_OVERFLOW_MSG)
+    return spectrum

@@ -77,7 +77,7 @@ def check_balance_identity(rng) -> CheckResult:
         intensity = d.intensity(m.light_speed)
         for sigma, line in zip(
                 (cs.elastic, cs.inelastic_plus, cs.inelastic_minus),
-                induced_dipole_spectrum(m, d, Om).lines()):
+                induced_dipole_spectrum(m, d, Om)):
             x = sigma * intensity
             y = 4.0 * line.frequency**4 * line.norm_sq / (
                 3.0 * m.light_speed**3)
@@ -194,8 +194,8 @@ def check_sign_structure(rng) -> CheckResult:
     w, Om = np.meshgrid(np.linspace(0.0, 2.0, 64), np.linspace(0.0, 2.0, 64))
     mval = torque(OscillatorModel.normalized(0.1), DriveField.lcp(w), Om)
     # a NaN counts as a wrong sign
-    wrong = (np.count_nonzero(np.sign(ext) != np.sign(omegas - 2.0))
-             + np.count_nonzero(np.sign(mval) != np.sign(w - Om)))
+    wrong = int(np.count_nonzero(np.sign(ext) != np.sign(omegas - 2.0))
+                + np.count_nonzero(np.sign(mval) != np.sign(w - Om)))
     return CheckResult("sign-structure", wrong == 0,
                        f"{wrong} of {omegas.size + mval.size} cells off the "
                        "expected sign: extinction flips at omega = Omega, "
@@ -354,7 +354,7 @@ def check_thermal_law(rng) -> CheckResult:
     temps = dynamics.equilibrium_temperature(th, powers)
     monotone = bool(np.all(np.diff(temps) > 0.0))
     top = powers >= powers[-1] / 1000.0
-    slope = np.polyfit(np.log(powers[top]), np.log(temps[top]), 1)[0]
+    slope = float(np.polyfit(np.log(powers[top]), np.log(temps[top]), 1)[0])
     ok = exact and monotone and abs(slope - 1.0 / 6.0) <= 0.01
     return CheckResult("thermal-law", ok,
                        f"T(0) exact: {exact}, monotone: {monotone}, "
@@ -426,16 +426,18 @@ def check_resonance_ridge(rng) -> CheckResult:
 
 
 def check_locus_points(rng) -> CheckResult:
-    # the lossless response is singular at the point (1, 1) of the
-    # resonance ellipse Omega^2 + (w - Omega)^2 = omega0^2 and regular
-    # just inside it, at (0.9, 0.9): a singular array cell is NaN
-    cells = np.array([1.0, 0.9])
-    ext = extinction_cross_section(OscillatorModel.normalized(0.0),
-                                   DriveField.lcp(cells), cells)
+    # the lossless response is singular at the point (7, 3) of the
+    # resonance ellipse Omega^2 + (w - Omega)^2 = omega0^2 of omega0 = 5,
+    # where A = 25 - 9 - 16 is exactly 0, and regular inside it, at
+    # (6.5, 3): a singular array cell is NaN.  Damping makes both finite
+    ext = extinction_cross_section(
+        OscillatorModel.normalized(0.0, natural_frequency=5.0),
+        DriveField.lcp(np.array([7.0, 6.5])), 3.0)
     ok = bool(np.isnan(ext[0]) and np.isfinite(ext[1]))
     return CheckResult("resonance-locus", ok,
-                       f"lossless extinction {ext[0]:.3e} on the locus, "
-                       f"{ext[1]:.3e} just inside it")
+                       f"lossless extinction {ext[0]:.3e} at (7, 3) on the "
+                       f"locus of omega0 = 5, {ext[1]:.3e} at (6.5, 3) "
+                       "inside it")
 
 
 def check_scan_roundtrip(rng) -> CheckResult:

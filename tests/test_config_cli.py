@@ -1283,6 +1283,8 @@ def test_point_where_only_the_unexcited_helicity_overflows(capsys):
 
 
 _SAMPLES_ERR = "config error: [{}] samples: must be at least 2, got '{}'"
+_BURST_RADIUS_ERR = ("config error: [body]: surface_tension needs a radius: "
+                     "the burst estimate uses both")
 _SPINUP_FLAGS = ["spinup", "--gamma=0.1", "--omega=0.5", "--Omega-target=1e-3"]
 _AMPLIFY_FLAGS = ["amplify", "--gamma=0.1", "--omega=1"]
 
@@ -1344,6 +1346,11 @@ _AMPLIFY_FLAGS = ["amplify", "--gamma=0.1", "--omega=1"]
     (_SPINUP_FLAGS, "", "config error: missing [body] section"),
     (_SPINUP_FLAGS, "[body]\nshape = disk\n",
      "config error: [body] shape must be direct, sphere or rod, got 'disk'"),
+    # a burst needs a radius: without one the run went on to its target
+    (_SPINUP_FLAGS, "[body]\nshape = rod\nmass = 1\nlength = 1\n"
+     "surface_tension = 1e-9\n", _BURST_RADIUS_ERR),
+    (_SPINUP_FLAGS, "[body]\nmoment_of_inertia = 2\nsurface_tension = 1e-9\n",
+     _BURST_RADIUS_ERR),
     (["thermal", "--gamma=0.1", "--omega=0.5"], "",
      "config error: missing [thermal] section"),
     (_AMPLIFY_FLAGS, "", "config error: missing [medium] section"),
@@ -1399,7 +1406,8 @@ _AMPLIFY_FLAGS = ["amplify", "--gamma=0.1", "--omega=1"]
         "omega-axis-step-overflow", "Omega-axis-step-overflow",
         "omega-count-not-integer", "omega-count-missing", "tau-flag-empty",
         "tau-file-empty", "mode-unknown",
-        "body-missing", "shape-unknown", "thermal-missing", "medium-missing",
+        "body-missing", "shape-unknown", "rod-surface-tension",
+        "surface-tension-without-radius", "thermal-missing", "medium-missing",
         "members-missing", "members-empty", "members-zero-weight",
         "members-negative-overflow", "members-negative-overflow-zero",
         "key-unknown", "section-unknown", "default-key-unknown",

@@ -53,6 +53,12 @@ def test_body_validation():
         RigidBodyParams(1.0, radius=-1.0)
 
 
+def test_surface_tension_needs_a_radius():
+    # without a radius the spin-up skipped the burst and reached its target
+    with pytest.raises(ValueError, match="surface_tension needs a radius"):
+        RigidBodyParams(1.0, surface_tension=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # heating
 

@@ -44,8 +44,8 @@ OMEGA_ROT = 0.2
 def _shifted(omega, Omega):
     """(w_plus, w_minus, w2_plus, w2_minus) from ``_excited`` under a
     linear drive, which excites both helicities."""
-    _, _, (plus, minus), _ = _excited(MODEL, DriveField.linear(omega), Omega,
-                                      point=True)
+    _, _, (plus, minus) = _excited(MODEL, DriveField.linear(omega), Omega,
+                                   point=True)
     assert (plus[0], minus[0]) == (True, False)
     return plus[2], minus[2], plus[3], minus[3]
 
@@ -173,9 +173,9 @@ def test_overflowing_field_raises_where_it_is_used(amplitude):
 def _d_pm(model, omega, Omega):
     """(d_plus, d_minus) at one (omega, Omega) point, each A - i*B, from
     ``_excited`` under a linear drive, which excites both helicities."""
-    _, _, _, parts = _excited(model, DriveField.linear(omega), Omega,
-                              point=True)
-    return tuple(complex(a, 0.0 - b) for a, b in parts)
+    _, _, helicities = _excited(model, DriveField.linear(omega), Omega,
+                                point=True)
+    return tuple(complex(a, 0.0 - b) for *_, a, b in helicities)
 
 
 def test_denominator_reference_values():
@@ -578,12 +578,12 @@ def test_point_matches_one_element_array(point, pol, exr, exi, eyr, eyi,
     drive = DriveField(w_kind(omega), ex, ey)
     cell = DriveField(np.array([omega]), ex, ey)
     with np.errstate(all="ignore"):
-        parts = _excited(model, cell, Omega, point=False)[3]
+        records = _excited(model, cell, Omega, point=False)[2]
         helicities = _weights(model, cell, Omega)[2]
         # singular where |d|^2 is zero or so small that the weight
         # overflows; a share of 0.0 over a zero |d|^2 weighs 0/0 = NaN
         singular = any((np.isinf(t) | (a * a + b * b == 0)).any()
-                       for (a, b), (*_, t) in zip(parts, helicities))
+                       for (*_, a, b), (*_, t) in zip(records, helicities))
     for view in _VIEWS:
         expected = _cell(view(model, cell, Omega))
         if singular or not np.all(np.isfinite(expected)):
@@ -786,6 +786,19 @@ def test_amplitudes_route_overflow_names_the_denominator(call):
     assert str(info.value) == "a response denominator overflows a double"
 
 
+@pytest.mark.parametrize("call", [
+    induced_dipole_spectrum,
+    lambda *args: radial_ode_residual(*args, 0.0),
+], ids=["spectrum", "ode-residual"])
+def test_overflowing_line_amplitude_raises_as_a_kernel_point(call):
+    # E/d ~ 1e300 is finite, but (Q^2/m)/4 = 2.5e9 times it is not: the
+    # sideband's amplitude was inf + 1.4e308j, and the residual NaN
+    m = OscillatorModel.normalized(0.1, coupling=1e10)
+    with pytest.raises(OverflowError) as info:
+        call(m, DriveField.lcp(0.5, 1e300), 0.2)
+    assert str(info.value) == "a response value overflows a double"
+
+
 # ---------------------------------------------------------------------------
 # only the excited helicities are evaluated
 
@@ -935,8 +948,8 @@ def test_hookes_law_statics():
     for coupling in (1.0, 2.5):
         m = OscillatorModel.normalized(0.1, coupling=coupling)
         sp = induced_dipole_spectrum(m, d, 0.0)
-        sx = sum(line.amplitude_x for line in sp.lines())
-        sy = sum(line.amplitude_y for line in sp.lines())
+        sx = sum(line.amplitude_x for line in sp)
+        sy = sum(line.amplitude_y for line in sp)
         assert_allclose([sx.real, sx.imag], [coupling * 0.7 / 1.0**2, 0.0],
                         rtol=1e-14, atol=1e-15)
         assert abs(sy) < 1e-15
@@ -1008,10 +1021,12 @@ def test_ode_residual_overflowing_amplitude_is_singular():
 
 def _rotation_even(formula, eps=1e-8):
     """``formula`` of the kernel times 1 + eps*Omega**2: exact at rest."""
-    if formula is response._denominators:   # B, which both routes share
-        return lambda model, Omega, excited: [
-            (a, b * (1 + eps * Omega**2))
-            for a, b in formula(model, Omega, excited)]
+    if formula is response._excited:   # B, which every route shares
+        def excited(*args, **kwargs):
+            omega, Omega, helicities = formula(*args, **kwargs)
+            return omega, Omega, [(*h[:5], h[5] * (1 + eps * Omega**2))
+                                  for h in helicities]
+        return excited
     if formula is response._weights:       # |d|^2 = A*A + B*B
         def weights(*args, **kwargs):
             omega, Omega, helicities = formula(*args, **kwargs)
@@ -1082,7 +1097,7 @@ def _tau_doubled(model_class):
     ("response._absorption", _rotation_even,
      {"balance-identity", "time-domain-oracle", "scan-roundtrip"}),
     ("response._torque", _rotation_even, {"time-domain-oracle"}),
-    ("response._denominators", _rotation_even,
+    ("response._excited", _rotation_even,
      {"closed-form-solves-ode", "time-domain-oracle"}),
     # the Larmor powers of the lines come from the spectrum
     ("response._weights", _rotation_even,
@@ -1133,8 +1148,8 @@ def test_helicity_amplitudes_take_one_point():
     # E_plus under LCP light gives a line of amplitude 0
     sp = induced_dipole_spectrum(m, DriveField.lcp(np.float64(0.5)),
                                  np.array(0.2))
-    assert all(type(line.frequency) is float for line in sp.lines())
-    assert all(type(a) is complex for line in sp.lines() for a in line[1:])
+    assert all(type(line.frequency) is float for line in sp)
+    assert all(type(a) is complex for line in sp for a in line[1:])
     assert sp.upshifted[1:] == (0j, 0j) and sp.downshifted.norm_sq > 0
 
 
@@ -1161,8 +1176,8 @@ def test_spectrum_collapses_to_single_line_at_rest():
     m = OscillatorModel.physical(2.0, 1.0, 0.0, light_speed=1.0)
     d = DriveField.linear(0.3, 1.0, angle=0.4)
     sp = induced_dipole_spectrum(m, d, 0.0)
-    sx = sum(line.amplitude_x for line in sp.lines())
-    sy = sum(line.amplitude_y for line in sp.lines())
+    sx = sum(line.amplitude_x for line in sp)
+    sy = sum(line.amplitude_y for line in sp)
     expected = m.coupling * d.amplitude_x / (
         1.0 - 0.3 * 0.3 - 1j * m.radiative_time * 0.3**3)
     assert_allclose([sx.real, sx.imag], [expected.real, expected.imag],

@@ -3,6 +3,7 @@ ridge search over many rays at once, and FAIL lines that report what
 they found."""
 
 import dataclasses
+import json
 import random
 import re
 
@@ -16,6 +17,13 @@ from rotospin import OscillatorModel, cli, response, validation
 def test_run_all_passes(seed):
     failed = [r for r in validation.run_all(seed) if not r.passed]
     assert not failed
+
+
+def test_run_all_results_dump_as_json():
+    # a run record holds each check as plain JSON: name, bool and detail
+    results = validation.run_all(0)
+    assert all(type(r.passed) is bool for r in results)
+    json.dumps([r._asdict() for r in results])
 
 
 def test_run_all_is_seeded():
@@ -140,3 +148,19 @@ def test_reference_checks_catch_a_scaled_formula(monkeypatch, name, factor,
     scaled = getattr(validation, name)
     monkeypatch.setattr(validation, name, lambda *a: factor * scaled(*a))
     assert not check(random.Random(0)).passed
+
+
+def test_resonance_locus_probe_is_regular_with_damping(monkeypatch):
+    # the probe's cell (7, 3) is singular on the lossless ellipse of
+    # omega0 = 5 only: with damping it is finite, so the check fails
+    extinction = validation.extinction_cross_section
+
+    def damped(model, drive, Omega):
+        return extinction(dataclasses.replace(model, damping_rate=0.1),
+                          drive, Omega)
+
+    assert validation.check_locus_points(None).passed
+    monkeypatch.setattr(validation, "extinction_cross_section", damped)
+    result = validation.check_locus_points(None)
+    assert not result.passed
+    assert result.detail.startswith("lossless extinction 1.100e+02 at (7, 3)")
