@@ -365,13 +365,12 @@ def _time_table(model, drive, body, Omega_end, Omega_init, Omega_target):
 
     Each round evaluates every open panel and its two halves in one
     broadcast torque call, the first one also the stall search's
-    samples, and their Gauss sums in one matmul.  The halves are done
-    when their sum agrees with the whole within _EPSREL relative;
-    otherwise they are the next round's open panels.  That bookkeeping,
-    the panel count and the running time sum run on Python floats, and
-    the arrays are built once, at the end.  The done halves are put in
-    order of their distance from Omega_init, except in a table accepted
-    in one round, whose two halves are in order already.
+    samples, and their Gauss sums in one matmul.  Each open panel is
+    replaced where it stands in the list of panels: by its two halves,
+    done when their sum agrees with the whole within _EPSREL relative,
+    open otherwise.  So the list stays in span order without a sort.
+    That bookkeeping, the panel count and the running time sum run on
+    Python floats, and the arrays are built once, at the end.
     """
     if not (math.isfinite(Omega_end) and math.isfinite(Omega_init)):
         raise ValueError("Omega_target and Omega_init must be finite")
@@ -392,54 +391,46 @@ def _time_table(model, drive, body, Omega_end, Omega_init, Omega_target):
             f"the torque stalls the rotation at Omega = {stall:.6g}, short "
             f"of Omega_target = {Omega_target:.6g}")
     M = M[_SAMPLES:].reshape(1, *parts.shape)
-    # the open panels as (start, width); the done halves' starts, widths
-    # and times; each round's I/M with the rows of its done panels
-    opened = [(lo, width)]
-    starts, halves, q, rounds = [], [], [], []
+    # the panels in span order: an open one as (start, width), a done half
+    # as (start, width, I/M at its nodes as a 1 x 20 row, time)
+    panels = [(lo, width)]
     while True:
         with np.errstate(all="ignore"):
             f = body.moment_of_inertia / M
-            sums = (f @ weights).tolist()
-        split, done = [], []
-        for k, ((lo, width), (whole, first, second)) in enumerate(
-                zip(opened, sums)):
-            quarter = width * 0.25
+            sums = zip(f, (f @ weights).tolist())
+        table = []
+        for panel in panels:
+            if len(panel) == 4:
+                table.append(panel)
+                continue
+            lo, width = panel
+            row, (whole, first, second) = next(sums)
+            half, quarter = 0.5 * width, width * 0.25
             first, second = first * quarter, second * quarter
             # a panel whose time is not finite is done too, and the range
             # check below rejects the sum
-            if (abs(whole * (width * 0.5) - first - second)
+            if (abs(whole * half - first - second)
                     > _EPSREL * abs(first + second)):
-                split.append((lo, 0.5 * width))
+                table += (lo, half), (lo + half, half)
             else:
-                done.append(k)
                 # + width * 0.0: a start at -0.0 reads +0.0 on the way up
                 # and -0.0 on the way down
-                starts += lo + width * 0.0, lo + width * 0.5
-                halves += 0.5 * width, 0.5 * width
-                q += first, second
-        rounds.append((f, done))
-        if not split:
+                table += ((lo + width * 0.0, half, row[1:2], first),
+                          (lo + half, half, row[2:], second))
+        panels = table
+        opened = [panel for panel in panels if len(panel) == 2]
+        if not opened:
             break
-        opened = split + [(lo + width, width) for lo, width in split]
-        if len(q) + len(opened) > _MAX_PANELS:
+        if len(panels) > _MAX_PANELS:
             raise RuntimeError(
                 f"spin-up quadrature failed: {_MAX_PANELS} panels do not "
                 f"reach a relative error of {_EPSREL:g}")
         lo, width = np.array(opened).T
         M = torque(model, drive,
                    lo[:, None, None] + width[:, None, None] * parts)
-    start, width = np.array(starts), np.array(halves)
-    if len(rounds) == 1:
-        # the first round's two halves, in order already
-        f = f[:, 1:].reshape(-1, weights.size)
-    else:
-        f = np.concatenate([f[done, 1:] for f, done in rounds if done])
-        order = np.argsort(np.abs(start - Omega_init))
-        start, width = start[order], width[order]
-        f = f.reshape(-1, weights.size)[order]
-        q = np.array(q)[order].tolist()
+    start, width, f, q = zip(*panels)
     t = [0.0, *itertools.accumulate(q)]
     if not 0 < t[-1] < math.inf:
         raise RuntimeError("spin-up quadrature failed: time out of double "
                            "range")
-    return start, width, f, np.array(t)
+    return np.array(start), np.array(width), np.concatenate(f), np.array(t)

@@ -177,8 +177,8 @@ def check_time_domain(rng) -> CheckResult:
     for m, d, Om in cases:
         avg = timedomain.force_law_averages(m, d, Om)
         closed_m = torque(m, d, Om)
-        closed_p = (absorption_cross_section(m, d, Om)
-                    * d.intensity(m.light_speed))
+        closed_p = dynamics.absorbed_power(
+            absorption_cross_section(m, d, Om), d.intensity(m.light_speed))
         worst = max(worst,
                     abs(avg.torque - closed_m) / abs(closed_m),
                     abs(avg.absorbed_power - closed_p) / abs(closed_p))
@@ -323,7 +323,7 @@ def ode_spin_up_time(model, drive, body, Omega_target) -> float:
 
 
 def check_quadrature_equivalence(rng) -> CheckResult:
-    worst = 0.0
+    worst = samples_off = 0.0
     for _ in range(5):
         m = OscillatorModel.normalized(rng.uniform(0.05, 0.3))
         d = DriveField.lcp(rng.uniform(0.2, 0.8))
@@ -332,6 +332,13 @@ def check_quadrature_equivalence(rng) -> CheckResult:
         t_ode = ode_spin_up_time(m, d, body, target)
         t_quad = dynamics.time_to_target_by_quadrature(m, d, body, target)
         worst = max(worst, abs(t_ode - t_quad) / t_quad)
+        # the sampled trajectory lies on the quadrature's t(Omega)
+        traj = dynamics.spin_up_trajectory(m, d, body, 0.0, target,
+                                           n_samples=9)
+        for t, Om in zip(traj.times, traj.rotation):
+            samples_off = max(samples_off, abs(
+                dynamics.time_to_target_by_quadrature(m, d, body, Om) - t)
+                / t_quad)
     # the burst estimate against its closed form draws nothing from rng
     burst_off = 0.0
     for rho, radius, sigma in _BURST_SPHERES:
@@ -341,9 +348,11 @@ def check_quadrature_equivalence(rng) -> CheckResult:
         burst_off = max(burst_off, abs(
             dynamics.centrifugal_burst_frequency(body) - exact) / exact)
     return CheckResult("spin-up-quadrature", worst <= QUADRATURE_TOL
+                       and samples_off <= CONSISTENCY_TOL
                        and burst_off <= CONSISTENCY_TOL,
                        f"max relative deviation {worst:.3e} over 5 runs, "
-                       f"burst frequency {burst_off:.1e} off "
+                       f"their 9 trajectory samples {samples_off:.1e} off "
+                       f"it, burst frequency {burst_off:.1e} off "
                        "sqrt(15 sigma / rho R^3)")
 
 
@@ -370,10 +379,17 @@ def check_amplifier(rng) -> CheckResult:
     g = medium.gain_coefficient(spec, d)
     # the doubling length below is exact for any g, so g itself is checked
     # against the members' extinctions taken from the full cross-section set
+    sets = [cross_section_set(mem.model, d, mem.rotation) for mem in members]
     g_ref = -spec.number_density * sum(
-        mem.weight * cross_section_set(mem.model, d, mem.rotation).extinction
-        for mem in members)
+        mem.weight * s.extinction for mem, s in zip(members, sets))
     off = abs(g - g_ref) / abs(g_ref)
+    z, profile = medium.intensity_profile(spec, d, 2.0)
+    profile_off = float(np.max(np.abs(
+        profile - medium.propagate_intensity(2.0, g, z)) / profile))
+    intensity = d.intensity(m.light_speed)
+    pump_off = max(abs(medium.sustaining_power(mem, d)
+                       / (s.mechanical * intensity) + 1.0)
+                   for mem, s in zip(members, sets))
     doubling = np.log(2.0) / g
     doubled = medium.propagate_intensity(1.0, g, doubling)
     split = (medium.propagate_intensity(
@@ -381,11 +397,14 @@ def check_amplifier(rng) -> CheckResult:
         - medium.propagate_intensity(2.0, g, 30.0))
     ok = (g > 0.0 and off <= CONSISTENCY_TOL
           and abs(doubled - 2.0) <= 1e-12
-          and abs(split) <= 1e-12 * medium.propagate_intensity(2.0, g, 30.0))
+          and abs(split) <= 1e-12 * medium.propagate_intensity(2.0, g, 30.0)
+          and profile_off <= CONSISTENCY_TOL and pump_off <= CONSISTENCY_TOL)
     return CheckResult("amplifier", ok,
                        f"gain {g:.3e} per cm, {off:.1e} off the members' "
                        "sum, doubling length exact, propagation "
-                       "multiplicative")
+                       f"multiplicative, profile {profile_off:.1e} off "
+                       f"I0 exp(g z), sustaining power {pump_off:.1e} off "
+                       "-sigma_mech I")
 
 
 def ridge_offset_along_ray(model, angle):

@@ -431,8 +431,9 @@ def test_trajectory_near_the_stall_stays_below_the_target():
 
 
 def test_near_stall_table_is_ordered():
-    # 14 rounds of splits: the done halves come out of order and are
-    # sorted, and the last edge's time is the quadrature's
+    # 14 rounds of splits, each panel replaced by its halves where it
+    # stands: the table is in span order, and the last edge's time is the
+    # quadrature's
     body = RigidBodyParams(1.0)
     start, width, dt_dOmega, t = dynamics._time_table(
         MODEL, DRIVE, body, 0.49999, 0.0, 0.49999)
@@ -442,6 +443,20 @@ def test_near_stall_table_is_ordered():
     assert_allclose(start[-1] + width[-1], 0.49999, rtol=1e-15)
     assert t[0] == 0.0 and np.all(np.diff(t) > 0)
     assert t[-1] == time_to_target_by_quadrature(MODEL, DRIVE, body, 0.49999)
+
+
+def test_downward_near_stall_table_is_ordered():
+    # from 0.8 down to just above the stall at 0.5: several rounds of
+    # splits on a span of negative width, whose table runs downward
+    start, width, dt_dOmega, t = dynamics._time_table(
+        MODEL, DRIVE, RigidBodyParams(1.0), 0.50001, 0.8, 0.50001)
+    assert start.size == width.size == dt_dOmega.shape[0] == t.size - 1 == 26
+    assert start[0] == 0.8 and np.all(np.diff(start) < 0)
+    assert np.all(width < 0)
+    assert_allclose(start[1:], start[:-1] + width[:-1], rtol=1e-15)
+    assert_allclose(start[-1] + width[-1], 0.50001, rtol=1e-15)
+    assert t[0] == 0.0 and np.all(np.diff(t) > 0)
+    assert t[-1].hex() == "0x1.a844a037e293bp+5"
 
 
 # ends of either sign, and ends a few subnormals apart, where the step
@@ -763,13 +778,13 @@ def test_one_round_table_makes_one_torque_call(monkeypatch):
     assert not sorts
 
 
-def test_near_stall_table_splits_and_sorts(monkeypatch):
+def test_near_stall_table_splits_without_sorting(monkeypatch):
     calls, sorts = _count_torque_calls(
         monkeypatch, lambda: time_to_target_by_quadrature(
             MODEL, DRIVE, RigidBodyParams(1.0), 0.49999))
     assert len(calls) == 14
     assert all(n > 1 for n in calls)
-    assert sorts
+    assert not sorts
 
 
 @pytest.mark.parametrize("run", _BENCH_MELT_RUNS, ids=["s107-380", "s203-150"])

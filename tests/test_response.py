@@ -1087,6 +1087,13 @@ def _tau_doubled(model_class):
     return Doubled
 
 
+def _mapped(change):
+    """A mutant of a function: ``change`` applied to its result."""
+    def mutant(function):
+        return lambda *args, **kwargs: change(function(*args, **kwargs))
+    return mutant
+
+
 @pytest.mark.parametrize("target, mutant, caught_by", [
     ("response._brake", _rotation_even,
      {"balance-identity", "time-domain-oracle", "scan-roundtrip"}),
@@ -1114,10 +1121,23 @@ def _tau_doubled(model_class):
      {"drude-mapping-consistency"}),
     ("materials.OscillatorModel", _tau_doubled,
      {"drude-mapping-consistency"}),
+    # the sampled trajectory, and the last of its sample times
+    ("dynamics.spin_up_trajectory", _mapped(
+        lambda traj: traj._replace(rotation=traj.rotation * (1 + 1e-6))),
+     {"spin-up-quadrature"}),
+    ("dynamics._linspace",
+     _mapped(lambda y: np.append(y[:-1], y[-1] * (1 + 1e-9))),
+     {"spin-up-quadrature"}),
+    ("dynamics.absorbed_power", _mapped(lambda p: 2 * p),
+     {"time-domain-oracle"}),
+    ("medium.sustaining_power", _mapped(lambda p: 2 * p), {"amplifier"}),
+    ("medium.intensity_profile", _mapped(lambda zi: (zi[0], 2 * zi[1])),
+     {"amplifier"}),
 ], ids=["brake", "elastic", "inelastic", "absorption", "torque",
         "denominator-B", "weights-norm", "sideband-phase",
         "sideband-amplitude", "singular-cells-finite", "drude-coupling",
-        "drude-tau"])
+        "drude-tau", "trajectory-rotation", "linspace-last-point",
+        "absorbed-power", "sustaining-power", "intensity-profile"])
 def test_validate_catches_rotation_dependent_formula_error(
         monkeypatch, target, mutant, caught_by):
     # one formula off, most by a relative 1e-8 * Omega**2, which vanishes

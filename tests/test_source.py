@@ -126,6 +126,20 @@ def test_dynamics_calls_no_linspace():
     assert found == ["<module>"]
 
 
+def _is_sort_call(node):
+    return (isinstance(node, ast.Call)
+            and (getattr(node.func, "attr", None) in ("argsort", "sort")
+                 or getattr(node.func, "id", None) == "sorted"))
+
+
+def test_dynamics_calls_no_sort():
+    # the spin-up quadrature replaces each panel by its halves where it
+    # stands, so its table is in span order without a sort
+    found = _scopes(ast.parse((SRC / "dynamics.py").read_text()),
+                    _is_sort_call)
+    assert found == []
+
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
